@@ -18,14 +18,19 @@ samplers and the contribution sweep touch.
 
 Lifetime: the store owns the blocks and unlinks them on ``close()`` (or
 context-manager exit); attachments only ever ``close()`` their mapping.
-Attachments bypass ``resource_tracker`` registration because the parent
-is the sole owner — otherwise every worker's tracker would try to unlink
-the parent's blocks at interpreter shutdown.
+Attachments in other processes bypass ``resource_tracker`` registration
+because the creating process is the sole owner — otherwise every
+worker's tracker would try to unlink its blocks at interpreter shutdown.
+In the creating process an attachment registers as usual: the tracker
+already holds each name in a set, so nothing changes, and the
+process-wide registration hook, which several threads of a server may
+reach at once, is never swapped there.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -54,6 +59,8 @@ class SharedViewSpec:
     region_code: str
     category_order: tuple[str, ...]
     blocks: dict[str, BlockSpec]
+    #: Pid of the process that created (and will unlink) the blocks.
+    owner_pid: int
 
 
 class SharedViewStore:
@@ -91,6 +98,7 @@ class SharedViewStore:
             region_code=view.region_code,
             category_order=category_order,
             blocks=blocks,
+            owner_pid=os.getpid(),
         )
 
     def _create_block(self, array: np.ndarray) -> BlockSpec:
@@ -140,8 +148,13 @@ class AttachedView:
     def __init__(self, spec: SharedViewSpec) -> None:
         self._segments: list[shared_memory.SharedMemory] = []
         arrays: dict[str, np.ndarray] = {}
+        owner = spec.owner_pid == os.getpid()
         for key, block in spec.blocks.items():
-            segment = _attach_untracked(block.name)
+            segment = (
+                shared_memory.SharedMemory(name=block.name)
+                if owner
+                else _attach_untracked(block.name)
+            )
             self._segments.append(segment)
             arrays[key] = np.ndarray(
                 block.shape, dtype=np.dtype(block.dtype), buffer=segment.buf
@@ -190,6 +203,9 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     own (and spam ``KeyError`` warnings once the parent unlinks them
     first). Python 3.13 grew ``track=False`` for exactly this; here the
     registration hook is silenced for the duration of the attach instead.
+    Swapping a process-wide hook is safe only where no other thread can
+    attach meanwhile: in pool workers, which run one task at a time,
+    never in the process that created the blocks.
     """
     original = resource_tracker.register
     resource_tracker.register = lambda *args, **kwargs: None

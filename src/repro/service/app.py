@@ -319,6 +319,8 @@ class ServiceApp:
         into the thread pool. Anything else — uncached, non-cacheable,
         wrong method, tracing enabled (spans must stay complete) —
         returns ``None`` and the caller falls back to full dispatch.
+        The probe counts no miss: that dispatch looks the key up again
+        and counts it there, so each request is one hit or one miss.
         """
         if _TRACER.enabled:
             return None
@@ -327,7 +329,7 @@ class ServiceApp:
             return None
         started = self._clock()
         endpoint = path.lstrip("/")
-        cached = self.cache.get(canonical_key(endpoint, payload))
+        cached = self.cache.probe(canonical_key(endpoint, payload))
         if cached is MISSING:
             return None
         rid = resolve_request_id(request_id)

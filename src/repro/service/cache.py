@@ -122,21 +122,37 @@ class ResultCache:
 
     def get(self, key: str) -> Any:
         """The cached value, or :data:`MISSING`; refreshes LRU recency."""
-        now = self._clock()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            value = self._live(key)
+            if value is MISSING:
                 self._misses += 1
-                return MISSING
-            stored_at, value = entry
-            if self._ttl is not None and now - stored_at >= self._ttl:
-                del self._entries[key]
-                self._expirations += 1
-                self._misses += 1
-                return MISSING
-            self._entries.move_to_end(key)
-            self._hits += 1
             return value
+
+    def probe(self, key: str) -> Any:
+        """Like :meth:`get`, but a miss is not counted.
+
+        For a fast path that falls back to :meth:`get` on a miss, so each
+        request counts one hit or one miss, never two.
+        """
+        with self._lock:
+            return self._live(key)
+
+    def _live(self, key: str) -> Any:
+        """The unexpired value (counted as a hit), or :data:`MISSING`.
+
+        Call with the lock held; an expired entry is dropped.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            return MISSING
+        stored_at, value = entry
+        if self._ttl is not None and self._clock() - stored_at >= self._ttl:
+            del self._entries[key]
+            self._expirations += 1
+            return MISSING
+        self._entries.move_to_end(key)
+        self._hits += 1
+        return value
 
     def put(self, key: str, value: Any) -> None:
         """Store a value, evicting the LRU entry beyond capacity."""

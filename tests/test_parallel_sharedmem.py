@@ -1,10 +1,11 @@
 """Tests for the shared-memory cuisine view transport."""
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 from repro.datamodel import Cuisine, Recipe
 from repro.pairing import (
@@ -144,3 +145,60 @@ class TestLifetime:
                 assert np.array_equal(
                     attached.view.recipes[0], view.recipes[0]
                 )
+
+
+class TestConcurrentAttach:
+    def test_overlapping_attaches_leave_the_tracker_hook_alone(
+        self, view, monkeypatch
+    ):
+        """Two threads attach at once in the process that owns the blocks.
+
+        A gated ``SharedMemory`` forces the order that used to leave
+        ``resource_tracker.register`` swapped for a no-op for good: A
+        swaps it, B saves the no-op as the original, A restores, B
+        restores the no-op. Every later block would then go unregistered
+        and its unlink would make the tracker print a ``KeyError``.
+        """
+        register = resource_tracker.register
+        real = shared_memory.SharedMemory
+        a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
+
+        def gated(*args, **kwargs):
+            thread = threading.current_thread().name
+            if thread == "attach-a" and not a_inside.is_set():
+                a_inside.set()
+                b_inside.wait(timeout=10)
+            elif thread == "attach-b" and not b_inside.is_set():
+                b_inside.set()
+                a_done.wait(timeout=10)
+            return real(*args, **kwargs)
+
+        def attach(spec, done):
+            try:
+                AttachedView(spec).close()
+            finally:
+                done.set()
+
+        with SharedViewStore() as store:
+            spec = store.publish(view)
+            monkeypatch.setattr(shared_memory, "SharedMemory", gated)
+            first = threading.Thread(
+                target=attach, args=(spec, a_done), name="attach-a"
+            )
+            second = threading.Thread(
+                target=attach,
+                args=(spec, threading.Event()),
+                name="attach-b",
+            )
+            try:
+                first.start()
+                assert a_inside.wait(timeout=10)
+                second.start()
+                first.join(timeout=30)
+                second.join(timeout=30)
+            finally:
+                hook = resource_tracker.register
+                resource_tracker.register = register
+        assert not first.is_alive() and not second.is_alive()
+        assert b_inside.is_set()
+        assert hook is register

@@ -480,3 +480,26 @@ class TestServingMetricsExposed:
         # for /score once the response has been written... except the
         # /metrics request itself, which is mid-flight right now.
         assert serving["inflight"].get("score", 0) == 0
+
+
+class TestCacheStatsOverHttp:
+    def test_each_request_counts_one_hit_or_one_miss(self):
+        """4 distinct /score requests, then the same 4 again.
+
+        The event-loop cache probe must not count a miss that the
+        executor's dispatch then counts a second time.
+        """
+        app, handle = stub_server()
+        try:
+            payloads = [{"ingredients": [name]} for name in "abcd"]
+            with connect(handle) as sock:
+                for payload in payloads + payloads:
+                    send_request(sock, "POST", "/score", payload)
+                    assert read_response(sock)[0] == 200
+                send_request(sock, "GET", "/metrics")
+                status, _, body = read_response(sock)
+            assert status == 200
+            assert body["cache"]["hits"] == body["cache"]["misses"] == 4
+            assert body["cache"]["hit_rate"] == 0.5
+        finally:
+            handle.stop()
