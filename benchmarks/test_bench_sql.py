@@ -4,20 +4,23 @@ Builds a synthetic ``recipes`` table (200k rows at scale 1.0, shaped like
 the CulinaryDB recipe catalog) and sweeps Table-1-style aggregation
 queries — filter, group by region, COUNT/SUM/AVG/MIN/MAX, order, limit —
 through one prepared statement with varying parameter bindings, once per
-executor. A recipe→ingredient hash-join sweep, a grouped-tail sweep
-(STDDEV/VARIANCE + HAVING + grouped ORDER BY), a point-lookup filter
-sweep, and a prepared-vs-reparse loop ride along. Numbers land in
-``BENCH_sql.json``::
+executor. A recipe→ingredient hash-join sweep filtered on the joined
+table, the served join shape (``WHERE ingredient_id = ?`` on the base
+table, grouped by a joined column, so the filter runs before the join),
+a grouped-tail sweep (STDDEV/VARIANCE + HAVING + grouped ORDER BY), a
+point-lookup filter sweep, and a prepared-vs-reparse loop ride along.
+Numbers land in ``BENCH_sql.json``::
 
     {"rows": ..., "aggregation": {"reference_seconds": ...,
      "columnar_seconds": ..., "speedup": ...},
-     "join": {...}, "grouped_tail": {...}, "filter": {...},
-     "prepare": {"reparse_seconds": ..., "prepared_seconds": ...,
-     "speedup": ...}}
+     "join": {...}, "join_filtered": {...}, "grouped_tail": {...},
+     "filter": {...}, "prepare": {"reparse_seconds": ...,
+     "prepared_seconds": ..., "speedup": ...}}
 
 The columnar aggregation sweep must beat the reference executor by at
-least 10x (``MIN_AGG_SPEEDUP``) and the join sweep by at least 5x
-(``MIN_JOIN_SPEEDUP``); set ``REPRO_BENCH_SMOKE=1`` to keep the
+least 10x (``MIN_AGG_SPEEDUP``), the join sweep by at least 5x
+(``MIN_JOIN_SPEEDUP``) and the filtered join sweep by at least 10x
+(``MIN_JOIN_FILTERED_SPEEDUP``); set ``REPRO_BENCH_SMOKE=1`` to keep the
 measurements but skip the speedup assertions (CI smoke mode on small
 runners). ``REPRO_BENCH_SCALE`` scales the row count as for the other
 benches.
@@ -39,6 +42,10 @@ MIN_AGG_SPEEDUP = 10.0
 
 #: Required advantage of the columnar hash join on the join sweep.
 MIN_JOIN_SPEEDUP = 5.0
+
+#: Required advantage on the served join shape, whose base-table filter
+#: the columnar executor applies before joining.
+MIN_JOIN_FILTERED_SPEEDUP = 10.0
 
 #: Synthetic catalog size at scale 1.0.
 BASE_ROWS = 200_000
@@ -71,6 +78,13 @@ JOIN_SQL = (
     "SELECT recipe_id, title, ingredient, grams FROM recipes "
     "JOIN recipe_ingredients ON recipe_id = recipe_ingredients.recipe_id "
     "WHERE grams > ? ORDER BY recipe_id LIMIT 500"
+)
+
+#: The served ``/sql`` join: one ingredient's uses per region.
+JOIN_FILTERED_SQL = (
+    "SELECT region_code, COUNT(*) AS uses FROM recipe_ingredients "
+    "JOIN recipes ON recipe_id = recipes.recipe_id WHERE ingredient_id = ? "
+    "GROUP BY region_code ORDER BY uses DESC, region_code"
 )
 
 GROUPED_SQL = (
@@ -131,22 +145,25 @@ def build_catalog(n_rows):
         Schema(
             [
                 Column("recipe_id", ColumnType.INT),
+                Column("ingredient_id", ColumnType.INT),
                 Column("ingredient", ColumnType.TEXT),
                 Column("grams", ColumnType.INT),
             ]
         ),
     )
-    database.table("recipe_ingredients").bulk_insert(
-        [
-            {
-                "recipe_id": index,
-                "ingredient": rng.choice(INGREDIENTS),
-                "grams": rng.randint(1, 500),
-            }
-            for index in range(n_rows)
-            for _ in range(4)
-        ]
-    )
+    links = []
+    for index in range(n_rows):
+        for _ in range(4):
+            ingredient = rng.choice(INGREDIENTS)
+            links.append(
+                {
+                    "recipe_id": index,
+                    "ingredient_id": INGREDIENTS.index(ingredient),
+                    "ingredient": ingredient,
+                    "grams": rng.randint(1, 500),
+                }
+            )
+    database.table("recipe_ingredients").bulk_insert(links)
     return database
 
 
@@ -175,6 +192,16 @@ def test_bench_sql():
     reference_join = _sweep(join_plan, database, join_params, True)
     columnar_join = _sweep(join_plan, database, join_params, False)
 
+    filtered_plan = database.prepare(JOIN_FILTERED_SQL)
+    filtered_params = [[ingredient] for ingredient in range(len(INGREDIENTS))]
+    filtered_plan.execute(database, [0])  # warm the key and group blocks
+    reference_filtered = _sweep(
+        filtered_plan, database, filtered_params, True
+    )
+    columnar_filtered = _sweep(
+        filtered_plan, database, filtered_params, False
+    )
+
     grouped_plan = database.prepare(GROUPED_SQL)
     reference_grouped = _sweep(grouped_plan, database, GROUPED_PARAMS, True)
     columnar_grouped = _sweep(grouped_plan, database, GROUPED_PARAMS, False)
@@ -196,6 +223,10 @@ def test_bench_sql():
     assert grouped_plan.execute(database, [5, 40]) == grouped_plan.execute(
         database, [5, 40], reference=True
     )
+    assert filtered_plan.execute(database, [3]) == filtered_plan.execute(
+        database, [3], reference=True
+    )
+    assert database.explain(JOIN_FILTERED_SQL, [3])["pushed_below_join"] == 1
 
     # Prepared-statement reuse vs re-tokenizing + re-parsing every call.
     from repro.db.sql import parse_select
@@ -219,6 +250,7 @@ def test_bench_sql():
         "ingredient_rows": n_rows * 4,
         "agg_queries": len(agg_params),
         "join_queries": len(join_params),
+        "join_filtered_queries": len(filtered_params),
         "grouped_queries": len(GROUPED_PARAMS),
         "filter_queries": len(filter_params),
         "aggregation": {
@@ -230,6 +262,11 @@ def test_bench_sql():
             "reference_seconds": round(reference_join, 4),
             "columnar_seconds": round(columnar_join, 4),
             "speedup": ratio(reference_join, columnar_join),
+        },
+        "join_filtered": {
+            "reference_seconds": round(reference_filtered, 4),
+            "columnar_seconds": round(columnar_filtered, 4),
+            "speedup": ratio(reference_filtered, columnar_filtered),
         },
         "grouped_tail": {
             "reference_seconds": round(reference_grouped, 4),
@@ -256,6 +293,7 @@ def test_bench_sql():
 
     assert columnar_agg < reference_agg
     assert columnar_join < reference_join
+    assert columnar_filtered < reference_filtered
     assert columnar_grouped < reference_grouped
     assert prepared_seconds < reparse_seconds
     if not SMOKE:
@@ -267,4 +305,11 @@ def test_bench_sql():
         assert payload["join"]["speedup"] >= MIN_JOIN_SPEEDUP, (
             f"columnar join sweep only {payload['join']['speedup']}x "
             f"faster than the reference executor"
+        )
+        assert (
+            payload["join_filtered"]["speedup"] >= MIN_JOIN_FILTERED_SPEEDUP
+        ), (
+            f"columnar filtered join sweep only "
+            f"{payload['join_filtered']['speedup']}x faster than the "
+            f"reference executor"
         )

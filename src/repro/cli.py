@@ -68,6 +68,7 @@ tree and the metrics dump are complete at any worker count.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from collections.abc import Sequence
@@ -755,6 +756,11 @@ def _run_serve(args: argparse.Namespace) -> int:
         service,
         cache=ResultCache(capacity=args.cache_size, ttl=args.ttl),
     )
+    # The warm heap lives as long as the server: move it to the
+    # permanent generation so no full collection during serving
+    # traverses it again (cycles created at boot are never collected).
+    gc.collect()
+    gc.freeze()
 
     # Warm-up happens entirely before the socket binds: the first
     # request never pays a build, and with --cache-dir a restart

@@ -14,7 +14,9 @@ whole-column operations:
   left/right row-index **gather arrays** (:func:`_hash_join_gather`), so
   inner and left joins — NULL keys matching nothing — run as whole-array
   searchsorted/repeat kernels over a :class:`JoinRelation` whose columns
-  gather lazily from the source tables;
+  gather lazily from the source tables; ``WHERE`` conjuncts that read
+  only base-table columns are masked on the base table first, so the
+  chain joins only the selected base rows (:func:`_split_where`);
 * group-by factorises key columns into dense codes and picks a **hash**
   strategy (direct code-grid bincount) when the key-space is small, or a
   **sort** strategy (``np.unique`` compression) otherwise, always
@@ -338,12 +340,13 @@ class JoinRelation:
 
     Each source table contributes its :class:`ColumnStore` plus a
     row-index gather array aligned with the join output (``None`` means
-    identity; ``-1`` marks the null-padded side of an unmatched LEFT
-    JOIN row). Output column names mirror the reference executor's
-    ``_merge_rows``: base-table names stay bare, joined columns keep
-    their bare name unless it collides, in which case they become
-    ``"table.column"``. Blocks gather lazily per column and are cached,
-    so projection push-down still holds across joins.
+    identity; a base table filtered before the join starts from its
+    selected row indices; ``-1`` marks the null-padded side of an
+    unmatched LEFT JOIN row). Output column names mirror the reference
+    executor's ``_merge_rows``: base-table names stay bare, joined
+    columns keep their bare name unless it collides, in which case they
+    become ``"table.column"``. Blocks gather lazily per column and are
+    cached, so projection push-down still holds across joins.
     """
 
     def __init__(self, row_count, sources, columns) -> None:
@@ -562,17 +565,109 @@ def _apply_columnar_join(database, relation: JoinRelation, join):
         for store, gather in relation.sources
     ]
     sources.append((right_store, right_take))
-    columns = dict(relation.columns)
-    right_index = len(sources) - 1
-    for name in right_table.schema.column_names:
-        key = name if name not in columns else f"{join.table_name}.{name}"
-        columns[key] = (right_index, name)
+    columns = _joined_columns(
+        relation.columns,
+        join.table_name,
+        right_table.schema.column_names,
+        len(sources) - 1,
+    )
     return JoinRelation(len(left_take), sources, columns)
 
 
-def _build_join_relation(query: "Query") -> JoinRelation:
-    """Lower ``query``'s join chain into one gather-composed relation."""
+def _joined_columns(columns, table_name, names, source_index):
+    """``columns`` plus one joined table's, named as ``_merge_rows`` does."""
+    extended = dict(columns)
+    for name in names:
+        key = name if name not in extended else f"{table_name}.{name}"
+        extended[key] = (source_index, name)
+    return extended
+
+
+def _column_refs(expr: Expression) -> list[str] | None:
+    """Column names ``expr`` reads; ``None`` for a node kind not walked."""
+    if isinstance(expr, ColumnRef):
+        return [expr.name]
+    if isinstance(expr, Literal):
+        return []
+    if isinstance(expr, (Comparison, Arithmetic)):
+        children: tuple[Any, ...] = (expr.left, expr.right)
+    elif isinstance(expr, BooleanOp):
+        children = expr.parts
+    elif isinstance(expr, (Not, IsNull, Like)):
+        children = (expr.inner,)
+    elif isinstance(expr, InList):
+        children = (expr.inner,) + tuple(
+            value for value in expr.values if isinstance(value, Expression)
+        )
+    else:
+        return None
+    names: list[str] = []
+    for child in children:
+        found = _column_refs(child)
+        if found is None:
+            return None
+        names.extend(found)
+    return names
+
+
+def _split_where(
+    where: Expression | None, columns
+) -> tuple[list[Expression], list[Expression]]:
+    """``(base, residual)`` top-level AND conjuncts of a join's WHERE.
+
+    A conjunct is a base conjunct when every column it reads resolves,
+    under the join's output naming (``columns``, see
+    :func:`_resolve_output_name`), to a base-table column. The base table
+    is the left side of every join in the chain and is never NULL-padded,
+    so such a conjunct has the same value on a joined row as on the base
+    row it came from: masking the base table before the join keeps
+    exactly the joined rows the full WHERE would, in the same order, for
+    inner and left joins alike. Names that do not resolve (ambiguous or
+    unknown) stay residual and fall back there as before.
+    """
+    if where is None:
+        return [], []
+    if isinstance(where, BooleanOp) and where.op == "and":
+        conjuncts = where.parts
+    else:
+        conjuncts = (where,)
+    base: list[Expression] = []
+    residual: list[Expression] = []
+    for conjunct in conjuncts:
+        names = _column_refs(conjunct)
+        try:
+            on_base = names is not None and all(
+                columns[_resolve_output_name(name, columns)][0] == 0
+                for name in names
+            )
+        except Unsupported:
+            on_base = False
+        (base if on_base else residual).append(conjunct)
+    return base, residual
+
+
+def _conjoin(parts: list[Expression]) -> Expression | None:
+    if not parts:
+        return None
+    return parts[0] if len(parts) == 1 else BooleanOp("and", tuple(parts))
+
+
+def _scan(query: "Query") -> tuple[Any, Compiler, Expression | None, int]:
+    """The query's input relation, a compiler over it and the WHERE left.
+
+    The third item is the part of ``WHERE`` still to be masked over the
+    relation; the fourth counts the conjuncts already applied to the base
+    table before the first join (always 0 without joins). Execution and
+    :func:`analyze` both plan through here, so EXPLAIN reports the split
+    the executor runs. When the base-table conjuncts cannot be masked,
+    the query is planned unsplit — join first, then the whole ``WHERE``
+    — so its fallback reason and touched columns are the ones that plan
+    reports.
+    """
     database = query._database
+    if not query._joins:
+        store = database.table(query._table_name).columnar()
+        return store, Compiler(store), query._where, 0
     seen = {query._table_name}
     for join in query._joins:
         if join.table_name in seen:
@@ -580,14 +675,35 @@ def _build_join_relation(query: "Query") -> JoinRelation:
         seen.add(join.table_name)
     base = database.table(query._table_name)
     store = base.columnar()
+    columns = {name: (0, name) for name in base.schema.column_names}
+    output = columns
+    for index, join in enumerate(query._joins, start=1):
+        output = _joined_columns(
+            output,
+            join.table_name,
+            database.table(join.table_name).schema.column_names,
+            index,
+        )
+    pushed, residual = _split_where(query._where, output)
+    base_compiler = Compiler(store)
+    selected = None
+    if pushed:
+        try:
+            selected = np.flatnonzero(base_compiler.mask(_conjoin(pushed)))
+        except Unsupported:
+            pushed = []
     relation = JoinRelation(
-        store.row_count,
-        [(store, None)],
-        {name: (0, name) for name in base.schema.column_names},
+        store.row_count if selected is None else len(selected),
+        [(store, selected)],
+        columns,
     )
     for join in query._joins:
         relation = _apply_columnar_join(database, relation, join)
-    return relation
+    compiler = Compiler(relation)
+    if not pushed:
+        return relation, compiler, query._where, 0
+    compiler.touched |= base_compiler.touched
+    return relation, compiler, _conjoin(residual), len(pushed)
 
 
 # ----------------------------------------------------------------------
@@ -1390,13 +1506,8 @@ def execute(query: "Query") -> list[dict[str, Any]] | None:
 
 
 def _execute(query: "Query") -> list[dict[str, Any]]:
-    if query._joins:
-        relation = _build_join_relation(query)
-    else:
-        relation = query._database.table(query._table_name).columnar()
-    compiler = Compiler(relation)
-    mask = compiler.mask(query._where)
-
+    relation, compiler, where, _pushed = _scan(query)
+    mask = compiler.mask(where)
     if query._group_columns or query._aggregates:
         return _execute_grouped(query, compiler, mask)
     return _finish(query, compiler, mask, relation.output_names)
@@ -1592,7 +1703,10 @@ def analyze(query: "Query") -> dict[str, Any]:
     Compiles the query's expressions over the column kinds without
     evaluating filter or aggregate kernels, and reports which executor
     would serve the query, why a fallback would occur (message plus
-    metric-label family), the joins lowered into the plan, and the
+    metric-label family), the joins lowered into the plan, how many
+    WHERE conjuncts run on the base table before the first join
+    (``pushed_below_join``, through the executor's own split; 0 when the
+    query falls back), and the
     columns the scan would touch (projection push-down set). Joined
     queries do build their gather arrays — the join shape, not just the
     column types, decides columnar eligibility — so EXPLAIN over a join
@@ -1610,6 +1724,7 @@ def analyze(query: "Query") -> dict[str, Any]:
             for join in query._joins
         ],
         "group_strategy": None,
+        "pushed_below_join": 0,
     }
     if query._use_reference:
         info["executor"] = "reference"
@@ -1618,12 +1733,8 @@ def analyze(query: "Query") -> dict[str, Any]:
         return info
     compiler = None
     try:
-        if query._joins:
-            relation = _build_join_relation(query)
-        else:
-            relation = query._database.table(query._table_name).columnar()
-        compiler = Compiler(relation)
-        compiler.mask(query._where)
+        _relation, compiler, where, pushed = _scan(query)
+        compiler.mask(where)
         if query._group_columns or query._aggregates:
             for name in query._group_columns:
                 compiler.value(ColumnRef(name))
@@ -1645,6 +1756,7 @@ def analyze(query: "Query") -> dict[str, Any]:
         elif query._projections is not None:
             for projection in query._projections:
                 compiler.value(projection.expr)
+        info["pushed_below_join"] = pushed
     except Unsupported as fallback:
         info["executor"] = "reference"
         info["reason"] = str(fallback)

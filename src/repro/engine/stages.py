@@ -121,8 +121,10 @@ def _build_pairing_views(
 ) -> dict[str, CuisineView]:
     """Numeric pairing views for the 22 Table 1 regions.
 
-    Precomputing the derived sampler structures here means a warm load
-    hands fig4/fig5 (and the service) views that are ready to sample.
+    Precomputing the derived sampler structures and each cuisine's mean
+    score here means a warm load hands fig4/fig5 (and the service) views
+    that are ready to sample and to compare against their null models:
+    a served ``/montecarlo`` request re-scores no recipe of the cuisine.
     """
     cuisines: Mapping[str, Cuisine] = inputs["cuisines"]
     catalog = default_catalog()
@@ -138,6 +140,7 @@ def _build_pairing_views(
             view.recipe_sizes()
             view.category_pools()
             view.template_specs()
+            view.mean_score()
             views[code] = view
         return views
 
@@ -197,7 +200,7 @@ STAGES: dict[str, Stage] = {
         ),
         Stage(
             name="pairing_views",
-            version="1",
+            version="2",
             deps=("cuisines",),
             config_fields=(),
             build=_build_pairing_views,

@@ -86,10 +86,7 @@ class RecipeDesigner:
         self._target_score = float(scores.mean())
         self._score_spread = float(scores.std(ddof=0)) or 1.0
         self._popularity = view.frequencies / view.frequencies.sum()
-        self._existing = [
-            frozenset(int(index) for index in recipe)
-            for recipe in view.recipes
-        ]
+        self._postings = _recipe_postings(view)
         self._size_pool = view.recipe_sizes()
         self._local_neighbors: tuple[np.ndarray, ...] | None = None
         if index is not None:
@@ -116,12 +113,14 @@ class RecipeDesigner:
         return 1.0 - self._max_overlap(members)
 
     def _max_overlap(self, members: frozenset[int]) -> float:
-        best = 0.0
-        for existing in self._existing:
-            overlap = len(members & existing) / len(members)
-            if overlap > best:
-                best = overlap
-        return best
+        """Largest ``|members ∩ recipe| / |members|`` over the cuisine.
+
+        Counts shared ingredients per recipe from the ingredient postings
+        in one ``bincount``; the best count is divided once, which gives
+        the same float as dividing every count and taking the largest.
+        """
+        hits = np.concatenate([self._postings[local] for local in members])
+        return int(np.bincount(hits, minlength=1).max()) / len(members)
 
     def propose(
         self,
@@ -269,6 +268,21 @@ class RecipeDesigner:
         if total <= 0:
             return None
         return int(pool[rng.choice(len(pool), p=weights / total)])
+
+
+def _recipe_postings(view: CuisineView) -> tuple[np.ndarray, ...]:
+    """Per local ingredient, the indices of the recipes that use it."""
+    sizes = view.recipe_sizes()
+    flat = np.concatenate(view.recipes)
+    owners = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    order = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(
+        flat[order], np.arange(view.ingredient_count + 1)
+    )
+    return tuple(
+        owners[order[bounds[local] : bounds[local + 1]]]
+        for local in range(view.ingredient_count)
+    )
 
 
 def _local_neighbor_pools(

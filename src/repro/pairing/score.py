@@ -102,8 +102,11 @@ def scores_from_view_reference(view: CuisineView) -> np.ndarray:
 
 
 def cuisine_mean_score(view: CuisineView) -> float:
-    """The cuisine's average flavor sharing <N_s> (Section IV.B)."""
-    return float(scores_from_view(view).mean())
+    """The cuisine's average flavor sharing <N_s> (Section IV.B).
+
+    A per-view constant, computed once and cached on the view.
+    """
+    return view.mean_score()
 
 
 #: Float budget for one gathered ``(rows, n, n)`` overlap block inside

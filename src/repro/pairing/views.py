@@ -38,8 +38,8 @@ class CuisineView:
         categories: category name per local ingredient.
 
     Derived structures the null models need on every sampling call
-    (recipe sizes, category pools, per-template category specs) are
-    computed once per view and cached.
+    (recipe sizes, category pools, per-template category specs) and the
+    cuisine's own mean score are computed once per view and cached.
 
     A *kernel* view — one reconstructed in a worker process from shared
     memory (see :mod:`repro.parallel.sharedmem`) — carries an empty
@@ -70,6 +70,16 @@ class CuisineView:
     @functools.cached_property
     def _recipe_sizes(self) -> np.ndarray:
         return np.asarray([len(recipe) for recipe in self.recipes], np.int64)
+
+    def mean_score(self) -> float:
+        """The cuisine's average flavor sharing <N_s> over its recipes."""
+        return self._mean_score
+
+    @functools.cached_property
+    def _mean_score(self) -> float:
+        from .score import scores_from_view  # score imports this module
+
+        return float(scores_from_view(self).mean())
 
     @functools.cached_property
     def category_order(self) -> tuple[str, ...]:

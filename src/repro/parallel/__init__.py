@@ -6,10 +6,11 @@ Three layers, bottom-up:
   over task payloads across a ``ProcessPoolExecutor`` with a serial
   fallback at ``workers=1`` and serial retry of any shard whose worker
   crashed.
-* :mod:`repro.parallel.sharedmem` — zero-copy transport: each cuisine's
-  overlap matrix, recipe index arrays, frequency vector and category ids
-  live in named shared-memory blocks; task payloads carry block names +
-  shapes only (a few hundred bytes), never the matrices.
+* :mod:`repro.parallel.sharedmem` — zero-copy transport for pooled
+  sweeps: each cuisine's overlap matrix, recipe index arrays, frequency
+  vector and category ids live in named shared-memory blocks; task
+  payloads carry block names + shapes only (a few hundred bytes), never
+  the matrices. Unpooled shards sample the caller's own views.
 * :mod:`repro.parallel.montecarlo` — the sampling drivers: shard
   decomposition with ``SeedSequence.spawn`` determinism, streaming
   :class:`~repro.pairing.moments.StreamingMoments` reduction, and the

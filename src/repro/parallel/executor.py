@@ -96,6 +96,16 @@ def shard_sizes(n_samples: int, shard_size: int) -> list[int]:
     return [shard_size] * full + ([remainder] if remainder else [])
 
 
+def runs_pooled(workers: int, tasks: int) -> bool:
+    """Whether :func:`run_tasks` sends ``tasks`` payloads to a process pool.
+
+    The one decision for every caller: a sweep publishes its views to
+    shared memory only when this holds, and otherwise hands the shards
+    the views its own process already holds.
+    """
+    return workers > 1 and tasks > 1
+
+
 @dataclasses.dataclass(frozen=True)
 class _TaskEnvelope:
     """A pooled task's result plus the telemetry it recorded."""
@@ -131,15 +141,16 @@ def run_tasks(
 ) -> list[_T]:
     """Map ``fn`` over ``payloads``; results in payload order.
 
-    ``workers <= 1`` (or a single payload) runs serially in-process. A
-    pool that cannot be created (no process support) degrades to the
-    serial path; an individual task failure is retried serially before
-    the error is allowed to propagate. Worker telemetry snapshots are
-    merged in shard order after all results are in.
+    Unless :func:`runs_pooled` (``workers <= 1`` or a single payload),
+    the payloads run serially in-process. A pool that cannot be created
+    (no process support) degrades to the serial path; an individual
+    task failure is retried serially before the error is allowed to
+    propagate. Worker telemetry snapshots are merged in shard order
+    after all results are in.
     """
     items: Sequence[Any] = list(payloads)
     with span(label, workers=workers, tasks=len(items)) as trace:
-        if workers <= 1 or len(items) <= 1:
+        if not runs_pooled(workers, len(items)):
             return [fn(item) for item in items]
         results: list[Any] = [None] * len(items)
         snapshots: list[TelemetrySnapshot | None] = [None] * len(items)

@@ -5,7 +5,11 @@ sit on. A sampling request for ``(region, model, n_samples)`` becomes
 ``ceil(n_samples / shard_size)`` :class:`ShardTask` units; each worker
 attaches the cuisine's shared-memory view, draws its shard with its own
 spawned RNG, and returns a :class:`~repro.pairing.moments.StreamingMoments`
-— never the raw score vector.
+— never the raw score vector. Only a pooled sweep
+(:func:`~repro.parallel.executor.runs_pooled`) publishes shared memory;
+shards that run in the calling process sample the caller's own
+:class:`~repro.pairing.views.CuisineView`, cached sampler structures
+included.
 
 Determinism is by construction: per-shard generators derive from
 ``np.random.SeedSequence(stable_seed("null-model", region, model,
@@ -19,7 +23,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -32,20 +37,35 @@ from ..pairing.models import (
 )
 from ..pairing.moments import StreamingMoments
 from ..pairing.views import CuisineView
-from .executor import ParallelConfig, run_tasks, shard_sizes
+from .executor import ParallelConfig, run_tasks, runs_pooled, shard_sizes
 from .sharedmem import AttachedView, SharedViewSpec, SharedViewStore
+
+
+def _with_view(
+    source: SharedViewSpec | CuisineView, fn: Callable[[CuisineView], Any]
+) -> Any:
+    """``fn(view)`` on a resident view, or on one attached from ``source``."""
+    if isinstance(source, CuisineView):
+        return fn(source)
+    attached = AttachedView(source)
+    try:
+        return fn(attached.view)
+    finally:
+        attached.close()
 
 
 @dataclasses.dataclass(frozen=True)
 class ShardTask:
     """One Monte Carlo work unit: a shard of one (region, model) request.
 
-    Carries only the shared-memory spec, the model name, the shard's
-    spawned seed sequence and two integers — a test caps its pickled
-    size to guarantee no worker ever receives an overlap matrix.
+    A pooled task carries only the shared-memory spec, the model name,
+    the shard's spawned seed sequence and two integers — a test caps its
+    pickled size to guarantee no worker ever receives an overlap matrix.
+    A shard run in the calling process carries the caller's resident
+    :class:`CuisineView` as ``spec`` instead; it is never pickled.
     """
 
-    spec: SharedViewSpec
+    spec: SharedViewSpec | CuisineView
     model_value: str
     seed_seq: np.random.SeedSequence
     n_samples: int
@@ -63,7 +83,7 @@ class ShardResult:
 
 
 def run_shard(task: ShardTask) -> ShardResult:
-    """Worker entry point: attach, sample one shard, return its moments.
+    """Sample one shard (attaching its view if pooled); return its moments.
 
     Records ``repro_montecarlo_*`` series *in the worker*; the executor
     harvests them back as deltas, so the merged registry reads the same
@@ -76,18 +96,16 @@ def run_shard(task: ShardTask) -> ShardResult:
         region=task.spec.region_code,
         model=task.model_value,
     ) as trace:
-        attached = AttachedView(task.spec)
-        try:
-            rng = np.random.Generator(np.random.PCG64(task.seed_seq))
-            moments = sample_model_moments(
-                attached.view,
+        moments = _with_view(
+            task.spec,
+            lambda view: sample_model_moments(
+                view,
                 NullModel(task.model_value),
                 task.n_samples,
-                rng,
+                np.random.Generator(np.random.PCG64(task.seed_seq)),
                 chunk=task.chunk,
-            )
-        finally:
-            attached.close()
+            ),
+        )
         trace.incr("samples", task.n_samples)
     registry = get_registry()
     registry.counter("repro_montecarlo_shards_total").incr()
@@ -106,7 +124,7 @@ def run_shard(task: ShardTask) -> ShardResult:
 
 
 def shard_tasks(
-    spec: SharedViewSpec,
+    spec: SharedViewSpec | CuisineView,
     model: NullModel,
     n_samples: int,
     config: ParallelConfig,
@@ -145,7 +163,8 @@ def sweep_pairing_moments(
 
     All shards of all pairs go through one pool, so slow regions overlap
     with fast ones. Shard moments merge in shard-index order per key —
-    results are independent of completion order and worker count.
+    results are independent of completion order and worker count. The
+    views go to shared memory only when the shards leave this process.
     """
     with span(
         "parallel.sweep",
@@ -155,14 +174,20 @@ def sweep_pairing_moments(
         workers=config.workers,
         shard_size=config.shard_size,
     ) as trace:
+        pooled = runs_pooled(
+            config.workers,
+            len(views)
+            * len(models)
+            * len(shard_sizes(n_samples, config.shard_size)),
+        )
         with SharedViewStore() as store:
             tasks: list[ShardTask] = []
             keys: list[tuple[str, NullModel]] = []
             for region_code, view in views.items():
-                spec = store.publish(view)
+                source = store.publish(view) if pooled else view
                 for model in models:
                     for task in shard_tasks(
-                        spec, model, n_samples, config, seed, chunk
+                        source, model, n_samples, config, seed, chunk
                     ):
                         tasks.append(task)
                         keys.append((region_code, model))
@@ -206,21 +231,18 @@ def model_moments(
 
 @dataclasses.dataclass(frozen=True)
 class ContributionTask:
-    """One region's full leave-one-out chi sweep."""
+    """One region's full leave-one-out chi sweep (view as in ShardTask)."""
 
-    spec: SharedViewSpec
+    spec: SharedViewSpec | CuisineView
 
 
 def run_contribution_task(task: ContributionTask) -> np.ndarray:
     """Worker entry point: chi_i for every ingredient of one cuisine."""
     from ..pairing.contribution import chi_values
 
-    attached = AttachedView(task.spec)
-    try:
-        chi = np.array(chi_values(attached.view), copy=True)
-    finally:
-        attached.close()
-    return chi
+    return _with_view(
+        task.spec, lambda view: np.array(chi_values(view), copy=True)
+    )
 
 
 def sweep_contributions(
@@ -235,10 +257,13 @@ def sweep_contributions(
     with span(
         "parallel.contributions", regions=len(views), workers=config.workers
     ):
+        pooled = runs_pooled(config.workers, len(views))
         with SharedViewStore() as store:
             codes = list(views)
             tasks = [
-                ContributionTask(spec=store.publish(views[code]))
+                ContributionTask(
+                    spec=store.publish(views[code]) if pooled else views[code]
+                )
                 for code in codes
             ]
             results = run_tasks(

@@ -16,15 +16,23 @@ is empty — ingredient objects never cross the process boundary (see the
 ``CuisineView`` docstring). The kernel view supports everything the
 samplers and the contribution sweep touch.
 
+Only pooled sweeps publish (:func:`repro.parallel.executor.runs_pooled`):
+shards that run in the calling process — ``workers=1`` or a single
+shard, as in a served ``/montecarlo`` request at its default one
+worker — sample the caller's own view, so server threads no longer
+attach to serve such a request.
+
 Lifetime: the store owns the blocks and unlinks them on ``close()`` (or
 context-manager exit); attachments only ever ``close()`` their mapping.
 Attachments in other processes bypass ``resource_tracker`` registration
 because the creating process is the sole owner — otherwise every
 worker's tracker would try to unlink its blocks at interpreter shutdown.
-In the creating process an attachment registers as usual: the tracker
-already holds each name in a set, so nothing changes, and the
-process-wide registration hook, which several threads of a server may
-reach at once, is never swapped there.
+The creating process still attaches in two cases: a pooled task that
+failed is retried serially there, and a pool that cannot be created
+falls back to running every task there. Such an attachment registers
+as usual: the tracker already holds each name in a set, so nothing
+changes, and the process-wide registration hook is never swapped in
+the process that created the blocks.
 """
 
 from __future__ import annotations

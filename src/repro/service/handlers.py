@@ -833,10 +833,10 @@ class QueryService:
         """Null-model Z-score for one region through the parallel engine.
 
         Runs the same sharded Monte Carlo engine as ``fig4 --workers``
-        (shared-memory views, spawned per-shard RNGs, streaming moment
-        reduction), so the response depends only on
-        ``(region, model, n_samples, seed, shard_size)`` — never on
-        ``workers`` — and is therefore safely cacheable.
+        (spawned per-shard RNGs, streaming moment reduction; shards run on
+        the resident view unless they go to a pool), so the response
+        depends only on ``(region, model, n_samples, seed, shard_size)``
+        — never on ``workers`` — and is therefore safely cacheable.
         """
         from ..pairing import NullModel, compare_to_model
         from ..parallel import resolve_workers

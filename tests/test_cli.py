@@ -138,6 +138,38 @@ class TestServeParser:
         assert args.cache_dir == "/tmp/artifacts"
 
 
+class TestServeStartup:
+    def test_heap_frozen_after_preload_before_bind(
+        self, monkeypatch, workspace
+    ):
+        import types
+
+        from repro import cli
+        from repro.service import QueryService
+
+        calls = []
+        monkeypatch.setattr(cli, "workspace_for", lambda config: workspace)
+        monkeypatch.setattr(
+            QueryService, "preload", lambda self: calls.append("preload")
+        )
+        # A stand-in gc module: the pytest process itself is never frozen.
+        monkeypatch.setattr(
+            cli,
+            "gc",
+            types.SimpleNamespace(
+                collect=lambda: calls.append("collect"),
+                freeze=lambda: calls.append("freeze"),
+            ),
+        )
+        monkeypatch.setattr(
+            cli,
+            "_serve_async",
+            lambda args, app, banner: calls.append("bind") or 0,
+        )
+        assert main(["serve", "--preload", "--port", "0"]) == 0
+        assert calls == ["preload", "collect", "freeze", "bind"]
+
+
 class TestRunConfigFlow:
     """The generated flags land in one RunConfig for every subcommand."""
 

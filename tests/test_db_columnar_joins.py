@@ -3,10 +3,10 @@
 Covers the shapes the join gather kernel must get exactly right —
 NULL keys (matching nothing on either executor), duplicate right keys
 (row-order fan-out), empty right tables, left-join null padding,
-colliding column qualification, chained joins, and joins feeding the
-grouped tail — plus the fallback shapes that stay on the reference
-executor. Every engaged query is asserted equal to the reference
-pipeline row for row.
+colliding column qualification, chained joins, joins feeding the
+grouped tail, and WHERE conjuncts pushed below the join — plus the
+fallback shapes that stay on the reference executor. Every engaged
+query is asserted equal to the reference pipeline row for row.
 """
 
 import pytest
@@ -356,3 +356,218 @@ def test_all_null_key_columns(how):
     assert_equivalent(query)
     expected = 0 if how == "inner" else 5
     assert len(query.all()) == expected
+
+
+def add_notes(db):
+    """A table whose columns collide with ``regions``' (code, name)."""
+    db.create_table(
+        "notes",
+        Schema(
+            [
+                Column("code", ColumnType.TEXT, nullable=True),
+                Column("name", ColumnType.TEXT, nullable=True),
+            ]
+        ),
+    )
+    db.table("notes").bulk_insert(
+        [
+            {"code": "ITA", "name": "note"},
+            {"code": "JPN", "name": "Japan"},
+            {"code": "ITA", "name": "Italy"},
+        ]
+    )
+
+
+def add_continents(db):
+    db.create_table(
+        "continents",
+        Schema(
+            [
+                Column("region_name", ColumnType.TEXT),
+                Column("continent", ColumnType.TEXT),
+            ]
+        ),
+    )
+    db.table("continents").insert(
+        {"region_name": "Italy", "continent": "europe"}
+    )
+
+
+def assert_pushdown(db, sql, pushed):
+    """Columnar rows equal the reference's; EXPLAIN reports ``pushed``."""
+    info = {}
+    rows = db.prepare(sql).execute(db, info_out=info)
+    assert rows == db.sql(sql, reference=True)
+    assert info["executor"] == "columnar"
+    plan = db.explain(sql)
+    assert plan["executor"] == "columnar"
+    assert plan["pushed_below_join"] == pushed
+    return rows
+
+
+class TestWherePushdown:
+    """Base-table WHERE conjuncts are masked before the first join."""
+
+    @pytest.mark.parametrize("join", ["JOIN", "LEFT JOIN"])
+    def test_base_conjunct_pushed(self, join):
+        db = make_db()
+        rows = assert_pushdown(
+            db,
+            f"SELECT recipe_id, name FROM recipes {join} regions "
+            "ON region = regions.code WHERE size > 6 ORDER BY recipe_id",
+            1,
+        )
+        assert [row["recipe_id"] for row in rows] == (
+            [2, 5, 5] if join == "JOIN" else [2, 3, 5, 5]
+        )
+
+    def test_joined_null_anti_join_not_pushed(self):
+        db = make_db()
+        rows = assert_pushdown(
+            db,
+            "SELECT recipe_id FROM recipes LEFT JOIN regions "
+            "ON region = regions.code WHERE name IS NULL",
+            0,
+        )
+        assert [row["recipe_id"] for row in rows] == [3, 4]
+
+    def test_and_of_base_and_joined(self):
+        db = make_db()
+        rows = assert_pushdown(
+            db,
+            "SELECT recipe_id, name FROM recipes LEFT JOIN regions "
+            "ON region = regions.code WHERE size > 6 AND name = 'Italia'",
+            1,
+        )
+        assert rows == [{"recipe_id": 5, "name": "Italia"}]
+
+    def test_or_across_both_sides_not_pushed(self):
+        db = make_db()
+        assert_pushdown(
+            db,
+            "SELECT recipe_id, name FROM recipes LEFT JOIN regions "
+            "ON region = regions.code WHERE size > 10 OR name = 'Japan'",
+            0,
+        )
+
+    def test_qualified_base_name_pushed(self):
+        db = make_db()
+        assert_pushdown(
+            db,
+            "SELECT recipe_id, name FROM recipes JOIN regions "
+            "ON region = regions.code WHERE recipes.size >= 9",
+            1,
+        )
+
+    def test_bare_name_colliding_with_joined_column(self):
+        # ``name`` is regions' own column; the joined one is notes.name.
+        db = make_db()
+        add_notes(db)
+        base = assert_pushdown(
+            db,
+            "SELECT code, name, notes.name AS note FROM regions "
+            "JOIN notes ON code = notes.code WHERE name = 'Italy'",
+            1,
+        )
+        assert [row["note"] for row in base] == ["note", "Italy"]
+        joined = assert_pushdown(
+            db,
+            "SELECT code, name FROM regions JOIN notes "
+            "ON code = notes.code WHERE notes.name = 'Italy'",
+            0,
+        )
+        assert [row["name"] for row in joined] == ["Italy", "Italia"]
+
+    def test_chained_joins(self):
+        db = make_db()
+        add_continents(db)
+        rows = assert_pushdown(
+            db,
+            "SELECT recipe_id, continent FROM recipes "
+            "JOIN regions ON region = regions.code "
+            "LEFT JOIN continents ON name = continents.region_name "
+            "WHERE size < 11 AND continent IS NULL AND recipe_id > 1",
+            2,
+        )
+        assert rows == [{"recipe_id": 2, "continent": None}]
+
+    def test_query_builder_join_pushes_base_conjuncts(self):
+        db = make_db()
+        query = (
+            db.query("recipes")
+            .join("regions", on=("region", "code"), how="left")
+            .where(col("size") > 4)
+            .where(col("name").is_not_null())
+        )
+        assert_equivalent(query)
+        assert columnar.analyze(query)["pushed_below_join"] == 1
+
+    def test_unresolved_name_falls_back_with_same_family(self):
+        db = make_db()
+        sql = (
+            "SELECT recipe_id FROM recipes JOIN regions "
+            "ON region = regions.code WHERE size > 4 AND nosuch = 1"
+        )
+        plan = db.explain(sql)
+        assert plan["executor"] == "reference"
+        assert plan["reason_family"] == "unknown_column"
+        assert plan["pushed_below_join"] == 0
+        query = (
+            db.query("recipes")
+            .join("regions", on=("region", "code"))
+            .where((col("size") > 4) & (col("nosuch") == 1))
+        )
+        assert columnar.execute(query) is None
+        assert query._fallback_family == "unknown_column"
+
+    def test_unmaskable_base_conjunct_keeps_join_reason(self):
+        # Base conjuncts that cannot be masked send the query down the
+        # unsplit plan, so the join's own check still names the reason.
+        db = make_db()
+        query = (
+            db.query("recipes")
+            .join("regions", on=("region", "nosuch"))
+            .where(col("size") < "abc")
+        )
+        assert columnar.analyze(query)["reason_family"] == "join"
+        assert columnar.execute(query) is None
+        assert query._fallback_family == "join"
+
+    @pytest.mark.parametrize(
+        "source", ["recipes", "recipes JOIN regions ON region = regions.code"]
+    )
+    def test_unmaskable_where_still_lists_touched_columns(self, source):
+        plan = make_db().explain(
+            f"SELECT recipe_id FROM {source} WHERE size < 'abc'"
+        )
+        assert plan["executor"] == "reference"
+        assert plan["reason_family"] == "ordering"
+        assert plan["columns"] == ["size"]
+        assert plan["pushed_below_join"] == 0
+
+    def test_ambiguous_name_stays_residual(self):
+        # Column and table names carry no dots, so a join's own output
+        # names never make a bare name ambiguous; the split is checked
+        # on a hand-built naming where two joined keys share a suffix.
+        columns = {
+            "size": (0, "size"),
+            "a.code": (1, "code"),
+            "b.code": (2, "code"),
+        }
+        pushed, residual = columnar._split_where(
+            (col("size") > 4) & (col("code") == "ITA"), columns
+        )
+        assert [repr(part) for part in pushed] == [repr(col("size") > 4)]
+        assert [repr(part) for part in residual] == [
+            repr(col("code") == "ITA")
+        ]
+        with pytest.raises(columnar.Unsupported) as raised:
+            columnar._resolve_output_name("code", columns)
+        assert columnar.fallback_family(str(raised.value)) == (
+            "unknown_column"
+        )
+
+    def test_non_join_query_reports_zero(self):
+        db = make_db()
+        plan = db.explain("SELECT recipe_id FROM recipes WHERE size > 4")
+        assert plan["pushed_below_join"] == 0

@@ -7,6 +7,9 @@ ranges stay inside int64 and NaN-free floats so every generated query
 is columnar-eligible; engagement is asserted, not assumed.
 """
 
+import functools
+import operator
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -223,19 +226,70 @@ def build_joined_db(rows, origin_rows):
     return database
 
 
+@st.composite
+def joined_predicate_strategy(draw):
+    """A leaf over the joined ``origins`` columns (NULL-padded on LEFT)."""
+    leaf = draw(
+        st.sampled_from(["continent", "popularity", "cuisine", "null"])
+    )
+    if leaf == "continent":
+        return col("continent") == draw(
+            st.sampled_from(["asia", "europe", "americas"])
+        )
+    if leaf == "popularity":
+        return col("popularity") > draw(
+            st.integers(min_value=0, max_value=100)
+        )
+    if leaf == "cuisine":
+        return col("origins.cuisine") == draw(st.sampled_from(CUISINES))
+    column = col(draw(st.sampled_from(["continent", "origins.cuisine"])))
+    return column.is_null() if draw(st.booleans()) else column.is_not_null()
+
+
+@st.composite
+def join_where_strategy(draw):
+    """``(where, any base-only conjunct)`` over base and joined columns.
+
+    Top-level AND of conjuncts that read the base table only, the joined
+    table only, or both sides through an OR.
+    """
+    sides = draw(
+        st.lists(
+            st.sampled_from(["base", "joined", "both"]),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    conjuncts = []
+    for side in sides:
+        if side == "base":
+            conjuncts.append(draw(predicate_strategy()))
+        elif side == "joined":
+            conjuncts.append(draw(joined_predicate_strategy()))
+        else:
+            conjuncts.append(
+                draw(predicate_strategy()) | draw(joined_predicate_strategy())
+            )
+    return functools.reduce(operator.and_, conjuncts), "base" in sides
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows_strategy, st.lists(origin_row_strategy, max_size=8), st.data())
 def test_join_matches_reference(rows, origin_rows, data):
     # Random left/right row sets with NULL and duplicate keys; both join
-    # flavours must gather exactly the reference hash-join row stream.
+    # flavours must gather exactly the reference hash-join row stream,
+    # with base-table WHERE conjuncts applied before the join.
     db = build_joined_db(rows, origin_rows)
     how = data.draw(st.sampled_from(["inner", "left"]))
     query = db.query("dishes").join(
         "origins", on=("cuisine", "cuisine"), how=how
     )
+    has_base = False
     if data.draw(st.booleans()):
-        query = query.where(data.draw(predicate_strategy()))
+        where, has_base = data.draw(join_where_strategy())
+        query = query.where(where)
     assert_equivalent(query)
+    assert (columnar.analyze(query)["pushed_below_join"] > 0) == has_base
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,9 @@
 """Tests for the food-design layer (recipe synthesis and tweaking)."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.datamodel import ConfigurationError
 from repro.generation import (
@@ -91,6 +93,51 @@ class TestRecipeDesigner:
         designer = RecipeDesigner(ita_view)
         proposals = designer.propose_many(rng, 4)
         assert len(proposals) == 4
+
+
+def scan_max_overlap(view, members):
+    """Oracle for the designer's novelty: one set intersection per recipe."""
+    best = 0.0
+    for recipe in view.recipes:
+        existing = frozenset(int(local) for local in recipe)
+        overlap = len(members & existing) / len(members)
+        if overlap > best:
+            best = overlap
+    return best
+
+
+@pytest.fixture(scope="module")
+def region_designers(workspace):
+    return {
+        code: RecipeDesigner(view)
+        for code, view in sorted(workspace.views().items())
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_postings_overlap_matches_scan(region_designers, data):
+    # Counting shared ingredients from postings must give the exact float
+    # the per-recipe frozenset scan gives, on every region's view.
+    code = data.draw(st.sampled_from(sorted(region_designers)))
+    designer = region_designers[code]
+    view = designer.view
+    members = data.draw(
+        st.frozensets(
+            st.integers(0, view.ingredient_count - 1),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    if data.draw(st.booleans()):
+        # Add part of a real recipe: high overlaps, ties across recipes.
+        row = data.draw(st.integers(0, view.recipe_count - 1))
+        members |= data.draw(
+            st.frozensets(
+                st.sampled_from(view.recipes[row].tolist()), min_size=1
+            )
+        )
+    assert designer._max_overlap(members) == scan_max_overlap(view, members)
 
 
 class TestIndexBackedDesigner:

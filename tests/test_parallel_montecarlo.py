@@ -292,3 +292,103 @@ class TestTaskHygiene:
             assert clone.model_value == task.model_value
             assert clone.n_samples == task.n_samples
             assert clone.spec.blocks.keys() == task.spec.blocks.keys()
+
+
+def _refuse_segments(monkeypatch):
+    from multiprocessing import shared_memory
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an in-process sweep created a segment")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+
+
+class TestInProcessPath:
+    """Shards that stay in this process sample its own views: no segments."""
+
+    @pytest.mark.parametrize(
+        "workers, shard_size, models",
+        [
+            (1, 100, tuple(NullModel)),  # serial, four shards per model
+            (2, 400, (NullModel.CATEGORY,)),  # one task only
+        ],
+    )
+    def test_moments_sweep_creates_no_segment(
+        self, view, monkeypatch, workers, shard_size, models
+    ):
+        # Pooled baseline: both regions and every model, several shards.
+        pooled = sweep_pairing_moments(
+            {"ITA": view, "ALT": view},
+            tuple(NullModel),
+            400,
+            ParallelConfig(workers=2, shard_size=shard_size),
+        )
+        _refuse_segments(monkeypatch)
+        resident = sweep_pairing_moments(
+            {"ITA": view},
+            models,
+            400,
+            ParallelConfig(workers=workers, shard_size=shard_size),
+        )
+        for model in models:
+            assert resident[("ITA", model)] == pooled[("ITA", model)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_contribution_sweep_creates_no_segment(
+        self, view, monkeypatch, workers
+    ):
+        pooled = sweep_contributions(
+            {"ITA": view, "ALT": view}, ParallelConfig(workers=2)
+        )
+        _refuse_segments(monkeypatch)
+        resident = sweep_contributions(
+            {"ITA": view}, ParallelConfig(workers=workers)
+        )
+        assert np.array_equal(resident["ITA"], pooled["ITA"])
+
+    def test_concurrent_callers_share_one_view(
+        self, cuisine, catalog, monkeypatch
+    ):
+        # Server threads sample one resident view at once; its sampler
+        # caches fill lazily under them. Every answer must stay exact.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        config = ParallelConfig(workers=1, shard_size=200)
+        models = list(NullModel) * 4
+        expected = {
+            model: model_moments(
+                build_cuisine_view(cuisine, catalog), model, 400, config
+            )
+            for model in NullModel
+        }
+        shared = build_cuisine_view(cuisine, catalog)
+        _refuse_segments(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(model_moments, shared, model, 400, config)
+                    for model in models
+                ]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for model, result in zip(models, results):
+            assert result == expected[model]
+
+    def test_in_process_shard_keeps_telemetry(self, view, monkeypatch):
+        from repro.obs import get_registry
+
+        registry = get_registry()
+        shards = registry.counter("repro_montecarlo_shards_total")
+        before = shards.value
+        _refuse_segments(monkeypatch)
+        sweep_pairing_moments(
+            {"ITA": view},
+            (NullModel.RANDOM,),
+            300,
+            ParallelConfig(workers=1, shard_size=100),
+        )
+        assert shards.value == before + 3

@@ -512,6 +512,27 @@ class TestMonteCarlo:
         )
         assert status == 400
 
+    def test_category_requests_sample_the_resident_view(
+        self, app, service, monkeypatch
+    ):
+        from multiprocessing import shared_memory
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a served request created a segment")
+
+        view = service.cuisine_view("ITA")
+        specs = view.template_specs()
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        for seed in (1, 2):
+            status, body = app.dispatch(
+                "POST",
+                "/montecarlo",
+                {"region": "ITA", "model": "category", "n_samples": 400,
+                 "seed": seed},
+            )
+            assert status == 200, body
+        assert service.cuisine_view("ITA").template_specs() is specs
+
     def test_worker_bounds_enforced(self, app):
         status, body = app.dispatch(
             "POST", "/montecarlo", dict(self.PAYLOAD, workers=99)
