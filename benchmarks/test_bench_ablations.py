@@ -1,17 +1,14 @@
 """Ablation benches for the design choices called out in DESIGN.md.
 
 * overlap backend: dense numpy matrix vs per-pair set intersection,
-* null-model sampler: vectorised Gumbel top-k vs per-recipe rng.choice,
-* n-gram matcher: with vs without the first-token index,
-* token trie vs the reference n-gram matcher,
-* Z-score stability vs number of random samples.
+* Z-score stability vs number of random samples,
+* the opt-in fuzzy typo corrector vs exact matching.
 
-The matcher ablations pin ``matcher="ngram"`` / ``phrase_cache_size=0``
-explicitly: the pipeline's production defaults (token trie + phrase
-memo) would otherwise turn every repeat-phrase probe into a dict hit and
-the ablation would stop measuring the matcher at all. The reference
-n-gram implementation stays exercised here so the trie's speedup is
-measured, not assumed.
+DESIGN.md §5 records the sampler and n-gram matcher ablations, whose
+slower sides are now test oracles. The fuzzy ablation pins
+``phrase_cache_size=0``: the phrase memo would otherwise turn every
+repeat-phrase probe into a dict hit and the ablation would stop
+measuring the matcher at all.
 """
 
 import numpy as np
@@ -23,8 +20,6 @@ from repro.pairing import (
     build_cuisine_view,
     cuisine_mean_score,
     food_pairing_score,
-    naive_sample_model_scores,
-    sample_model_scores,
     scores_from_view,
 )
 
@@ -77,132 +72,6 @@ class TestOverlapBackend:
         assert cuisine_mean_score(kor_view) == pytest.approx(reference)
 
 
-class TestSamplerAblation:
-    SAMPLES = 2000
-
-    def test_bench_vectorized_sampler(self, benchmark, kor_view):
-        def run():
-            rng = np.random.default_rng(0)
-            return sample_model_scores(
-                kor_view, NullModel.FREQUENCY, self.SAMPLES, rng
-            ).mean()
-
-        assert benchmark(run) > 0
-
-    def test_bench_naive_sampler(self, benchmark, kor_view):
-        def run():
-            rng = np.random.default_rng(0)
-            return naive_sample_model_scores(
-                kor_view, NullModel.FREQUENCY, self.SAMPLES, rng
-            ).mean()
-
-        assert benchmark.pedantic(run, rounds=2, iterations=1) > 0
-
-
-class TestNgramIndexAblation:
-    PHRASES = (
-        "2 jalapeno peppers, roasted and slit",
-        "1 (14 ounce) can diced tomatoes, drained",
-        "1/2 cup extra virgin olive oil",
-        "3 cloves garlic, minced",
-        "250g smoked salmon, thinly sliced",
-        "1 tsp freshly ground black pepper",
-        "2 cups whole milk, at room temperature",
-        "a bunch of cilantro, roughly chopped",
-    )
-
-    def test_bench_with_first_token_index(self, benchmark, workspace):
-        pipeline = AliasingPipeline(
-            workspace.catalog,
-            matcher="ngram",
-            use_first_token_index=True,
-            phrase_cache_size=0,
-        )
-
-        def run():
-            return [
-                pipeline.resolve_phrase(phrase).kind
-                for phrase in self.PHRASES * 25
-            ]
-
-        benchmark(run)
-
-    def test_bench_without_first_token_index(self, benchmark, workspace):
-        pipeline = AliasingPipeline(
-            workspace.catalog,
-            use_first_token_index=False,
-            phrase_cache_size=0,
-        )
-
-        def run():
-            return [
-                pipeline.resolve_phrase(phrase).kind
-                for phrase in self.PHRASES * 25
-            ]
-
-        benchmark(run)
-
-    def test_index_does_not_change_results(self, workspace):
-        with_index = AliasingPipeline(
-            workspace.catalog, matcher="ngram", use_first_token_index=True
-        )
-        without_index = AliasingPipeline(
-            workspace.catalog, use_first_token_index=False
-        )
-        for phrase in self.PHRASES:
-            left = with_index.resolve_phrase(phrase)
-            right = without_index.resolve_phrase(phrase)
-            assert left.ingredients == right.ingredients
-            assert left.kind == right.kind
-
-
-class TestTrieMatcherAblation:
-    """Token trie (fast path) vs the reference indexed n-gram matcher.
-
-    Both run with the phrase memo disabled, so the comparison isolates
-    the matching algorithm itself.
-    """
-
-    PHRASES = TestNgramIndexAblation.PHRASES
-
-    def test_bench_trie_matcher(self, benchmark, workspace):
-        pipeline = AliasingPipeline(
-            workspace.catalog, matcher="trie", phrase_cache_size=0
-        )
-        assert pipeline.matcher_kind == "trie"
-
-        def run():
-            return [
-                pipeline.resolve_phrase(phrase).kind
-                for phrase in self.PHRASES * 25
-            ]
-
-        benchmark(run)
-
-    def test_bench_ngram_matcher(self, benchmark, workspace):
-        pipeline = AliasingPipeline(
-            workspace.catalog, matcher="ngram", phrase_cache_size=0
-        )
-        assert pipeline.matcher_kind == "ngram"
-
-        def run():
-            return [
-                pipeline.resolve_phrase(phrase).kind
-                for phrase in self.PHRASES * 25
-            ]
-
-        benchmark(run)
-
-    def test_trie_does_not_change_results(self, workspace):
-        trie = AliasingPipeline(workspace.catalog, matcher="trie")
-        ngram = AliasingPipeline(workspace.catalog, matcher="ngram")
-        for phrase in self.PHRASES:
-            left = trie.resolve_phrase(phrase)
-            right = ngram.resolve_phrase(phrase)
-            assert left.ingredients == right.ingredients
-            assert left.kind == right.kind
-
-
 class TestZSampleStability:
     """Z-score stability as the number of random recipes grows (10^3-10^4).
 
@@ -233,7 +102,16 @@ class TestZSampleStability:
 class TestFuzzyAblation:
     """Cost of the opt-in typo-correction pass on clean input."""
 
-    PHRASES = TestNgramIndexAblation.PHRASES
+    PHRASES = (
+        "2 jalapeno peppers, roasted and slit",
+        "1 (14 ounce) can diced tomatoes, drained",
+        "1/2 cup extra virgin olive oil",
+        "3 cloves garlic, minced",
+        "250g smoked salmon, thinly sliced",
+        "1 tsp freshly ground black pepper",
+        "2 cups whole milk, at room temperature",
+        "a bunch of cilantro, roughly chopped",
+    )
 
     def test_bench_exact_pipeline(self, benchmark, workspace):
         pipeline = AliasingPipeline(workspace.catalog, phrase_cache_size=0)

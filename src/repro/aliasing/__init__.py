@@ -1,8 +1,9 @@
 """Ingredient aliasing: free-text phrases -> canonical catalog ingredients.
 
 From-scratch replacements for the paper's NLTK + inflect protocol:
-normalisation, stopword stripping, singularisation, greedy n-gram matching
-(up to 6-grams), and the partial/unrecognised curation report.
+normalisation, stopword stripping, singularisation, greedy longest-first
+n-gram matching (up to 6-grams) on a token trie, and the
+partial/unrecognised curation report.
 """
 
 from .curation import CurationCandidate, CurationSession
@@ -12,13 +13,7 @@ from .fuzzy import (
     damerau_levenshtein_within_one,
     vocabulary_from_names,
 )
-from .matcher import (
-    MAX_NGRAM,
-    SOFT_DESCRIPTORS,
-    MatchOutcome,
-    NGramMatcher,
-    TokenMatch,
-)
+from .matcher import MAX_NGRAM, SOFT_DESCRIPTORS, MatchOutcome, TokenMatch
 from .normalize import basic_clean, normalize_phrase, tokenize
 from .pipeline import (
     ALIASING_SHARD_SIZE,
@@ -49,7 +44,6 @@ __all__ = [
     "MAX_NGRAM",
     "SOFT_DESCRIPTORS",
     "MatchOutcome",
-    "NGramMatcher",
     "TrieMatcher",
     "TokenMatch",
     "ALIASING_SHARD_SIZE",

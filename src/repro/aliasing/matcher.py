@@ -1,22 +1,18 @@
-"""Greedy longest-match n-gram matching of content tokens to ingredients.
+"""What greedy longest-match n-gram matching produces, and its limits.
 
 The paper creates n-grams (up to 6-grams) from ingredient phrases and maps
-them onto the curated ingredient list. :class:`NGramMatcher` implements
-that: scanning content tokens left to right, it tries the longest n-gram
-first ("extra virgin olive oil" before "olive oil" before "olive"), so
-multi-word ingredients win over their sub-words. Unmatched tokens are kept
-as leftovers for the manual-curation report.
-
-A first-token index records, for every token that can start a known name,
-the longest name starting with it; the scan then skips n-gram lengths that
-cannot possibly match. The ablation benchmark
-``bench_ablation_ngram`` measures what this saves.
+them onto the curated ingredient list: scanning content tokens left to
+right, the longest n-gram wins ("extra virgin olive oil" before "olive
+oil" before "olive"), so multi-word ingredients win over their
+sub-words. Unmatched tokens are kept as leftovers for the
+manual-curation report. :class:`~repro.aliasing.trie.TrieMatcher`
+implements the scan; this module holds its vocabulary: the n-gram bound,
+the soft descriptors and the match records.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Sequence
 
 from ..datamodel import Ingredient
 
@@ -62,82 +58,3 @@ class MatchOutcome:
             for token in self.leftover_tokens
             if token not in SOFT_DESCRIPTORS
         )
-
-
-class NGramMatcher:
-    """Greedy longest-first n-gram matcher over a resolver function."""
-
-    def __init__(
-        self,
-        resolve: Callable[[str], Ingredient | None],
-        known_names: frozenset[str],
-        max_ngram: int = MAX_NGRAM,
-        use_first_token_index: bool = True,
-    ) -> None:
-        """
-        Args:
-            resolve: maps a candidate surface form (synonyms included) to an
-                ingredient, or ``None``.
-            known_names: every resolvable surface form; used to build the
-                first-token index.
-            max_ngram: longest n-gram to try.
-            use_first_token_index: disable only for the ablation benchmark.
-        """
-        self._resolve = resolve
-        self._max_ngram = max_ngram
-        self._first_token_longest: dict[str, int] = {}
-        if use_first_token_index:
-            for name in known_names:
-                tokens = name.split(" ")
-                first = tokens[0]
-                current = self._first_token_longest.get(first, 0)
-                if len(tokens) > current:
-                    self._first_token_longest[first] = len(tokens)
-        self._use_index = use_first_token_index
-
-    def add_name(self, name: str) -> None:
-        """Register a new resolvable surface form (curation workflow).
-
-        Keeps the first-token index consistent; the resolver callback is
-        expected to know the name already.
-        """
-        if not self._use_index:
-            return
-        tokens = name.split(" ")
-        first = tokens[0]
-        current = self._first_token_longest.get(first, 0)
-        if len(tokens) > current:
-            self._first_token_longest[first] = len(tokens)
-
-    def match(self, tokens: Sequence[str]) -> MatchOutcome:
-        """Scan ``tokens`` and return matches plus leftovers."""
-        matches: list[TokenMatch] = []
-        leftovers: list[str] = []
-        position = 0
-        count = len(tokens)
-        while position < count:
-            first = tokens[position]
-            if self._use_index:
-                cap = self._first_token_longest.get(first, 0)
-                if cap == 0:
-                    leftovers.append(first)
-                    position += 1
-                    continue
-                longest = min(self._max_ngram, cap, count - position)
-            else:
-                longest = min(self._max_ngram, count - position)
-            matched = False
-            for length in range(longest, 0, -1):
-                surface = " ".join(tokens[position : position + length])
-                ingredient = self._resolve(surface)
-                if ingredient is not None:
-                    matches.append(
-                        TokenMatch(position, length, surface, ingredient)
-                    )
-                    position += length
-                    matched = True
-                    break
-            if not matched:
-                leftovers.append(first)
-                position += 1
-        return MatchOutcome(tuple(matches), tuple(leftovers))

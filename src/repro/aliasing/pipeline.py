@@ -2,16 +2,15 @@
 
 Maps raw recipe records onto resolved :class:`~repro.datamodel.Recipe`
 objects: each ingredient phrase is normalised
-(:mod:`repro.aliasing.normalize`), matched against the catalog
-(:mod:`repro.aliasing.matcher` / :mod:`repro.aliasing.trie`), and
+(:mod:`repro.aliasing.normalize`), matched against the catalog by greedy
+longest-first token matching (:mod:`repro.aliasing.trie`), and
 classified as exact / partial / unrecognised. Partial and unrecognised
 phrases feed a :class:`MatchReport` that surfaces the most frequent
 unmatched n-grams — the paper's mechanism for discovering ingredients
 "either not present in the database or variations of existing entities"
 for manual curation.
 
-Cold-build fast path: matching runs on the token trie by default (the
-n-gram matcher stays available as the ablation reference), repeated
+Cold-build fast path: matching runs on the token trie, repeated
 phrases hit a bounded phrase→resolution memo
 (``repro_aliasing_phrase_cache_{hits,misses}_total`` count its traffic;
 :class:`MatchReport` occurrence counting is never cached), and
@@ -33,7 +32,7 @@ from collections.abc import Iterable, Sequence
 from ..datamodel import Ingredient, RawRecipe, Recipe
 from ..flavordb import IngredientCatalog, default_catalog
 from ..obs import get_registry, span
-from .matcher import MAX_NGRAM, MatchOutcome, NGramMatcher
+from .matcher import MAX_NGRAM, MatchOutcome
 from .normalize import normalize_phrase
 from .trie import TrieMatcher
 
@@ -154,25 +153,15 @@ class AliasingPipeline:
     def __init__(
         self,
         catalog: IngredientCatalog | None = None,
-        max_ngram: int = MAX_NGRAM,
-        use_first_token_index: bool = True,
         fuzzy: bool = False,
-        matcher: str | None = None,
         phrase_cache_size: int = DEFAULT_PHRASE_CACHE,
     ) -> None:
         """
         Args:
             catalog: ingredient catalog (defaults to the shared one).
-            max_ngram: longest n-gram tried by the matcher.
-            use_first_token_index: n-gram matcher acceleration toggle;
-                passing ``False`` selects the reference n-gram matcher
-                (the flag is meaningless for the trie), as the ablation
-                benchmark does.
             fuzzy: enable conservative single-edit typo correction for
                 tokens the exact matcher leaves over (see
                 :mod:`repro.aliasing.fuzzy`).
-            matcher: ``"trie"`` (default — the fast path) or ``"ngram"``
-                (the reference implementation, kept for ablations).
             phrase_cache_size: bound on the phrase→resolution memo;
                 ``0`` disables memoisation entirely.
         """
@@ -188,25 +177,9 @@ class AliasingPipeline:
             key = " ".join(normalize_phrase(surface))
             if key and key not in self._normalized_map:
                 self._normalized_map[key] = self._catalog.get(surface)
-        if matcher is None:
-            matcher = "trie" if use_first_token_index else "ngram"
-        if matcher == "trie":
-            self._matcher: TrieMatcher | NGramMatcher = TrieMatcher(
-                self._normalized_map.get,
-                frozenset(self._normalized_map),
-                max_ngram=max_ngram,
-            )
-        elif matcher == "ngram":
-            self._matcher = NGramMatcher(
-                self._normalized_map.get,
-                frozenset(self._normalized_map),
-                max_ngram=max_ngram,
-                use_first_token_index=use_first_token_index,
-            )
-        else:
-            raise ValueError(
-                f"unknown matcher {matcher!r} (expected 'trie' or 'ngram')"
-            )
+        self._matcher = TrieMatcher(
+            self._normalized_map.get, frozenset(self._normalized_map)
+        )
         self._corrector = None
         if fuzzy:
             from .fuzzy import TokenCorrector, vocabulary_from_names
@@ -220,10 +193,7 @@ class AliasingPipeline:
         # parallel corpus path is only taken when this pipeline is
         # exactly reproducible from them.
         self._default_spec = (
-            self._catalog is default_catalog()
-            and max_ngram == MAX_NGRAM
-            and self._corrector is None
-            and matcher == "trie"
+            self._catalog is default_catalog() and self._corrector is None
         )
         self._curated = False
         registry = get_registry()
@@ -237,11 +207,6 @@ class AliasingPipeline:
     @property
     def catalog(self) -> IngredientCatalog:
         return self._catalog
-
-    @property
-    def matcher_kind(self) -> str:
-        """Which matcher implementation this pipeline runs on."""
-        return "trie" if isinstance(self._matcher, TrieMatcher) else "ngram"
 
     def normalized_names(self) -> frozenset[str]:
         """All normalised surface forms the matcher can resolve."""
@@ -406,7 +371,7 @@ class AliasingPipeline:
             workers > 1
             and len(raw_list) > shard_size
             # Workers rebuild the pipeline from defaults; a custom
-            # catalog/matcher/fuzzy setup or curated aliases must stay
+            # catalog, the fuzzy corrector or curated aliases must stay
             # on the serial path to produce identical results.
             and self._default_spec
             and not self._curated

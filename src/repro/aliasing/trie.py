@@ -1,21 +1,19 @@
-"""Token-trie longest-match aliasing: the fast path of the matcher.
+"""Token-trie greedy longest-match: the aliasing matcher.
 
-:class:`TrieMatcher` is a drop-in replacement for
-:class:`~repro.aliasing.matcher.NGramMatcher` built for the cold-build
-hot loop. The n-gram matcher probes candidates longest-first, allocating
-one ``" ".join`` string per candidate length at every position; the trie
+The paper's matcher probes n-grams longest-first, joining one candidate
+string per length at every position and looking each up. The trie
 compiles the normalised vocabulary once into nested token dictionaries
 and then walks each token sequence left to right, tracking the deepest
 terminal node seen. Longest-match resolution therefore needs **zero**
 candidate-string allocations — the only strings built are the surfaces
 of actual matches, and even those are interned at compile time.
 
-Equivalence with the reference matcher (same matches, same leftovers,
-same surfaces, for any token sequence and any ``max_ngram``, including
-after curation updates via :meth:`TrieMatcher.add_name`) is asserted by
-a hypothesis property test (``tests/test_aliasing_trie.py``); the
-ablation benchmark keeps running the reference implementation so the
-speedup stays measured, not assumed.
+The probing n-gram matcher is the specification. It lives on as a test
+oracle (``tests/oracles.py``), and a hypothesis property
+(``tests/test_aliasing_trie.py``) asserts the two agree — same matches,
+same leftovers, same surfaces, for any token sequence and any
+``max_ngram``, including after curation updates via
+:meth:`TrieMatcher.add_name`. Its recorded cost is in DESIGN.md §5.
 """
 
 from __future__ import annotations
@@ -36,11 +34,9 @@ _TERMINAL = ""
 class TrieMatcher:
     """Greedy longest-match via a token-level trie over the vocabulary.
 
-    The constructor signature mirrors :class:`NGramMatcher` so the
-    pipeline can swap matchers freely: ``resolve`` maps a surface form
-    to its ingredient (the trie snapshots the resolution at insert
-    time — the pipeline never rebinds an existing key), ``known_names``
-    seeds the trie.
+    ``resolve`` maps a surface form to its ingredient (the trie
+    snapshots the resolution at insert time — the pipeline never
+    rebinds an existing key); ``known_names`` seeds the trie.
     """
 
     __slots__ = ("_resolve", "_root", "_max_ngram")
@@ -57,8 +53,7 @@ class TrieMatcher:
                 ``None``; consulted once per inserted name.
             known_names: every resolvable surface form.
             max_ngram: longest token run to match (names longer than
-                this are stored but can never match, exactly like the
-                reference matcher never probes them).
+                this are stored but can never match).
         """
         self._resolve = resolve
         self._root: dict = {}
@@ -92,10 +87,9 @@ class TrieMatcher:
     def match(self, tokens: Sequence[str]) -> MatchOutcome:
         """Scan ``tokens`` and return matches plus leftovers.
 
-        Identical semantics to :meth:`NGramMatcher.match`: at each
-        position take the longest known name starting there (within
-        ``max_ngram``), else emit the token as a leftover and advance
-        one.
+        At each position take the longest known name starting there
+        (within ``max_ngram``), else emit the token as a leftover and
+        advance one.
         """
         matches: list[TokenMatch] = []
         leftovers: list[str] = []

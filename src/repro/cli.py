@@ -10,10 +10,9 @@ Commands:
   and persist it as CSV.
 * ``query --db DIR "SELECT ..."`` — run SQL against a persisted database.
 * ``serve`` — build a workspace once and serve it over the HTTP JSON API
-  (see :mod:`repro.service`); ``--transport async|thread`` picks the
-  event-loop front door (default, with admission control and graceful
-  drain) or the threaded reference; ``--preload`` fully warms the
-  service before the socket binds.
+  (see :mod:`repro.service`) from an asyncio front door with admission
+  control and graceful drain; ``--preload`` fully warms the service
+  before the socket binds.
 * ``loadtest URL`` — drive a running server with keep-alive
   connections (``--mix smoke|hot|spread``) and report throughput and
   latency percentiles; exits nonzero on any transport error or 5xx.
@@ -77,6 +76,7 @@ from .engine import (
     RunConfig,
     config_from_args,
     config_parent_parser,
+    nonnegative_int,
     positive_float,
     positive_int,
 )
@@ -297,33 +297,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log every HTTP request"
     )
     serve.add_argument(
-        "--transport",
-        choices=("async", "thread"),
-        default="async",
-        help=(
-            "front door: the asyncio event loop (default) or the "
-            "original one-thread-per-connection server"
-        ),
-    )
-    serve.add_argument(
         "--max-connections",
         type=positive_int,
         default=1024,
-        help="concurrent connections before shedding (async transport)",
+        help="concurrent connections before shedding",
     )
     serve.add_argument(
         "--max-inflight",
         type=positive_int,
         default=64,
-        help="per-endpoint concurrent executions (async transport)",
+        help="per-endpoint concurrent executions",
     )
     serve.add_argument(
         "--queue-depth",
-        type=int,
+        type=nonnegative_int,
         default=256,
         help=(
-            "per-endpoint admission queue beyond --max-inflight; "
-            "excess requests get 503 overloaded (async transport)"
+            "per-endpoint admission queue beyond --max-inflight (0: no "
+            "waiting room); excess requests get 503 overloaded"
         ),
     )
     serve.add_argument(
@@ -332,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "per-endpoint requests/second token bucket; excess gets "
-            "429 rate_limited (async transport; default: off)"
+            "429 rate_limited (default: off)"
         ),
     )
     serve.add_argument(
@@ -345,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor-workers",
         type=positive_int,
         default=None,
-        help="dispatch thread-pool size (async transport; default: auto)",
+        help="dispatch thread-pool size (default: auto)",
     )
 
     loadtest = sub.add_parser(
@@ -768,38 +759,16 @@ def _run_serve(args: argparse.Namespace) -> int:
     def banner(url: str) -> None:
         print(
             f"serving {len(workspace.recipes)} recipes at {url} "
-            f"({warm_seconds:.1f}s to warm, transport={args.transport}); "
+            f"({warm_seconds:.1f}s to warm); "
             "Ctrl-C to stop",
             flush=True,
         )
         _print_cache_summary(config)
 
-    if args.transport == "thread":
-        code = _serve_threaded(args, app, banner)
-    else:
-        code = _serve_async(args, app, banner)
+    code = _serve_async(args, app, banner)
     if args.stats:
         print("\n" + app.metrics.render_summary())
     return code
-
-
-def _serve_threaded(
-    args: argparse.Namespace, app: Any, banner: Any
-) -> int:
-    from .service import create_server
-
-    server = create_server(
-        app, host=args.host, port=args.port, verbose=args.verbose
-    )
-    banner(server.url)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
-    return 0
 
 
 def _serve_async(args: argparse.Namespace, app: Any, banner: Any) -> int:

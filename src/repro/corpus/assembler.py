@@ -34,22 +34,15 @@ OVERLAP_SCALE = 4.0
 NOISE_RATE = 0.08
 
 
-def overlap_matrix(
-    ingredients: tuple[Ingredient, ...], reference: bool = False
-) -> np.ndarray:
+def overlap_matrix(ingredients: tuple[Ingredient, ...]) -> np.ndarray:
     """Pairwise shared-molecule counts |F_i ∩ F_j| (diagonal zeroed).
 
     Computed via a binary ingredient×molecule membership matrix so the
     whole pantry matrix is one matmul. The matmul runs in float64 (BLAS)
     rather than int32 (a naive loop inside numpy) — counts are small
     integers, far below 2**53, so the float products and sums are exact
-    and the int32 result is bit-identical to the integer matmul.
-
-    ``reference=True`` keeps the original int32 matmul; it exists so the
-    cold-build bench can measure the pre-optimisation path
-    (``BENCH_aliasing.json``), mirroring how
-    :func:`repro.pairing.naive_sample_model_scores` serves the sampler
-    ablation.
+    and the int32 result is bit-identical to the integer matmul (a test
+    keeps the int32 matmul as its oracle).
     """
     if not ingredients:
         return np.zeros((0, 0), dtype=np.int32)
@@ -57,36 +50,26 @@ def overlap_matrix(
     for ingredient in ingredients:
         if ingredient.flavor_profile:
             max_molecule = max(max_molecule, max(ingredient.flavor_profile))
-    dtype = np.int32 if reference else np.float64
-    membership = np.zeros((len(ingredients), max_molecule + 1), dtype=dtype)
+    membership = np.zeros(
+        (len(ingredients), max_molecule + 1), dtype=np.float64
+    )
     for row, ingredient in enumerate(ingredients):
         if ingredient.flavor_profile:
             membership[row, list(ingredient.flavor_profile)] = 1
-    matrix = membership @ membership.T
-    if not reference:
-        matrix = matrix.astype(np.int32)
+    matrix = (membership @ membership.T).astype(np.int32)
     np.fill_diagonal(matrix, 0)
     return matrix
 
 
 class RecipeAssembler:
-    """Draws recipes (as pantry-index arrays) for one region.
+    """Draws recipes (as pantry-index arrays) for one region."""
 
-    ``reference=True`` selects the pre-optimisation draw path (int32
-    overlap matmul, per-slot ``rng.choice``); it produces bit-identical
-    recipes — asserted by the equivalence tests — and exists so the
-    cold-build bench can measure the fast path against it.
-    """
-
-    def __init__(self, pantry: RegionPantry, reference: bool = False) -> None:
+    def __init__(self, pantry: RegionPantry) -> None:
         self._pantry = pantry
         self._popularity = pantry.popularity.astype(np.float64)
-        self._overlap = overlap_matrix(
-            pantry.ingredients, reference=reference
-        ).astype(np.float64)
+        self._overlap = overlap_matrix(pantry.ingredients).astype(np.float64)
         np.clip(self._overlap, 0.0, OVERLAP_CAP, out=self._overlap)
         self._bias = pantry.profile.pairing_bias
-        self._reference = reference
 
     @property
     def pantry(self) -> RegionPantry:
@@ -102,7 +85,8 @@ class RecipeAssembler:
         checks), which dominates the whole assembly loop. This inline
         reproduces its draw bit-for-bit (same cdf arithmetic, same
         uniform variate, same ``side="right"`` search) without the
-        per-call overhead.
+        per-call overhead; a test swaps ``rng.choice`` back in and
+        compares whole assemblies.
         """
         cdf = p.cumsum()
         cdf /= cdf[-1]
@@ -116,15 +100,10 @@ class RecipeAssembler:
         against the partial recipe, except for a ``NOISE_RATE`` fraction of
         pure-popularity draws.
         """
-        pantry_size = self._pantry.size
-        size = min(size, pantry_size)
-        if self._reference:
-            draw = lambda p: int(rng.choice(pantry_size, p=p))  # noqa: E731
-        else:
-            draw = lambda p: self._draw(rng, p)  # noqa: E731
+        size = min(size, self._pantry.size)
         chosen = np.empty(size, dtype=np.int64)
         weights = self._popularity.copy()
-        first = draw(weights / weights.sum())
+        first = self._draw(rng, weights / weights.sum())
         chosen[0] = first
         weights[first] = 0.0
         if size == 1:
@@ -153,7 +132,7 @@ class RecipeAssembler:
                     ]
                 )
             else:
-                pick = draw(tilt / total)
+                pick = self._draw(rng, tilt / total)
             chosen[slot] = pick
             weights[pick] = 0.0
             affinity += self._overlap[pick]

@@ -130,7 +130,6 @@ class CorpusGenerator:
         seed: int = DEFAULT_SEED,
         include_world_only: bool = True,
         recipe_scale: float = 1.0,
-        reference_assembler: bool = False,
     ) -> None:
         """
         Args:
@@ -142,10 +141,6 @@ class CorpusGenerator:
                 small scales). Pantry sizes are preserved, so scales below
                 ~0.05 are clamped per region to keep every pantry
                 ingredient reachable.
-            reference_assembler: assemble through the pre-optimisation
-                reference draw path (bit-identical output; exists for
-                the cold-build bench, see
-                :class:`~repro.corpus.assembler.RecipeAssembler`).
         """
         if recipe_scale <= 0:
             raise ConfigurationError("recipe_scale must be positive")
@@ -155,7 +150,6 @@ class CorpusGenerator:
         self._seed = seed
         self._include_world_only = include_world_only
         self._recipe_scale = recipe_scale
-        self._reference_assembler = reference_assembler
 
     @property
     def catalog(self) -> IngredientCatalog:
@@ -255,13 +249,9 @@ class CorpusGenerator:
         ) as trace:
             plans = self.region_plans()
             # Workers rebuild the generator from (seed, scale,
-            # include_world_only) alone, so only a default-catalog,
-            # default-assembler generator may fan out.
-            if (
-                workers > 1
-                and self._catalog is default_catalog()
-                and not self._reference_assembler
-            ):
+            # include_world_only) alone, so only a default-catalog
+            # generator may fan out.
+            if workers > 1 and self._catalog is default_catalog():
                 from ..parallel.executor import run_tasks
 
                 payloads = [
@@ -320,10 +310,7 @@ class CorpusGenerator:
         )
         count = self._region_recipe_count(profile)
         sizes = sample_recipe_sizes(rng, count, profile.mean_recipe_size)
-        assembler = RecipeAssembler(
-            pantry, reference=self._reference_assembler
-        )
-        recipes = assembler.assemble_many(rng, sizes)
+        recipes = RecipeAssembler(pantry).assemble_many(rng, sizes)
         self._enforce_coverage(recipes, pantry, rng)
         return recipes
 

@@ -11,12 +11,10 @@ from .contribution import (
     contributions_from_chi,
     ingredient_contributions,
     top_contributors,
-    verify_contribution,
 )
 from .models import (
     DEFAULT_CHUNK,
     NullModel,
-    naive_sample_model_scores,
     sample_model_moments,
     sample_model_recipes,
     sample_model_scores,
@@ -30,7 +28,6 @@ from .score import (
     recipe_score_from_matrix,
     scores_for_recipes,
     scores_from_view,
-    scores_from_view_reference,
 )
 from .views import CuisineView, build_cuisine_view
 from .zscore import (
@@ -48,10 +45,8 @@ __all__ = [
     "contributions_from_chi",
     "ingredient_contributions",
     "top_contributors",
-    "verify_contribution",
     "DEFAULT_CHUNK",
     "NullModel",
-    "naive_sample_model_scores",
     "sample_model_moments",
     "sample_model_recipes",
     "sample_model_scores",
@@ -63,7 +58,6 @@ __all__ = [
     "recipe_score_from_matrix",
     "scores_for_recipes",
     "scores_from_view",
-    "scores_from_view_reference",
     "CuisineView",
     "build_cuisine_view",
     "PAPER_SAMPLE_COUNT",

@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from .score import recipe_score_from_matrix, scores_from_view
+from .score import scores_from_view
 from .views import CuisineView
 
 
@@ -139,20 +139,3 @@ def top_contributors(
         reverse=not positive_pairing,
     )
     return ordered[:count]
-
-
-def verify_contribution(
-    view: CuisineView, local_index: int
-) -> float:
-    """Slow reference computation of ``chi`` for one ingredient (tests)."""
-    base_scores = scores_from_view(view)
-    base_mean = float(base_scores.mean())
-    new_scores = []
-    for recipe in view.recipes:
-        reduced = recipe[recipe != local_index]
-        if len(reduced) < 2:
-            continue
-        new_scores.append(recipe_score_from_matrix(view.overlap, reduced))
-    if not new_scores or base_mean == 0.0:
-        return 0.0
-    return 100.0 * (float(np.mean(new_scores)) - base_mean) / base_mean

@@ -16,8 +16,9 @@ category models, the category composition — of a uniformly chosen real
 Sampling is vectorised with the Gumbel top-k trick: drawing ``m`` items
 without replacement with weights ``w`` is equivalent to taking the top-m
 of ``log w + Gumbel noise``, which turns per-recipe rejection loops into
-dense numpy operations. ``bench_ablation_sampler`` measures the win over
-the naive loop.
+dense numpy operations. The naive per-recipe ``rng.choice`` loop it
+replaced is kept as a test oracle (``tests/oracles.py``); its recorded
+cost is in DESIGN.md §5.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ def sample_model_scores(
         while position < n_samples:
             take = min(chunk, n_samples - position)
             batch = sample_model_recipes(view, model, take, rng)
-            scores[position : position + take] = _score_ragged(view, batch)
+            scores[position : position + take] = scores_for_recipes(
+                view.overlap, batch
+            )
             position += take
             heartbeat.tick(position)
         elapsed = time.perf_counter() - started
@@ -132,7 +135,7 @@ def sample_model_moments(
         while position < n_samples:
             take = min(chunk, n_samples - position)
             batch = sample_model_recipes(view, model, take, rng)
-            moments.update(_score_ragged(view, batch))
+            moments.update(scores_for_recipes(view.overlap, batch))
             position += take
             heartbeat.tick(position)
         elapsed = time.perf_counter() - started
@@ -294,62 +297,3 @@ def _gumbel_top_m(
     if m == pool_size:
         return np.tile(np.arange(pool_size), (k, 1))
     return np.argpartition(keys, -m, axis=1)[:, -m:]
-
-
-def _score_ragged(
-    view: CuisineView, recipes: list[np.ndarray]
-) -> np.ndarray:
-    """Score a ragged batch by grouping equal-size recipes."""
-    return scores_for_recipes(view.overlap, recipes)
-
-
-def naive_sample_model_scores(
-    view: CuisineView,
-    model: NullModel,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Reference per-recipe-loop sampler (ablation baseline).
-
-    Produces draws from the same distributions as
-    :func:`sample_model_scores` via ``rng.choice`` per recipe; kept for the
-    ``bench_ablation_sampler`` benchmark and cross-validation tests.
-    """
-    sizes = view.recipe_sizes()
-    pools = view.category_pools()
-    scores = np.empty(n_samples, dtype=np.float64)
-    frequencies = view.frequencies
-    for sample in range(n_samples):
-        template = int(rng.integers(0, view.recipe_count))
-        if model.preserves_category:
-            picks: list[int] = []
-            recipe = view.recipes[template]
-            counts: dict[str, int] = {}
-            for local in recipe:
-                category = view.categories[int(local)]
-                counts[category] = counts.get(category, 0) + 1
-            for category in sorted(counts):
-                pool = pools[category]
-                if model.preserves_frequency:
-                    weights = frequencies[pool]
-                    weights = weights / weights.sum()
-                else:
-                    weights = None
-                chosen = rng.choice(
-                    pool, size=counts[category], replace=False, p=weights
-                )
-                picks.extend(int(c) for c in chosen)
-            indices = np.asarray(picks)
-        else:
-            size = int(sizes[template])
-            if model.preserves_frequency:
-                weights = frequencies / frequencies.sum()
-            else:
-                weights = None
-            indices = rng.choice(
-                view.ingredient_count, size=size, replace=False, p=weights
-            )
-        n = len(indices)
-        block = view.overlap[np.ix_(indices, indices)]
-        scores[sample] = block.sum() / (n * (n - 1))
-    return scores

@@ -6,13 +6,15 @@ For a recipe R with n ingredients and flavor profiles F_i::
 
 i.e. the mean number of flavor molecules shared by an ingredient pair of
 the recipe. A cuisine's food pairing is the average of N_s over its
-recipes. Two implementations are provided:
+recipes. Three implementations are provided:
 
 * :func:`food_pairing_score` — set-based, straight off the ingredient
   objects; the readable reference implementation.
-* :func:`scores_from_view` / :func:`batch_scores` — matrix-based, used by
-  the analyses and null models (``bench_ablation_overlap_backend``
-  quantifies the difference).
+* :func:`recipe_score_from_matrix` — one recipe against a cuisine overlap
+  matrix; the recipe designer and tweak search score candidates with it.
+* :func:`scores_from_view` / :func:`batch_scores` — matrix-based and
+  grouped by recipe size, used by the analyses and null models
+  (``test_bench_matrix_backend`` measures it against the set-based path).
 """
 
 from __future__ import annotations
@@ -67,10 +69,8 @@ def scores_for_recipes(
     """N_s for a ragged batch of recipes, grouped by size.
 
     Recipes of equal size are stacked and scored in one
-    :func:`batch_scores` call instead of one ``np.ix_`` gather each; the
-    per-recipe path (:func:`recipe_score_from_matrix` /
-    :func:`scores_from_view_reference`) is kept as the reference
-    implementation and cross-checked in tests.
+    :func:`batch_scores` call instead of one ``np.ix_`` gather each;
+    tests check it against :func:`recipe_score_from_matrix` per recipe.
     """
     sizes = np.asarray([len(recipe) for recipe in recipes], dtype=np.int64)
     scores = np.empty(len(recipes), dtype=np.float64)
@@ -88,17 +88,6 @@ def scores_for_recipes(
 def scores_from_view(view: CuisineView) -> np.ndarray:
     """N_s for every recipe of a cuisine view (vectorised by size group)."""
     return scores_for_recipes(view.overlap, view.recipes)
-
-
-def scores_from_view_reference(view: CuisineView) -> np.ndarray:
-    """Per-recipe reference implementation of :func:`scores_from_view`."""
-    return np.asarray(
-        [
-            recipe_score_from_matrix(view.overlap, recipe)
-            for recipe in view.recipes
-        ],
-        dtype=np.float64,
-    )
 
 
 def cuisine_mean_score(view: CuisineView) -> float:

@@ -9,18 +9,16 @@ recipe analytics as an online service).
 
 The serving stack is layered; requests flow top to bottom:
 
-* **transport** — :mod:`repro.service.aio`, the default asyncio
-  HTTP/1.1 front door (keep-alive, pipelining, connection limits,
-  graceful drain), and :mod:`repro.service.server`, the original
-  ``ThreadingHTTPServer`` retained behind ``--transport thread`` as the
-  golden-equivalence reference. Wire-level rules both transports must
-  agree on live in :mod:`repro.service.wire`.
+* **transport** — :mod:`repro.service.aio`, the asyncio HTTP/1.1 front
+  door (keep-alive, pipelining, Content-Length framing, connection
+  limits, graceful drain).
 * **admission** — :mod:`repro.service.admission`: bounded per-endpoint
   queues; sheds load with structured ``429``/``503`` envelopes.
 * **coalescing** — :mod:`repro.service.coalesce`: N identical in-flight
   cacheable requests trigger one handler computation.
 * **dispatch** — :mod:`repro.service.app`: routing, caching, metrics,
-  error envelopes; the single sync core both transports call.
+  error envelopes; the sync core the transport calls, and that answers
+  in-process without HTTP.
 
 Below dispatch sit :mod:`repro.service.handlers` (typed handlers over a
 warm :class:`~repro.experiments.ExperimentWorkspace`),
@@ -34,12 +32,7 @@ serves it until interrupted; SIGTERM drains gracefully.
 """
 
 from .admission import AdmissionController, AdmissionLimits, AdmissionReject
-from .aio import (
-    AsyncServerHandle,
-    AsyncServiceServer,
-    create_async_server,
-    serve_async_in_thread,
-)
+from .aio import AsyncServerHandle, AsyncServiceServer, serve_async_in_thread
 from .app import (
     ROUTES,
     PlainTextResponse,
@@ -52,7 +45,6 @@ from .coalesce import RequestCoalescer
 from .handlers import QueryService, RequestError
 from .loadtest import LoadClient, LoadReport, run_loadtest
 from .metrics import LatencyStats, ServiceMetrics
-from .server import ServiceServer, create_server, serve_in_thread
 
 __all__ = [
     "ROUTES",
@@ -69,16 +61,12 @@ __all__ = [
     "LoadReport",
     "ResultCache",
     "canonical_key",
-    "create_async_server",
     "QueryService",
     "RequestError",
     "LatencyStats",
     "ServiceMetrics",
-    "ServiceServer",
-    "create_server",
     "generate_request_id",
     "resolve_request_id",
     "run_loadtest",
     "serve_async_in_thread",
-    "serve_in_thread",
 ]

@@ -4,15 +4,15 @@ The layered serving stack, top to bottom:
 
 1. **transport** (this module) — ``asyncio.start_server``, an HTTP/1.1
    parser with keep-alive and pipelining, Content-Length enforcement
-   (shared with the threaded transport via :mod:`repro.service.wire`),
-   a connection limit, and graceful drain: stop accepting, finish every
-   in-flight request, turn new requests away with ``503 draining``.
+   (:func:`frame_body`), a connection limit, and graceful drain: stop
+   accepting, finish every in-flight request, turn new requests away
+   with ``503 draining``.
 2. **admission** (:mod:`repro.service.admission`) — bounded per-endpoint
    queues; sheds load with ``429 rate_limited`` / ``503 overloaded``.
 3. **coalescing** (:mod:`repro.service.coalesce`) — N identical
    in-flight cacheable requests run the handler once.
-4. **dispatch** (:class:`~repro.service.app.ServiceApp`) — the single
-   sync core both transports call, unchanged.
+4. **dispatch** (:class:`~repro.service.app.ServiceApp`) — the sync
+   routing/caching/metrics core; the same call answers in-process.
 
 The event loop only ever parses bytes and shuffles buffers. CPU-bound
 handler work runs through ``loop.run_in_executor`` on a bounded thread
@@ -25,6 +25,22 @@ Pipelining falls out of the read loop: requests on one connection are
 parsed and answered strictly in order, so a client may write several
 requests before reading any response and the responses come back in
 request order, as HTTP/1.1 requires.
+
+Framing rules (:func:`frame_body`):
+
+* ``Transfer-Encoding`` present → ``411 length_required`` (chunked
+  bodies are not supported; this stack only speaks ``Content-Length``).
+* ``POST`` without ``Content-Length`` → ``411 length_required``. HTTP
+  cannot distinguish "no body" from "body with unknown length" without
+  the header, and guessing "empty" silently drops real payloads.
+* A ``Content-Length`` that is not plain ASCII digits (RFC 9110 §8.6:
+  ``1*DIGIT``; so no sign, no ``_``, no whitespace inside) →
+  ``400 invalid_request``.
+* ``Content-Length`` beyond :data:`MAX_BODY_BYTES` →
+  ``400 payload_too_large``, refused before reading a byte.
+
+After any framing error the connection closes: the body boundary is
+unknown, so the next request cannot be parsed.
 """
 
 from __future__ import annotations
@@ -50,17 +66,17 @@ from .app import (
     resolve_request_id,
 )
 from .metrics import REJECTED
-from .wire import decode_body, frame_body
 
 __all__ = [
     "AsyncServiceServer",
     "AsyncServerHandle",
-    "create_async_server",
     "serve_async_in_thread",
 ]
 
 #: Refuse request heads (request line + headers) beyond this size.
 MAX_HEADER_BYTES = 32 * 1024
+#: Refuse request bodies beyond this size (1 MiB) before reading them.
+MAX_BODY_BYTES = 1 << 20
 #: Concurrent TCP connections accepted before shedding with 503.
 DEFAULT_MAX_CONNECTIONS = 1024
 #: How long drain waits for in-flight requests before force-closing.
@@ -71,11 +87,64 @@ class _Hangup(Exception):
     """The peer closed the connection between requests (not an error)."""
 
 
+def frame_body(
+    method: str,
+    length_header: str | None,
+    transfer_encoding: str | None = None,
+) -> tuple[int, dict[str, Any] | None]:
+    """How many body bytes to read, or the framing-error envelope.
+
+    Returns:
+        ``(length, None)`` when the body is well-framed (``length`` may
+        be 0), or ``(0, envelope)`` when the request must be rejected —
+        in which case the connection must also close.
+    """
+    if transfer_encoding is not None:
+        return 0, error_body(
+            411,
+            "length_required",
+            "chunked transfer encoding is not supported; "
+            "send a Content-Length header",
+        )
+    if length_header is None:
+        if method == "POST":
+            return 0, error_body(
+                411,
+                "length_required",
+                "POST requires a Content-Length header",
+            )
+        return 0, None
+    # int() alone would also accept "-5", "+5" and "1_0"; a negative
+    # length would leave the body in the stream as the next request.
+    if not (length_header.isascii() and length_header.isdigit()):
+        return 0, error_body(
+            400, "invalid_request", "malformed Content-Length"
+        )
+    length = int(length_header)
+    if length > MAX_BODY_BYTES:
+        return 0, error_body(
+            400,
+            "payload_too_large",
+            f"request body exceeds {MAX_BODY_BYTES} bytes",
+        )
+    return length, None
+
+
+def decode_body(raw: bytes) -> tuple[Any, dict[str, Any] | None]:
+    """The decoded JSON payload, or the ``invalid_json`` envelope."""
+    try:
+        return json.loads(raw), None
+    except json.JSONDecodeError as error:
+        return None, error_body(
+            400, "invalid_json", f"request body is not valid JSON: {error}"
+        )
+
+
 class AsyncServiceServer:
     """One asyncio event loop serving a :class:`ServiceApp`.
 
     Args:
-        app: the dispatch core (shared with the threaded transport).
+        app: the dispatch core.
         host/port: bind address; ``port=0`` picks a free port (see
             :attr:`url` after :meth:`start`).
         limits: admission knobs; ``None`` uses the defaults.
@@ -466,21 +535,10 @@ class AsyncServiceServer:
         await writer.drain()
 
 
-def create_async_server(
-    app: ServiceApp,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    **kwargs: Any,
-) -> AsyncServiceServer:
-    """Construct (without binding) an :class:`AsyncServiceServer`."""
-    return AsyncServiceServer(app, host=host, port=port, **kwargs)
-
-
 class AsyncServerHandle:
     """An async server running on a dedicated event-loop thread.
 
-    The async twin of :func:`~repro.service.server.serve_in_thread`,
-    for tests, benchmarks and embedding: the caller's thread stays
+    For tests, benchmarks and embedding: the caller's thread stays
     synchronous, ``stop()`` triggers a graceful drain and reports
     whether it was clean.
     """

@@ -2,7 +2,7 @@
 
 :class:`ServiceApp` maps ``(method, path, payload)`` to a
 ``(status, body)`` pair. It owns the shared :class:`ResultCache` and
-:class:`ServiceMetrics`; transports (the stdlib HTTP server, tests, or a
+:class:`ServiceMetrics`; callers (the asyncio transport, tests, or a
 future batching front-end) only ever call :meth:`ServiceApp.dispatch`.
 
 Error responses use one structured envelope::
@@ -112,7 +112,7 @@ def resolve_request_id(supplied: Any) -> str:
 class PlainTextResponse:
     """A non-JSON response body (Prometheus exposition text).
 
-    Transports check for this type and send ``text`` verbatim with
+    The transport checks for this type and sends ``text`` verbatim with
     ``content_type`` instead of JSON-encoding the body.
     """
 

@@ -17,9 +17,9 @@ the moment the leader publishes, so the table is bounded by the number
 of *concurrently distinct* in-flight keys — the same self-cleaning
 property as ``KeyedLocks``.
 
-Both transports share it through :meth:`ServiceApp.dispatch` (the
-threaded server's request threads and the asyncio transport's executor
-threads block identically), and every coalesced response increments
+The asyncio transport reaches it through :meth:`ServiceApp.dispatch`
+on its executor threads, where a follower blocks until the leader
+publishes, and every coalesced response increments
 ``repro_service_coalesced_total{endpoint=...}`` so a load test can
 *prove* the reduction in handler compute.
 """

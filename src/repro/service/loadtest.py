@@ -3,14 +3,14 @@
 A concurrent keep-alive HTTP client that replays configurable endpoint
 mixes against a running server and reports throughput, latency
 percentiles and error fractions — the measurement half of the serving
-stack, sharing nothing with the server side so it can drive either
-transport impartially.
+stack, sharing nothing with the server side so it measures the
+transport from the outside.
 
 Mixes:
 
 * ``smoke`` — every serving endpoint once per cycle (health, metrics,
   analysis and SQL endpoints; ``/montecarlo`` at its minimum sample
-  count). CI uses it to prove the async transport serves the whole API
+  count). CI uses it to prove the server answers the whole API
   with zero 5xx and drains cleanly.
 * ``hot`` — one identical cacheable ``/score`` request, repeated. With
   the cache cleared this is the coalescing torture test: N connections,

@@ -11,7 +11,7 @@ in a :class:`~repro.obs.metrics.MetricsRegistry`:
 * ``repro_cache_hits_total{endpoint=...}`` — responses from the cache,
 * ``repro_request_seconds{endpoint=...}`` — latency histogram
   (sliding-window p50/p95/p99 over the most recent
-  :data:`RESERVOIR_SIZE` samples).
+  :data:`~repro.obs.metrics.RESERVOIR_SIZE` samples).
 
 The JSON ``/metrics`` body, the ``--stats`` shutdown table and the
 Prometheus exposition (``/metrics?format=prometheus``) all derive from
@@ -23,13 +23,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from ..obs.metrics import (  # noqa: F401 - re-exported for compatibility
-    PERCENTILES,
-    RESERVOIR_SIZE,
-    HistogramStats,
-    MetricsRegistry,
-    percentile,
-)
+from ..obs.metrics import MetricsRegistry
 
 REQUESTS = "repro_requests_total"
 ERRORS = "repro_request_errors_total"

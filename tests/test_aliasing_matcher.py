@@ -1,6 +1,6 @@
-"""Tests for the greedy n-gram matcher."""
+"""Tests for greedy longest-match matching on the token trie."""
 
-from repro.aliasing import NGramMatcher
+from repro.aliasing import TrieMatcher
 from repro.datamodel import Category, Ingredient
 
 
@@ -28,9 +28,7 @@ def make_catalog():
 
 def make_matcher(**kwargs):
     catalog = make_catalog()
-    return NGramMatcher(
-        catalog.get, frozenset(catalog), **kwargs
-    ), catalog
+    return TrieMatcher(catalog.get, frozenset(catalog), **kwargs), catalog
 
 
 class TestLongestMatch:
@@ -79,21 +77,7 @@ class TestLongestMatch:
         assert match.length == 3
 
 
-class TestFirstTokenIndex:
-    def test_index_and_no_index_agree(self):
-        with_index, _catalog = make_matcher(use_first_token_index=True)
-        without_index, _catalog = make_matcher(use_first_token_index=False)
-        sequences = [
-            ["extra", "virgin", "olive", "oil"],
-            ["unknown", "olive", "oil", "tomato"],
-            ["sun", "dried", "tomato", "black", "pepper"],
-            ["x", "y", "z"],
-        ]
-        for tokens in sequences:
-            left = with_index.match(tokens)
-            right = without_index.match(tokens)
-            assert left == right
-
+class TestMaxNgram:
     def test_max_ngram_respected(self):
         matcher, _catalog = make_matcher(max_ngram=1)
         outcome = matcher.match(["olive", "oil"])

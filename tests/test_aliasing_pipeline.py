@@ -275,20 +275,3 @@ class TestShardedResolveCorpus:
         # The curated alias must be honoured (a default-spec worker
         # rebuild would miss it).
         assert result.report.phrase_counts[MatchKind.UNRECOGNIZED] == 0
-
-    def test_matcher_kind_reports_implementation(self, catalog):
-        assert AliasingPipeline(catalog).matcher_kind == "trie"
-        assert (
-            AliasingPipeline(catalog, matcher="ngram").matcher_kind
-            == "ngram"
-        )
-        assert (
-            AliasingPipeline(
-                catalog, use_first_token_index=False
-            ).matcher_kind
-            == "ngram"
-        )
-
-    def test_unknown_matcher_rejected(self, catalog):
-        with pytest.raises(ValueError, match="unknown matcher"):
-            AliasingPipeline(catalog, matcher="bogus")

@@ -1,9 +1,9 @@
 """Property tests: the token trie is equivalent to the n-gram matcher.
 
-The trie is the cold-build fast path; the n-gram matcher is the reference
-implementation kept for ablations. Hypothesis drives both over arbitrary
-vocabularies and token streams — including curation updates via
-``add_name`` — and asserts identical matches, surfaces and leftovers.
+The trie is the aliasing matcher; the probing n-gram matcher in
+``tests/oracles.py`` is its specification. Hypothesis drives both over
+arbitrary vocabularies and token streams — including curation updates
+via ``add_name`` — and asserts identical matches, surfaces and leftovers.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aliasing import MAX_NGRAM, NGramMatcher, TrieMatcher
+from repro.aliasing import MAX_NGRAM, TrieMatcher
 from repro.datamodel import Category, Ingredient
+from tests.oracles import NGramMatcher
 
 # A tiny closed token alphabet maximises accidental overlaps between
 # vocabulary names and query streams — the interesting cases.
@@ -38,17 +39,10 @@ def _make_vocab(names: list[str]) -> dict[str, Ingredient]:
 
 
 def _build_both(
-    vocab: dict[str, Ingredient], max_ngram: int, use_index: bool
+    vocab: dict[str, Ingredient], max_ngram: int
 ) -> tuple[TrieMatcher, NGramMatcher]:
-    known = frozenset(vocab)
-    trie = TrieMatcher(vocab.get, known, max_ngram=max_ngram)
-    ngram = NGramMatcher(
-        vocab.get,
-        known,
-        max_ngram=max_ngram,
-        use_first_token_index=use_index,
-    )
-    return trie, ngram
+    trie = TrieMatcher(vocab.get, frozenset(vocab), max_ngram=max_ngram)
+    return trie, NGramMatcher(vocab.get, max_ngram=max_ngram)
 
 
 def _assert_equivalent(trie, ngram, tokens: list[str]) -> None:
@@ -64,11 +58,10 @@ def _assert_equivalent(trie, ngram, tokens: list[str]) -> None:
     names=st.lists(name, min_size=0, max_size=8),
     tokens=stream,
     max_ngram=st.integers(min_value=1, max_value=MAX_NGRAM),
-    use_index=st.booleans(),
 )
-def test_trie_matches_ngram_reference(names, tokens, max_ngram, use_index):
+def test_trie_matches_ngram_reference(names, tokens, max_ngram):
     vocab = _make_vocab(names)
-    trie, ngram = _build_both(vocab, max_ngram, use_index)
+    trie, ngram = _build_both(vocab, max_ngram)
     _assert_equivalent(trie, ngram, tokens)
 
 
@@ -77,12 +70,11 @@ def test_trie_matches_ngram_reference(names, tokens, max_ngram, use_index):
     names=st.lists(name, min_size=0, max_size=6),
     added=st.lists(name, min_size=1, max_size=4),
     tokens=stream,
-    use_index=st.booleans(),
 )
-def test_trie_matches_ngram_after_curation(names, added, tokens, use_index):
-    """Paired ``add_name`` updates keep both matchers equivalent."""
+def test_trie_matches_ngram_after_curation(names, added, tokens):
+    """``add_name`` keeps the trie equal to the oracle's live resolver."""
     vocab = _make_vocab(names)
-    trie, ngram = _build_both(vocab, MAX_NGRAM, use_index)
+    trie, ngram = _build_both(vocab, MAX_NGRAM)
     for index, surface in enumerate(added):
         if surface not in vocab:
             vocab[surface] = Ingredient(
@@ -91,13 +83,12 @@ def test_trie_matches_ngram_after_curation(names, added, tokens, use_index):
                 category=Category.SPICE,
             )
         trie.add_name(surface)
-        ngram.add_name(surface)
         _assert_equivalent(trie, ngram, tokens)
 
 
 def test_trie_prefers_longest_match():
     vocab = _make_vocab(["olive", "olive oil", "sea salt"])
-    trie, _ = _build_both(vocab, MAX_NGRAM, True)
+    trie, _ = _build_both(vocab, MAX_NGRAM)
     outcome = trie.match(("olive", "oil", "sea", "salt"))
     assert [m.surface for m in outcome.matches] == ["olive oil", "sea salt"]
     assert outcome.leftover_tokens == ()
@@ -105,7 +96,7 @@ def test_trie_prefers_longest_match():
 
 def test_trie_caps_match_length_at_max_ngram():
     vocab = _make_vocab(["red onion rice wine", "red onion"])
-    trie, ngram = _build_both(vocab, 2, True)
+    trie, ngram = _build_both(vocab, 2)
     _assert_equivalent(trie, ngram, ["red", "onion", "rice", "wine"])
     outcome = trie.match(("red", "onion", "rice", "wine"))
     assert [m.surface for m in outcome.matches] == ["red onion"]

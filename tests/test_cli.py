@@ -97,6 +97,18 @@ class TestNumericFlagValidation:
             main(["run", "table1", "--scale", "big"])
         assert "not a number" in capsys.readouterr().err
 
+    def test_negative_queue_depth_rejected_before_building(self, capsys):
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["serve", "--queue-depth", "-1"])
+        assert excinfo.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+        # 0 stays legal: no waiting room beyond --max-inflight.
+        args = parser.parse_args(["serve", "--queue-depth", "0"])
+        assert args.queue_depth == 0
+
 
 class TestServeParser:
     def test_serve_flags_parse(self):

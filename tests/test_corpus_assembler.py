@@ -13,6 +13,21 @@ from repro.corpus import (
 )
 
 
+def int32_overlap_matrix(ingredients):
+    """The integer matmul :func:`overlap_matrix` replaced with float64."""
+    width = 1 + max(
+        (max(i.flavor_profile) for i in ingredients if i.flavor_profile),
+        default=0,
+    )
+    membership = np.zeros((len(ingredients), width), dtype=np.int32)
+    for row, ingredient in enumerate(ingredients):
+        if ingredient.flavor_profile:
+            membership[row, list(ingredient.flavor_profile)] = 1
+    matrix = membership @ membership.T
+    np.fill_diagonal(matrix, 0)
+    return matrix
+
+
 @pytest.fixture(scope="module")
 def ita_pantry(catalog_module):
     return build_pantry(REGION_GENERATOR_PROFILES["ITA"], catalog_module)
@@ -49,33 +64,46 @@ class TestOverlapMatrix:
 
     def test_reference_matmul_bit_identical(self, ita_pantry):
         fast = overlap_matrix(ita_pantry.ingredients)
-        reference = overlap_matrix(ita_pantry.ingredients, reference=True)
+        reference = int32_overlap_matrix(ita_pantry.ingredients)
         assert fast.dtype == reference.dtype
         assert np.array_equal(fast, reference)
 
 
 class TestReferenceAssembler:
-    """The fast draw path must be bit-identical to the reference path.
+    """The inlined draw must reproduce ``rng.choice`` bit for bit.
 
-    The fast path inlines ``rng.choice``'s cdf+searchsorted draw (same
-    uniform variate, same arithmetic) and runs the overlap matmul in
-    float64; both must reproduce the reference assembler exactly — the
-    corpus depends on it staying byte-stable across optimisations.
+    ``RecipeAssembler._draw`` inlines ``rng.choice``'s cdf+searchsorted
+    draw (same uniform variate, same arithmetic). Here ``rng.choice``
+    itself draws on one stream and the inline on an identically seeded
+    other; whole assemblies must match — the corpus depends on it
+    staying byte-stable across optimisations.
     """
 
-    def test_assemble_bit_identical(self, ita_pantry):
-        fast = RecipeAssembler(ita_pantry)
-        reference = RecipeAssembler(ita_pantry, reference=True)
+    def test_assemble_bit_identical(self, ita_pantry, monkeypatch):
+        inline_draw = RecipeAssembler._draw
+        choice_stream = None
+        choice_calls = 0
+
+        def draw(rng, p):
+            nonlocal choice_calls
+            if rng is not choice_stream:
+                return inline_draw(rng, p)
+            choice_calls += 1
+            return int(rng.choice(len(p), p=p))
+
+        monkeypatch.setattr(RecipeAssembler, "_draw", staticmethod(draw))
+        assembler = RecipeAssembler(ita_pantry)
         for seed in range(8):
             rng_fast = np.random.Generator(np.random.PCG64(seed))
-            rng_reference = np.random.Generator(np.random.PCG64(seed))
+            choice_stream = np.random.Generator(np.random.PCG64(seed))
             for size in (1, 2, 5, 9, 15):
                 assert np.array_equal(
-                    fast.assemble(rng_fast, size),
-                    reference.assemble(rng_reference, size),
+                    assembler.assemble(rng_fast, size),
+                    assembler.assemble(choice_stream, size),
                 ), (seed, size)
             # Both paths consumed the identical random stream.
-            assert rng_fast.random() == rng_reference.random()
+            assert rng_fast.random() == choice_stream.random()
+        assert choice_calls > 0
 
 
 class TestAssemble:

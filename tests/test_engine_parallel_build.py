@@ -17,6 +17,7 @@ from repro.aliasing import AliasingPipeline
 from repro.engine.config import RunConfig
 from repro.engine.engine import Engine
 from repro.engine.stages import STAGES
+from tests.oracles import NGramMatcher
 
 SCALE = 0.02
 
@@ -77,9 +78,10 @@ class TestWorkerCountInvariance:
 
 class TestTrieMatchesReferenceOnCorpus:
     def test_full_corpus_equivalence(self, serial_artifacts, catalog):
-        """Trie and reference n-gram matcher alias a corpus identically."""
+        """Trie and the n-gram oracle alias a corpus identically."""
         corpus = serial_artifacts[0]
-        reference = AliasingPipeline(catalog, matcher="ngram")
+        reference = AliasingPipeline(catalog)
+        reference._matcher = NGramMatcher(reference._normalized_map.get)
         expected = reference.resolve_corpus(corpus.raw_recipes)
         actual = serial_artifacts[1]
         assert actual.recipes == expected.recipes

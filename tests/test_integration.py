@@ -100,12 +100,3 @@ class TestDeterminism:
             rebuilt.recipes[:500], workspace.recipes[:500]
         ):
             assert left == right
-
-
-class TestCoreFacade:
-    def test_core_reexports_pairing(self):
-        import repro.core
-        import repro.pairing
-
-        assert repro.core.food_pairing_score is repro.pairing.food_pairing_score
-        assert set(repro.pairing.__all__) <= set(dir(repro.core))

@@ -7,9 +7,34 @@ from repro.datamodel import Cuisine, Recipe
 from repro.pairing import (
     build_cuisine_view,
     ingredient_contributions,
+    recipe_score_from_matrix,
     top_contributors,
-    verify_contribution,
 )
+
+
+def verify_contribution(view, local_index: int) -> float:
+    """``chi`` by leave-one-out: rescore every recipe without the ingredient.
+
+    Recipes left with fewer than two ingredients drop out of the mean.
+    """
+    base_mean = float(
+        np.mean(
+            [
+                recipe_score_from_matrix(view.overlap, recipe)
+                for recipe in view.recipes
+            ]
+        )
+    )
+    new_scores = [
+        recipe_score_from_matrix(view.overlap, reduced)
+        for reduced in (
+            recipe[recipe != local_index] for recipe in view.recipes
+        )
+        if len(reduced) >= 2
+    ]
+    if not new_scores or base_mean == 0.0:
+        return 0.0
+    return 100.0 * (float(np.mean(new_scores)) - base_mean) / base_mean
 
 
 @pytest.fixture(scope="module")

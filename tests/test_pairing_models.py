@@ -9,10 +9,10 @@ from repro.datamodel import ConfigurationError, Cuisine, Recipe
 from repro.pairing import (
     NullModel,
     build_cuisine_view,
-    naive_sample_model_scores,
     sample_model_recipes,
     sample_model_scores,
 )
+from tests.oracles import naive_sample_model_scores
 
 
 @pytest.fixture(scope="module")

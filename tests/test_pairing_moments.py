@@ -12,10 +12,10 @@ from repro.pairing import (
     NullModel,
     StreamingMoments,
     build_cuisine_view,
-    naive_sample_model_scores,
     sample_model_moments,
     sample_model_scores,
 )
+from tests.oracles import naive_sample_model_scores
 
 
 @pytest.fixture(scope="module")

@@ -239,17 +239,15 @@ class TestScoresForRecipes:
             scores_for_recipes(matrix, (np.asarray([0]),))
 
     def test_view_scorer_matches_reference_loop(self, workspace):
-        from repro.pairing import (
-            build_cuisine_view,
-            scores_from_view,
-            scores_from_view_reference,
-        )
+        from repro.pairing import build_cuisine_view, scores_from_view
 
         cuisine = workspace.regional_cuisines()["ITA"]
         view = build_cuisine_view(cuisine, workspace.catalog)
-        assert scores_from_view(view) == pytest.approx(
-            scores_from_view_reference(view)
-        )
+        per_recipe = [
+            recipe_score_from_matrix(view.overlap, recipe)
+            for recipe in view.recipes
+        ]
+        assert scores_from_view(view) == pytest.approx(per_recipe)
 
 
 class TestBatchChunking:

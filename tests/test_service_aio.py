@@ -212,17 +212,37 @@ class TestFraming:
         assert status == 411
         assert body["error"]["code"] == "length_required"
 
-    def test_malformed_content_length_is_400(self, aserver):
+    @pytest.mark.parametrize(
+        "length, body",
+        [
+            ("banana", None),
+            # A negative length must not leave the body in the stream
+            # to be parsed as the next request head.
+            ("-5", b'{"ingredients": ["garlic", "onion"]}'),
+            # Each body has the length int() would read, so a server
+            # that accepts the sign or the underscore answers at once.
+            ("+5", b'"abc"'),
+            ("1_0", b"[1, 2, 34]"),
+        ],
+        ids=["banana", "-5", "+5", "1_0"],
+    )
+    def test_malformed_content_length_is_400(self, aserver, length, body):
+        """Content-Length is ``1*DIGIT`` (RFC 9110 §8.6), nothing else."""
         with connect(aserver) as sock:
             send_request(
                 sock,
                 "POST",
                 "/score",
-                headers={"Content-Length": "banana"},
+                headers={"Content-Length": length},
+                omit_length=True,
+                raw_body=body,
             )
-            status, _, body = read_response(sock)
+            status, headers, reply = read_response(sock)
         assert status == 400
-        assert body["error"]["code"] == "invalid_request"
+        assert reply["error"]["code"] == "invalid_request"
+        assert reply["error"]["message"] == "malformed Content-Length"
+        # The body boundary is unknown, so the server must close.
+        assert headers["connection"] == "close"
 
     def test_oversized_body_is_400_payload_too_large(self, aserver):
         with connect(aserver) as sock:
@@ -268,6 +288,11 @@ class TestMethodRouting:
         status, _, body = roundtrip(aserver, "POST", "/healthz", {"a": 1})
         assert status == 405
         assert body["error"]["code"] == "method_not_allowed"
+
+    def test_unknown_path_with_odd_method_is_404(self, aserver):
+        status, _, body = roundtrip(aserver, "DELETE", "/nope")
+        assert status == 404
+        assert body["error"]["code"] == "unknown_path"
 
 
 # ----------------------------------------------------------------------

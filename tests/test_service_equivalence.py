@@ -1,12 +1,14 @@
-"""Golden-response equivalence: async transport vs threaded transport.
+"""Golden responses: what the asyncio server sends for the full endpoint mix.
 
-The threaded server is the reference implementation; the asyncio
-transport must return **byte-identical** JSON bodies (modulo the
-``request_id`` value) for the full endpoint mix — success responses and
-every error envelope both transports can produce (404, 405, 411, 400
-framing/parse shapes). Both servers run over the same workspace; raw
-sockets are used so the exchanges (missing Content-Length, arbitrary
-methods) are under full control.
+Most bodies are made by dispatch: each must equal, byte for byte modulo
+the ``request_id`` value, ``json.dumps`` of the in-process
+:meth:`ServiceApp.dispatch` answer to the same request — success
+responses and the 400, 404 and 405 envelopes dispatch produces. Five
+framing envelopes are made by the transport itself (411 no length, 411
+transfer encoding, 400 invalid_json, 400 malformed length, 400
+payload_too_large); those are compared with recorded literal bytes.
+Raw sockets keep the exchanges (missing Content-Length, arbitrary
+methods) under full control.
 """
 
 import json
@@ -19,28 +21,24 @@ from repro.service import (
     QueryService,
     ResultCache,
     ServiceApp,
-    create_server,
     serve_async_in_thread,
-    serve_in_thread,
 )
 
 _RID = re.compile(rb'"request_id": "[^"]*"')
 
 
 @pytest.fixture(scope="module")
-def transports(workspace):
-    """((host, port) of threaded, (host, port) of async), same corpus."""
+def served(workspace):
+    """((host, port) of the async server, an in-process app), one corpus."""
     service = QueryService(workspace)
     service.warm()
-    threaded_app = ServiceApp(service, cache=ResultCache(capacity=256))
-    async_app = ServiceApp(service, cache=ResultCache(capacity=256))
-    threaded = create_server(threaded_app, port=0)
-    serve_in_thread(threaded)
-    handle = serve_async_in_thread(async_app)
-    host, port = threaded.server_address[:2]
-    yield (host, port), (handle.server.host, handle.server.port)
-    threaded.shutdown()
-    threaded.server_close()
+    handle = serve_async_in_thread(
+        ServiceApp(service, cache=ResultCache(capacity=256))
+    )
+    yield (
+        (handle.server.host, handle.server.port),
+        ServiceApp(service, cache=ResultCache(capacity=256)),
+    )
     handle.stop()
 
 
@@ -82,153 +80,114 @@ def normalize(raw):
     return _RID.sub(b'"request_id": "_"', raw)
 
 
-#: The full mix: every success shape plus every error envelope both
-#: transports can produce. (429/503 admission envelopes exist only on
-#: the async side, so equivalence cannot cover them by construction.)
-MIX = [
-    ("healthz", build("GET", "/healthz")),
-    ("regions", build("GET", "/regions")),
-    ("alias", build("POST", "/alias", {"phrase": "2 cloves garlic"})),
-    (
-        "score",
-        build("POST", "/score", {"ingredients": ["garlic", "onion"]}),
+def dispatched(method, path, payload=None):
+    """A request dispatch answers: the in-process answer is expected."""
+
+    def expect(app):
+        status, body = app.dispatch(method, path, payload)
+        return status, json.dumps(body).encode("utf-8")
+
+    return build(method, path, payload), expect
+
+
+def framed(request_bytes, status, body):
+    """A request the transport answers itself: recorded bytes expected."""
+    return request_bytes, lambda app: (status, body)
+
+
+#: The full mix: every success shape plus every error envelope the
+#: server produces without admission pressure.
+MIX = {
+    "healthz": dispatched("GET", "/healthz"),
+    "regions": dispatched("GET", "/regions"),
+    "alias": dispatched("POST", "/alias", {"phrase": "2 cloves garlic"}),
+    "score": dispatched(
+        "POST", "/score", {"ingredients": ["garlic", "onion"]}
     ),
-    (
-        "classify",
-        build(
-            "POST",
-            "/classify",
-            {"ingredients": ["soy sauce", "rice"], "top": 3},
-        ),
+    "classify": dispatched(
+        "POST", "/classify", {"ingredients": ["soy sauce", "rice"], "top": 3}
     ),
-    (
-        "pairings",
-        build("POST", "/pairings", {"ingredient": "garlic", "limit": 5}),
+    "pairings": dispatched(
+        "POST", "/pairings", {"ingredient": "garlic", "limit": 5}
     ),
-    (
-        "similar",
-        build("POST", "/similar", {"ingredient": "garlic", "k": 5}),
+    "similar": dispatched(
+        "POST", "/similar", {"ingredient": "garlic", "k": 5}
     ),
-    (
-        "complete",
-        build(
-            "POST", "/complete", {"ingredients": ["garlic", "onion"], "k": 3}
-        ),
+    "complete": dispatched(
+        "POST", "/complete", {"ingredients": ["garlic", "onion"], "k": 3}
     ),
-    (
-        "recommend",
-        build(
-            "POST",
-            "/recommend",
-            {"region": "ITA", "count": 2, "seed": 7},
-        ),
+    "recommend": dispatched(
+        "POST", "/recommend", {"region": "ITA", "count": 2, "seed": 7}
     ),
-    (
-        "sql",
-        build(
-            "POST",
-            "/sql",
-            {"query": "SELECT COUNT(*) AS n FROM recipes"},
-        ),
+    "sql": dispatched(
+        "POST", "/sql", {"query": "SELECT COUNT(*) AS n FROM recipes"}
     ),
-    (
-        "montecarlo",
-        build(
-            "POST",
-            "/montecarlo",
-            {"region": "ITA", "n_samples": 100, "seed": 7},
-        ),
+    "montecarlo": dispatched(
+        "POST", "/montecarlo", {"region": "ITA", "n_samples": 100, "seed": 7}
     ),
-    # -- error envelopes ------------------------------------------------
-    ("404 unknown_path", build("GET", "/nope")),
-    ("405 wrong method", build("PUT", "/score", {"ingredients": ["x"]})),
-    ("405 head", build("HEAD", "/healthz")),
-    ("405 delete", build("DELETE", "/regions")),
-    (
-        "411 no length",
+    # -- envelopes made by dispatch -------------------------------------
+    "404 unknown_path": dispatched("GET", "/nope"),
+    "405 wrong method": dispatched("PUT", "/score", {"ingredients": ["x"]}),
+    "405 head": dispatched("HEAD", "/healthz"),
+    "405 delete": dispatched("DELETE", "/regions"),
+    "400 invalid_field": dispatched(
+        "POST", "/alias", {"phrase": "garlic", "bogus": 1}
+    ),
+    "404 unknown_ingredient": dispatched(
+        "POST", "/score", {"ingredients": ["kryptonite", "x"]}
+    ),
+    "400 invalid payload type": dispatched("POST", "/score", [1, 2, 3]),
+    # -- envelopes made by the transport --------------------------------
+    "411 no length": framed(
         build(
             "POST",
             "/score",
             raw_body=b'{"ingredients": ["garlic"]}',
             omit_length=True,
         ),
+        411,
+        b'{"error": {"code": "length_required", "message": "POST requires '
+        b'a Content-Length header"}, "status": 411, "request_id": "_"}',
     ),
-    (
-        "411 transfer encoding",
+    "411 transfer encoding": framed(
+        build("POST", "/score", extra_headers=("Transfer-Encoding: chunked",)),
+        411,
+        b'{"error": {"code": "length_required", "message": "chunked '
+        b'transfer encoding is not supported; send a Content-Length '
+        b'header"}, "status": 411, "request_id": "_"}',
+    ),
+    "400 invalid_json": framed(
+        build("POST", "/score", raw_body=b"{not json"),
+        400,
+        b'{"error": {"code": "invalid_json", "message": "request body is '
+        b"not valid JSON: Expecting property name enclosed in double "
+        b'quotes: line 1 column 2 (char 1)"}, "status": 400, '
+        b'"request_id": "_"}',
+    ),
+    "400 malformed length": framed(
+        build("POST", "/score", extra_headers=("Content-Length: banana",)),
+        400,
+        b'{"error": {"code": "invalid_request", "message": "malformed '
+        b'Content-Length"}, "status": 400, "request_id": "_"}',
+    ),
+    "400 payload_too_large": framed(
         build(
-            "POST",
-            "/score",
-            extra_headers=("Transfer-Encoding: chunked",),
+            "POST", "/score", extra_headers=(f"Content-Length: {2 << 20}",)
         ),
+        400,
+        b'{"error": {"code": "payload_too_large", "message": "request body '
+        b'exceeds 1048576 bytes"}, "status": 400, "request_id": "_"}',
     ),
-    ("400 invalid_json", build("POST", "/score", raw_body=b"{not json")),
-    (
-        "400 malformed length",
-        build(
-            "POST",
-            "/score",
-            extra_headers=("Content-Length: banana",),
-        ),
-    ),
-    (
-        "400 payload_too_large",
-        build(
-            "POST",
-            "/score",
-            extra_headers=(f"Content-Length: {2 << 20}",),
-        ),
-    ),
-    (
-        "400 invalid_field",
-        build("POST", "/alias", {"phrase": "garlic", "bogus": 1}),
-    ),
-    (
-        "404 unknown_ingredient",
-        build("POST", "/score", {"ingredients": ["kryptonite", "x"]}),
-    ),
-    (
-        "400 invalid payload type",
-        build("POST", "/score", [1, 2, 3]),
-    ),
-]
+}
 
 
-class TestGoldenEquivalence:
-    def test_full_mix_byte_identical_modulo_request_id(self, transports):
-        threaded, asynced = transports
-        mismatches = []
-        for name, request_bytes in MIX:
-            t_status, t_body = exchange(threaded, request_bytes)
-            a_status, a_body = exchange(asynced, request_bytes)
-            if t_status != a_status:
-                mismatches.append(
-                    f"{name}: status {t_status} (thread) != {a_status} "
-                    "(async)"
-                )
-                continue
-            if normalize(t_body) != normalize(a_body):
-                mismatches.append(
-                    f"{name}:\n  thread: {t_body[:300]!r}\n"
-                    f"  async:  {a_body[:300]!r}"
-                )
-        assert not mismatches, "\n".join(mismatches)
-
-    def test_request_ids_are_fresh_per_transport(self, transports):
-        threaded, asynced = transports
-        request_bytes = build("GET", "/healthz")
-        _, t_body = exchange(threaded, request_bytes)
-        _, a_body = exchange(asynced, request_bytes)
-        assert (
-            json.loads(t_body)["request_id"]
-            != json.loads(a_body)["request_id"]
-        )
-
-    def test_supplied_request_id_round_trips_identically(self, transports):
-        threaded, asynced = transports
-        request_bytes = build(
-            "GET", "/healthz", extra_headers=("X-Request-Id: eq-1",)
-        )
-        t_status, t_body = exchange(threaded, request_bytes)
-        a_status, a_body = exchange(asynced, request_bytes)
-        assert t_status == a_status == 200
-        assert t_body == a_body  # identical including the id
+@pytest.mark.parametrize("name", list(MIX))
+def test_served_body_matches_golden(served, name):
+    address, app = served
+    request_bytes, expect = MIX[name]
+    status, body = exchange(address, request_bytes)
+    expected_status, expected_body = expect(app)
+    assert (status, normalize(body)) == (
+        expected_status,
+        normalize(expected_body),
+    )

@@ -1,32 +1,33 @@
 """Integration tests: the service driven over real HTTP, in-process.
 
-A ``ServiceServer`` is bound to an ephemeral port and exercised with
-``urllib`` from many client threads — the acceptance path for
+An ``AsyncServiceServer`` is bound to an ephemeral port and exercised
+with ``urllib`` from many client threads — the acceptance path for
 ``repro serve``: concurrent requests to ``/alias``, ``/score``,
 ``/classify`` and ``/sql`` return correct JSON, and a repeated identical
 request is served from the LRU cache (visible in ``/metrics``).
 """
 
 import json
-import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.service import QueryService, ResultCache, ServiceApp, create_server
-from repro.service.server import serve_in_thread
+from repro.service import (
+    QueryService,
+    ResultCache,
+    ServiceApp,
+    serve_async_in_thread,
+)
 
 
 @pytest.fixture(scope="module")
 def server(workspace):
     app = ServiceApp(QueryService(workspace), cache=ResultCache(capacity=256))
-    http_server = create_server(app, port=0)
-    serve_in_thread(http_server)
-    yield http_server
-    http_server.shutdown()
-    http_server.server_close()
+    handle = serve_async_in_thread(app)
+    yield handle.server
+    handle.stop()
 
 
 def request(server, method, path, payload=None):
@@ -278,77 +279,6 @@ class TestRequestIdOverHttp:
         body = json.loads(excinfo.value.read())
         assert body["request_id"] == "parse-err-1"
         assert excinfo.value.headers["X-Request-Id"] == "parse-err-1"
-
-
-def raw_exchange(server, request_bytes):
-    """One raw socket exchange (urllib always adds Content-Length)."""
-    host, port = server.server_address[:2]
-    with socket.create_connection((host, port), timeout=30) as sock:
-        sock.sendall(request_bytes)
-        reader = sock.makefile("rb")
-        status = int(reader.readline().decode("latin-1").split(" ", 2)[1])
-        headers = {}
-        while True:
-            line = reader.readline().decode("latin-1").strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = json.loads(reader.read(length)) if length else None
-    return status, headers, body
-
-
-class TestFramingOverThreadedHttp:
-    def test_post_without_content_length_is_411(self, server):
-        status, headers, body = raw_exchange(
-            server,
-            b"POST /score HTTP/1.1\r\nHost: t\r\n\r\n"
-            b'{"ingredients": ["garlic"]}',
-        )
-        assert status == 411
-        assert body["error"]["code"] == "length_required"
-        assert body["request_id"] == headers["x-request-id"]
-        # The body boundary is unknown, so the server must close.
-        assert headers["connection"] == "close"
-
-    def test_transfer_encoding_is_411(self, server):
-        status, _, body = raw_exchange(
-            server,
-            b"POST /score HTTP/1.1\r\nHost: t\r\n"
-            b"Transfer-Encoding: chunked\r\n\r\n",
-        )
-        assert status == 411
-        assert body["error"]["code"] == "length_required"
-
-    def test_get_without_content_length_still_fine(self, server):
-        status, _, body = raw_exchange(
-            server, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
-        )
-        assert status == 200
-        assert body["status"] == "ok"
-
-
-class TestMethodRoutingOverThreadedHttp:
-    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "HEAD"])
-    def test_unsupported_methods_get_405_envelope(self, server, method):
-        body_bytes = b'{"x": 1}' if method in ("PUT", "PATCH") else b""
-        head = f"{method} /score HTTP/1.1\r\nHost: t\r\n"
-        if body_bytes:
-            head += f"Content-Length: {len(body_bytes)}\r\n"
-        status, headers, body = raw_exchange(
-            server, head.encode() + b"\r\n" + body_bytes
-        )
-        assert status == 405
-        assert body["error"]["code"] == "method_not_allowed"
-        assert "x-request-id" in headers
-
-    def test_unknown_path_with_odd_method_is_404(self, server):
-        status, _, body = raw_exchange(
-            server, b"DELETE /nope HTTP/1.1\r\nHost: t\r\n\r\n"
-        )
-        assert status == 404
-        assert body["error"]["code"] == "unknown_path"
 
 
 class TestReadyzOverHttp:

@@ -4,14 +4,13 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import RESERVOIR_SIZE, percentile
 from repro.service.metrics import (
     COALESCED,
     INFLIGHT,
     QUEUE_DEPTH,
     REJECTED,
-    RESERVOIR_SIZE,
     ServiceMetrics,
-    percentile,
 )
 
 
