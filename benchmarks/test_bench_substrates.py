@@ -228,7 +228,12 @@ def test_bench_cold_build_scaling():
     Writes the scaling table to ``BENCH_aliasing.json``::
 
         {"benchmark": "cold_build_aliasing", "scale": ..., "recipes": ...,
-         "cores": ..., "timings": [{"workers": 1, "seconds": ...}, ...]}
+         "cores": ...,
+         "timings": {"workers_1": {"seconds": ...}, "workers_2": ...}}
+
+    ``timings`` is keyed by worker count so that ``repro obs check``
+    gates each rung's ``seconds`` against the committed baseline (the
+    watchdog compares mapping leaves, not list items).
 
     Every build must be bit-identical to the ``workers=1`` build:
     identical recipes and identical curation report. No speed floor is
@@ -247,7 +252,7 @@ def test_bench_cold_build_scaling():
         CorpusGenerator(recipe_scale=0.01).generate().raw_recipes
     )
 
-    timings = []
+    timings = {}
     serial_digests = None
     recipe_count = 0
     for workers in ladder:
@@ -260,7 +265,7 @@ def test_bench_cold_build_scaling():
             serial_digests = digests
         else:
             assert digests == serial_digests, workers
-        timings.append({"workers": workers, "seconds": round(elapsed, 3)})
+        timings[f"workers_{workers}"] = {"seconds": round(elapsed, 3)}
 
     payload = {
         "benchmark": "cold_build_aliasing",

@@ -6,13 +6,25 @@ stopword) removal, and singularisation — then additionally strips
 quantities, units and measure words so only content tokens remain.
 
 This is the hottest string path of a cold build (every ingredient phrase
-of a 45k-recipe corpus passes through here), so the cleaning protocol is
-compiled ahead of time: the vulgar-fraction and dash substitutions are a
-single ``str.translate`` table, the hyphen / punctuation / lone-dot
-passes are one merged regex, and the Unicode NFKD fold is skipped
-entirely for pure-ASCII input. The golden tests in
-``tests/test_aliasing_normalize.py`` pin the output of the original
-multi-pass implementation; this rewrite reproduces it byte for byte.
+of a 45k-recipe corpus passes through here), so it pays once per distinct
+value rather than once per phrase. The whole phrase is lower-cased and
+folded to ASCII (vulgar fractions through one ``str.translate`` table,
+the Unicode NFKD fold skipped entirely for pure-ASCII input), then split
+on whitespace; each whitespace chunk is cleaned, singularised and
+classified once and memoised (:func:`_clean_chunk`). The 413k phrases of
+the full corpus hold only about 2.5k distinct chunks.
+
+Working per chunk is exact. The merged punctuation regex never matches
+whitespace, its lookarounds only test for a digit (which neither
+whitespace nor a string end is), and the fused-quantity split is bounded
+by ``\b``, so a chunk is cleaned exactly as it would be inside the whole
+phrase. Singularising and classifying look at one token at a time, and
+the one rule that looks further — a contextual measure ("cloves garlic")
+checks the next token that is not dropped — sees the same token whether
+the dropped ones were removed per chunk or per phrase. The golden tests
+in ``tests/test_aliasing_normalize.py`` pin the output of the original
+multi-pass implementation, and property tests check the chunked path
+against the whole-phrase implementation kept in ``tests/oracles.py``.
 
 Example::
 
@@ -67,8 +79,8 @@ _CLEAN_RE = re.compile(
 _FUSED_QUANTITY_RE = re.compile(r"\b(\d+(?:\.\d+)?)([a-z]+)\b")
 
 
-def basic_clean(phrase: str) -> str:
-    """Lower-case, normalise unicode, replace punctuation with spaces."""
+def _fold(phrase: str) -> str:
+    """Lower-case; expand vulgar fractions; strip accents to ASCII."""
     text = phrase.lower()
     # Vulgar fractions are non-ASCII, so pure-ASCII input (the vast
     # majority of phrases) skips the translate pass and the NFKD fold.
@@ -80,28 +92,27 @@ def basic_clean(phrase: str) -> str:
                 text = "".join(
                     char for char in text if not unicodedata.combining(char)
                 )
-    text = _CLEAN_RE.sub(" ", text)
-    text = _FUSED_QUANTITY_RE.sub(r"\1 \2", text)
-    return " ".join(text.split())
+    return text
 
 
 def tokenize(phrase: str) -> list[str]:
-    """Split a cleaned phrase into raw tokens."""
-    cleaned = basic_clean(phrase)
-    if not cleaned:
-        return []
-    return cleaned.split(" ")
+    """Split a raw phrase into cleaned raw tokens."""
+    tokens: list[str] = []
+    for chunk in _fold(phrase).split():
+        tokens.extend(_clean_chunk(chunk)[0])
+    return tokens
 
 
-#: Token verdicts memoised by :func:`_classify` — token vocabularies are
-#: tiny relative to token occurrences, so one dict hit replaces five
-#: frozenset probes (plus the quantity scan) on the hot path.
+def basic_clean(phrase: str) -> str:
+    """Lower-case, normalise unicode, replace punctuation with spaces."""
+    return " ".join(tokenize(phrase))
+
+
 _DROP, _KEEP, _CONTEXTUAL = 0, 1, 2
 
 
-@functools.lru_cache(maxsize=65536)
 def _classify(token: str) -> int:
-    """Classify one singularised token; pure, hence safely memoised.
+    """Classify one singularised token.
 
     Check order mirrors the original inline sequence exactly: a token in
     both ``MEASURE_WORDS`` and ``CONTEXTUAL_MEASURES`` ("stick", "head")
@@ -118,6 +129,24 @@ def _classify(token: str) -> int:
     return _KEEP
 
 
+@functools.lru_cache(maxsize=65536)
+def _clean_chunk(chunk: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """One folded, whitespace-free chunk: its raw tokens, and its
+    singularised tokens that are not dropped outright.
+
+    Punctuation runs and lone dots become breaks, and fused quantities
+    ("250g") split in two. The second tuple is what
+    :func:`normalize_phrase` reads: quantities, units, measure words and
+    stopwords never reach the output, and the contextual-measure rule
+    only looks at the next token that is not one of them.
+    """
+    text = _CLEAN_RE.sub(" ", chunk)
+    text = _FUSED_QUANTITY_RE.sub(r"\1 \2", text)
+    tokens = tuple(text.split())
+    singular = (singularize(token) for token in tokens)
+    return tokens, tuple(t for t in singular if _classify(t) != _DROP)
+
+
 def normalize_phrase(phrase: str) -> list[str]:
     """Full normalisation: raw line -> singularised content tokens.
 
@@ -126,24 +155,15 @@ def normalize_phrase(phrase: str) -> list[str]:
     stopwords, handling contextual measures ("cloves garlic") by looking at
     the following content token.
     """
-    raw_tokens = tokenize(phrase)
-    singular = [singularize(token) for token in raw_tokens]
+    kept: list[str] = []
+    for chunk in _fold(phrase).split():
+        kept.extend(_clean_chunk(chunk)[1])
     content: list[str] = []
-    for position, token in enumerate(singular):
-        verdict = _classify(token)
-        if verdict == _DROP:
-            continue
-        if verdict == _CONTEXTUAL and _next_content_token(
-            singular, position
-        ) in CONTEXTUAL_MEASURES[token]:
-            continue
+    last = len(kept) - 1
+    for position, token in enumerate(kept):
+        if token in CONTEXTUAL_MEASURES:
+            following = kept[position + 1] if position < last else None
+            if following in CONTEXTUAL_MEASURES[token]:
+                continue
         content.append(token)
     return content
-
-
-def _next_content_token(tokens: list[str], position: int) -> str | None:
-    """First following token that is not a stopword/quantity/unit."""
-    for token in tokens[position + 1 :]:
-        if _classify(token) != _DROP:
-            return token
-    return None

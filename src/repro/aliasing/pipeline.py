@@ -10,8 +10,11 @@ unmatched n-grams — the paper's mechanism for discovering ingredients
 "either not present in the database or variations of existing entities"
 for manual curation.
 
-Cold-build fast path: matching runs on the token trie, repeated
-phrases hit a bounded phrase→resolution memo
+Cold-build fast path: normalisation memoises per whitespace chunk
+(:mod:`repro.aliasing.normalize`), matching runs on the token trie, and
+matching is memoised per content-token tuple: raw lines rarely repeat
+(355k of the full corpus's 413k are distinct), but they reduce to about
+1,000 distinct token tuples. A bounded memo maps each tuple to its match
 (``repro_aliasing_phrase_cache_{hits,misses}_total`` count its traffic;
 :class:`MatchReport` occurrence counting is never cached), and
 :meth:`AliasingPipeline.resolve_corpus` can fan recipe shards across the
@@ -25,8 +28,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from ..datamodel import Ingredient, RawRecipe, Recipe
@@ -43,10 +48,10 @@ from .trie import TrieMatcher
 #: worker-independent constant keeps the task layout predictable.
 ALIASING_SHARD_SIZE = 1024
 
-#: Default bound on the phrase→resolution memo. Generated corpora draw
-#: phrases from a finite renderer vocabulary, so tens of thousands of
-#: distinct strings cover the full corpus; entries are tiny (a frozen
-#: dataclass of tuples).
+#: Default bound on the token-tuple memo. About 1,000 distinct content-
+#: token tuples cover the full corpus, so a long-lived server has ample
+#: room for phrases the corpus never produced; entries are tiny (a tuple
+#: of tuples).
 DEFAULT_PHRASE_CACHE = 65536
 
 
@@ -56,6 +61,14 @@ class MatchKind(enum.Enum):
     EXACT = "exact"  # every content token consumed (soft leftovers allowed)
     PARTIAL = "partial"  # matched something, hard leftovers remain
     UNRECOGNIZED = "unrecognized"  # nothing matched
+
+
+#: What the memo keeps per content-token tuple: the tokens after any
+#: fuzzy correction, the ingredients, the leftover tokens and the kind —
+#: a :class:`PhraseResolution` without its phrase.
+_Match = tuple[
+    tuple[str, ...], tuple[Ingredient, ...], tuple[str, ...], MatchKind
+]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -84,14 +97,19 @@ class MatchReport:
         self._unmatched_ngrams: Counter[str] = Counter()
 
     def record_phrase(self, resolution: PhraseResolution) -> None:
-        self.phrase_counts[resolution.kind] += 1
-        if resolution.kind is MatchKind.EXACT:
+        self.record_match(resolution.kind, resolution.leftover_tokens)
+
+    def record_match(
+        self, kind: MatchKind, leftovers: tuple[str, ...]
+    ) -> None:
+        """:meth:`record_phrase` from a resolution's kind and leftovers."""
+        self.phrase_counts[kind] += 1
+        if kind is MatchKind.EXACT:
             return
-        tokens = resolution.leftover_tokens
-        for length in range(1, min(MAX_NGRAM, len(tokens)) + 1):
-            for start in range(len(tokens) - length + 1):
+        for length in range(1, min(MAX_NGRAM, len(leftovers)) + 1):
+            for start in range(len(leftovers) - length + 1):
                 self._unmatched_ngrams[
-                    " ".join(tokens[start : start + length])
+                    " ".join(leftovers[start : start + length])
                 ] += 1
 
     def record_recipe(self, resolved: bool) -> None:
@@ -162,8 +180,8 @@ class AliasingPipeline:
             fuzzy: enable conservative single-edit typo correction for
                 tokens the exact matcher leaves over (see
                 :mod:`repro.aliasing.fuzzy`).
-            phrase_cache_size: bound on the phrase→resolution memo;
-                ``0`` disables memoisation entirely.
+            phrase_cache_size: bound on the memo from content tokens
+                to their match; ``0`` disables memoisation entirely.
         """
         self._catalog = catalog if catalog is not None else default_catalog()
         # Key every resolvable surface form by its *normalised* token string
@@ -187,8 +205,17 @@ class AliasingPipeline:
             self._corrector = TokenCorrector(
                 vocabulary_from_names(self._normalized_map)
             )
-        self._phrase_cache: OrderedDict[str, PhraseResolution] = OrderedDict()
         self._phrase_cache_size = max(0, phrase_cache_size)
+        # functools.lru_cache is bounded and thread-safe; the thread-local
+        # flag tells resolve_phrase whether its own lookup missed.
+        self._memo = (
+            functools.lru_cache(maxsize=self._phrase_cache_size)(
+                self._resolve_tokens_on_miss
+            )
+            if self._phrase_cache_size
+            else None
+        )
+        self._memo_lookup = threading.local()
         # Shard workers rebuild the pipeline from defaults, so the
         # parallel corpus path is only taken when this pipeline is
         # exactly reproducible from them.
@@ -213,47 +240,55 @@ class AliasingPipeline:
         return frozenset(self._normalized_map)
 
     def phrase_cache_info(self) -> tuple[int, int]:
-        """(entries, capacity) of the phrase memo — observability hook."""
-        return len(self._phrase_cache), self._phrase_cache_size
+        """(entries, capacity) of the token memo — observability hook."""
+        if self._memo is None:
+            return 0, 0
+        return self._memo.cache_info().currsize, self._phrase_cache_size
 
     def register_alias(self, normalized_key: str, ingredient: Ingredient) -> None:
         """Add a runtime alias: a normalised surface form -> ingredient.
 
         Used by the manual-curation workflow
         (:class:`repro.aliasing.curation.CurationSession`). Existing keys
-        are not overwritten — canonical mappings win. Memoised phrase
-        resolutions are dropped: a new alias can change any phrase's
-        outcome.
+        are not overwritten — canonical mappings win. Memoised matches
+        are dropped: a new alias can change any phrase's outcome.
         """
         if normalized_key not in self._normalized_map:
             self._normalized_map[normalized_key] = ingredient
             self._matcher.add_name(normalized_key)
-            self._phrase_cache.clear()
+            if self._memo is not None:
+                self._memo.cache_clear()
             self._curated = True
 
     def resolve_phrase(self, phrase: str) -> PhraseResolution:
         """Alias one raw ingredient line.
 
-        Resolutions are frozen and phrase-deterministic, so repeats are
-        served from a bounded LRU memo; :class:`MatchReport` counting
-        happens per occurrence at the call sites, never here.
+        The match depends only on the line's content tokens, so it is
+        memoised per token tuple and wrapped around the caller's phrase;
+        a hit means "these tokens were resolved before".
+        :class:`MatchReport` counting happens per occurrence at the call
+        sites, never here.
         """
-        if self._phrase_cache_size:
-            cached = self._phrase_cache.get(phrase)
-            if cached is not None:
-                self._phrase_cache.move_to_end(phrase)
-                self._cache_hits.incr()
-                return cached
-            self._cache_misses.incr()
-        resolution = self._resolve_phrase_uncached(phrase)
-        if self._phrase_cache_size:
-            self._phrase_cache[phrase] = resolution
-            if len(self._phrase_cache) > self._phrase_cache_size:
-                self._phrase_cache.popitem(last=False)
-        return resolution
+        return PhraseResolution(phrase, *self._match(phrase))
 
-    def _resolve_phrase_uncached(self, phrase: str) -> PhraseResolution:
+    def _match(self, phrase: str) -> _Match:
         tokens = tuple(normalize_phrase(phrase))
+        if self._memo is None:
+            return self._resolve_tokens(tokens)
+        lookup = self._memo_lookup
+        lookup.missed = False
+        match = self._memo(tokens)
+        if lookup.missed:
+            self._cache_misses.incr()
+        else:
+            self._cache_hits.incr()
+        return match
+
+    def _resolve_tokens_on_miss(self, tokens: tuple[str, ...]) -> _Match:
+        self._memo_lookup.missed = True
+        return self._resolve_tokens(tokens)
+
+    def _resolve_tokens(self, tokens: tuple[str, ...]) -> _Match:
         outcome: MatchOutcome = self._matcher.match(tokens)
         if self._corrector is not None and outcome.hard_leftovers:
             corrected = self._correct_tokens(tokens, outcome)
@@ -275,13 +310,7 @@ class AliasingPipeline:
             kind = MatchKind.PARTIAL
         else:
             kind = MatchKind.EXACT
-        return PhraseResolution(
-            phrase=phrase,
-            content_tokens=tokens,
-            ingredients=ingredients,
-            leftover_tokens=outcome.leftover_tokens,
-            kind=kind,
-        )
+        return tokens, ingredients, outcome.leftover_tokens, kind
 
     def _correct_tokens(
         self, tokens: tuple[str, ...], outcome: MatchOutcome
@@ -317,12 +346,11 @@ class AliasingPipeline:
         """
         ingredient_ids: set[int] = set()
         for phrase in raw.ingredient_phrases:
-            resolution = self.resolve_phrase(phrase)
+            _tokens, ingredients, leftovers, kind = self._match(phrase)
             if report is not None:
-                report.record_phrase(resolution)
+                report.record_match(kind, leftovers)
             ingredient_ids.update(
-                ingredient.ingredient_id
-                for ingredient in resolution.ingredients
+                ingredient.ingredient_id for ingredient in ingredients
             )
         resolved = bool(ingredient_ids)
         if report is not None:
@@ -431,7 +459,7 @@ class AliasingPipeline:
 
 
 #: Per-process pipeline for shard workers: built on the first shard a
-#: worker sees, reused (with its warm phrase memo) for every later one.
+#: worker sees, reused (with its warm token memo) for every later one.
 _WORKER_PIPELINE: AliasingPipeline | None = None
 
 

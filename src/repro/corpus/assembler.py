@@ -12,8 +12,14 @@ what is already in the pot. The modulation is the cuisine's
 * zero bias degenerates to the frequency-preserving null model.
 
 The overlap matrix between all pantry ingredients is precomputed once per
-region; assembling one recipe is then a handful of vectorised numpy
-operations per ingredient slot.
+region. :meth:`RecipeAssembler.assemble` draws one recipe, slot by slot,
+with a handful of numpy operations on one pantry-length vector per slot.
+:meth:`RecipeAssembler.assemble_many` draws a whole region's recipes in
+lockstep instead: recipes sorted by size form blocks, and each slot is a
+few operations on a (recipes × pantry) array. The two consume the same
+random doubles in the same order and return the same indices, bit for
+bit; ``assemble`` remains the live fallback for the one case the
+lockstep path does not handle (see :meth:`RecipeAssembler.assemble_many`).
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..datamodel import Ingredient
+from ..flavordb import membership_matrix, shared_molecule_counts
 from .pantry import RegionPantry
 
 #: Shared-molecule counts are squashed to ``min(overlap, OVERLAP_CAP)`` and
@@ -33,32 +40,22 @@ OVERLAP_SCALE = 4.0
 #: noise (pantry leftovers, decoration, tradition) the bias cannot explain.
 NOISE_RATE = 0.08
 
+#: Recipes per lockstep block in :meth:`RecipeAssembler.assemble_many`.
+#: A block holds a few (rows × pantry) float64 arrays; at the largest
+#: pantry (612 ingredients) each is about 0.6 MB.
+BLOCK_ROWS = 128
+
 
 def overlap_matrix(ingredients: tuple[Ingredient, ...]) -> np.ndarray:
     """Pairwise shared-molecule counts |F_i ∩ F_j| (diagonal zeroed).
 
-    Computed via a binary ingredient×molecule membership matrix so the
-    whole pantry matrix is one matmul. The matmul runs in float64 (BLAS)
-    rather than int32 (a naive loop inside numpy) — counts are small
-    integers, far below 2**53, so the float products and sums are exact
-    and the int32 result is bit-identical to the integer matmul (a test
-    keeps the int32 matmul as its oracle).
+    The exact float32 membership matmul of
+    :func:`repro.flavordb.shared_molecule_counts`, returned as int32 (a
+    test keeps the int32 matmul as its oracle).
     """
-    if not ingredients:
-        return np.zeros((0, 0), dtype=np.int32)
-    max_molecule = 0
-    for ingredient in ingredients:
-        if ingredient.flavor_profile:
-            max_molecule = max(max_molecule, max(ingredient.flavor_profile))
-    membership = np.zeros(
-        (len(ingredients), max_molecule + 1), dtype=np.float64
+    return shared_molecule_counts(membership_matrix(ingredients)).astype(
+        np.int32
     )
-    for row, ingredient in enumerate(ingredients):
-        if ingredient.flavor_profile:
-            membership[row, list(ingredient.flavor_profile)] = 1
-    matrix = (membership @ membership.T).astype(np.int32)
-    np.fill_diagonal(matrix, 0)
-    return matrix
 
 
 class RecipeAssembler:
@@ -141,5 +138,95 @@ class RecipeAssembler:
     def assemble_many(
         self, rng: np.random.Generator, sizes: np.ndarray
     ) -> list[np.ndarray]:
-        """Draw one recipe per entry of ``sizes``."""
-        return [self.assemble(rng, int(size)) for size in sizes]
+        """Draw one recipe per entry of ``sizes``, all in lockstep.
+
+        Returns exactly what ``[self.assemble(rng, s) for s in sizes]``
+        returns, and leaves ``rng`` in the same state. After clamping to
+        the pantry, recipe *i* consumes ``1 + (size_i - 1) * k`` doubles
+        of ``rng.random()``, ``k = 2`` with a bias (noise test, draw) and
+        ``k = 1`` without, so all of them are drawn up front with one
+        ``rng.random(total)``: the same doubles, in the same order. The
+        recipes are then drawn in blocks, see :meth:`_draw_blocks`.
+
+        A slot whose tilt sums to <= 0 draws with ``rng.integers``
+        instead, which breaks the stream layout; if any block meets one,
+        the generator is rewound to before the pre-draw and the whole
+        region goes through ``assemble``.
+        """
+        sizes = np.minimum(
+            np.asarray(sizes, dtype=np.int64), self._pantry.size
+        )
+        if len(sizes) == 0 or sizes.min() < 1:
+            return [self.assemble(rng, int(size)) for size in sizes]
+        per_slot = 1 if self._bias == 0.0 else 2
+        consumed = 1 + (sizes - 1) * per_slot
+        state = rng.bit_generator.state
+        doubles = rng.random(int(consumed.sum()))
+        recipes = self._draw_blocks(
+            doubles, np.cumsum(consumed) - consumed, sizes, per_slot
+        )
+        if recipes is None:
+            rng.bit_generator.state = state
+            return [self.assemble(rng, int(size)) for size in sizes]
+        return recipes
+
+    def _draw_blocks(
+        self,
+        doubles: np.ndarray,
+        offsets: np.ndarray,
+        sizes: np.ndarray,
+        per_slot: int,
+    ) -> list[np.ndarray] | None:
+        """Lockstep draws; ``None`` when some slot's tilt sums to <= 0.
+
+        Recipes are sorted by size (largest first) into blocks of
+        :data:`BLOCK_ROWS`, so at slot ``k`` the recipes still drawing are
+        a prefix of the block. Each row repeats ``assemble``'s arithmetic
+        in its order: the tilt, then the row total (numpy's pairwise sum
+        over one contiguous row, as for a 1-D ``sum``), the divide, the
+        cumsum and the divide by the last entry. The pick is the count of
+        cdf entries <= u, which on a non-decreasing cdf is
+        ``searchsorted(u, side="right")``.
+        """
+        popularity = self._popularity
+        first_cdf = (popularity / popularity.sum()).cumsum()
+        first_cdf /= first_cdf[-1]
+        recipes: dict[int, np.ndarray] = {}
+        order = np.argsort(-sizes, kind="stable")
+        for start in range(0, len(order), BLOCK_ROWS):
+            block = order[start : start + BLOCK_ROWS]
+            block_sizes = sizes[block]
+            base = offsets[block]
+            rows = np.arange(len(block))
+            chosen = np.empty((len(block), int(block_sizes[0])), np.int64)
+            picks = first_cdf.searchsorted(doubles[base], side="right")
+            chosen[:, 0] = picks
+            weights = np.tile(popularity, (len(block), 1))
+            weights[rows, picks] = 0.0
+            affinity = self._overlap[picks]
+            for slot in range(1, int(block_sizes[0])):
+                active = int(np.count_nonzero(block_sizes > slot))
+                live = weights[:active]
+                draw_at = base[:active] + slot * per_slot
+                if per_slot == 1:
+                    tilt = live
+                else:
+                    tilt = live * np.exp(
+                        self._bias * (affinity[:active] / slot) / OVERLAP_SCALE
+                    )
+                    noise = doubles[draw_at - 1] < NOISE_RATE
+                    tilt[noise] = live[noise]
+                total = tilt.sum(axis=1)
+                if not np.all(total > 0.0):
+                    return None
+                cdf = (tilt / total[:, None]).cumsum(axis=1)
+                cdf /= cdf[:, -1:].copy()
+                picks = np.count_nonzero(
+                    cdf <= doubles[draw_at][:, None], axis=1
+                )
+                chosen[:active, slot] = picks
+                live[rows[:active], picks] = 0.0
+                affinity[:active] += self._overlap[picks]
+            for row, recipe in enumerate(block.tolist()):
+                recipes[recipe] = chosen[row, : block_sizes[row]].copy()
+        return [recipes[recipe] for recipe in range(len(sizes))]

@@ -384,14 +384,9 @@ class CorpusGenerator:
         scale = total / sum(SOURCE_TOTALS.values())
         tarladalal_quota = int(round(SOURCE_TOTALS["TarlaDalal"] * scale))
         labels: list[str] = []
-        general_weights = np.asarray(
-            [SOURCE_TOTALS[name] for name in _GENERAL_SOURCES], np.float64
-        )
-        general_weights /= general_weights.sum()
-        rng = np.random.Generator(
-            np.random.PCG64(stable_seed("sources", str(self._seed)))
-        )
-        general_assigned = Counter[str]()
+        general_weights = [SOURCE_TOTALS[name] for name in _GENERAL_SOURCES]
+        shares = [weight / sum(general_weights) for weight in general_weights]
+        assigned = [0] * len(_GENERAL_SOURCES)
         general_total = 0
         for code, count in region_counts:
             for _ in range(count):
@@ -401,16 +396,14 @@ class CorpusGenerator:
                     continue
                 general_total += 1
                 # Largest-deficit assignment keeps realised counts within
-                # one recipe of the target proportions.
-                deficits = [
-                    general_weights[i] * general_total
-                    - general_assigned[name]
-                    for i, name in enumerate(_GENERAL_SOURCES)
-                ]
-                pick = _GENERAL_SOURCES[int(np.argmax(deficits))]
-                general_assigned[pick] += 1
-                labels.append(pick)
-        del rng  # reserved for future stochastic assignment
+                # one recipe of the target proportions; max() keeps the
+                # first of equal deficits.
+                pick = max(
+                    range(len(shares)),
+                    key=lambda i: shares[i] * general_total - assigned[i],
+                )
+                assigned[pick] += 1
+                labels.append(_GENERAL_SOURCES[pick])
         return labels
 
     def _title(

@@ -28,6 +28,7 @@ from .catalog_data import (
     REMOVED_GENERIC_ENTITIES,
     SYNONYMS,
 )
+from .overlap import membership_matrix, shared_molecule_counts
 from .profiles import (
     CATEGORY_FAMILIES,
     primary_family,
@@ -61,6 +62,8 @@ __all__ = [
     "PROFILE_FREE_ADDITIVES",
     "REMOVED_GENERIC_ENTITIES",
     "SYNONYMS",
+    "membership_matrix",
+    "shared_molecule_counts",
     "CATEGORY_FAMILIES",
     "primary_family",
     "profile_size",

@@ -20,7 +20,11 @@ from collections import Counter
 import numpy as np
 
 from ..datamodel import Cuisine, Ingredient, ValidationError
-from ..flavordb import IngredientCatalog
+from ..flavordb import (
+    IngredientCatalog,
+    membership_matrix,
+    shared_molecule_counts,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,7 +154,9 @@ def build_cuisine_view(
         catalog.by_id(ingredient_id) for ingredient_id in pairable_ids
     )
 
-    overlap = _overlap_matrix(ingredients)
+    overlap = shared_molecule_counts(membership_matrix(ingredients)).astype(
+        np.float64
+    )
 
     recipes: list[np.ndarray] = []
     usage = Counter[int]()
@@ -182,17 +188,3 @@ def build_cuisine_view(
             ingredient.category.value for ingredient in ingredients
         ),
     )
-
-
-def _overlap_matrix(ingredients: tuple[Ingredient, ...]) -> np.ndarray:
-    if not ingredients:
-        return np.zeros((0, 0), dtype=np.float64)
-    max_molecule = max(
-        max(ingredient.flavor_profile) for ingredient in ingredients
-    )
-    membership = np.zeros((len(ingredients), max_molecule + 1), np.float32)
-    for row, ingredient in enumerate(ingredients):
-        membership[row, list(ingredient.flavor_profile)] = 1.0
-    matrix = (membership @ membership.T).astype(np.float64)
-    np.fill_diagonal(matrix, 0.0)
-    return matrix

@@ -35,7 +35,11 @@ from collections.abc import Mapping
 import numpy as np
 
 from ..datamodel import Cuisine
-from ..flavordb import IngredientCatalog
+from ..flavordb import (
+    IngredientCatalog,
+    membership_matrix,
+    shared_molecule_counts,
+)
 from ..obs import span
 
 __all__ = ["NEIGHBOR_LIST_LIMIT", "RetrievalIndex", "build_retrieval_index"]
@@ -124,14 +128,8 @@ def build_retrieval_index(
         [ingredient.ingredient_id for ingredient in pairable], dtype=np.int64
     )
     with span("retrieval.build_index", ingredients=rows):
-        max_molecule = max(
-            max(ingredient.flavor_profile) for ingredient in pairable
-        )
-        membership = np.zeros((rows, max_molecule + 1), dtype=np.float32)
-        for row, ingredient in enumerate(pairable):
-            membership[row, list(ingredient.flavor_profile)] = 1.0
-        shared = (membership @ membership.T).astype(np.int64)
-        np.fill_diagonal(shared, 0)
+        membership = membership_matrix(pairable)
+        shared = shared_molecule_counts(membership).astype(np.int64)
 
         name_order = sorted(range(rows), key=names.__getitem__)
         name_rank = np.empty(rows, dtype=np.int64)
@@ -148,7 +146,7 @@ def build_retrieval_index(
             neighbor_shared[row, : len(order)] = counts[order]
 
         postings: dict[int, np.ndarray] = {}
-        for molecule in range(max_molecule + 1):
+        for molecule in range(membership.shape[1]):
             members = np.flatnonzero(membership[:, molecule])
             if len(members):
                 postings[int(molecule)] = members.astype(np.int32)

@@ -10,15 +10,35 @@ each of them.
 * :func:`naive_sample_model_scores` — one ``rng.choice`` loop per random
   recipe, the spec of the Gumbel top-k sampler
   :func:`repro.pairing.sample_model_scores`.
+* :func:`whole_phrase_clean`, :func:`whole_phrase_tokenize` and
+  :func:`whole_phrase_normalize` — each pass over the whole phrase at
+  once, the spec of the per-chunk :func:`repro.aliasing.basic_clean`,
+  :func:`repro.aliasing.tokenize` and
+  :func:`repro.aliasing.normalize_phrase`.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.aliasing import MAX_NGRAM, MatchOutcome, TokenMatch
+from repro.aliasing import (
+    CONTEXTUAL_MEASURES,
+    MAX_NGRAM,
+    MatchOutcome,
+    TokenMatch,
+    singularize,
+)
+from repro.aliasing.normalize import (
+    _CLEAN_RE,
+    _CONTEXTUAL,
+    _DROP,
+    _FUSED_QUANTITY_RE,
+    _TRANSLATE_TABLE,
+    _classify,
+)
 from repro.datamodel import Ingredient
 from repro.pairing import CuisineView, NullModel
 
@@ -111,3 +131,45 @@ def naive_sample_model_scores(
         block = view.overlap[np.ix_(indices, indices)]
         scores[sample] = block.sum() / (n * (n - 1))
     return scores
+
+
+def whole_phrase_clean(phrase: str) -> str:
+    """Lower-case, fold to ASCII, then clean the whole phrase in one go."""
+    text = phrase.lower()
+    if not text.isascii():
+        text = text.translate(_TRANSLATE_TABLE)
+        if not text.isascii():
+            text = unicodedata.normalize("NFKD", text)
+            if not text.isascii():
+                text = "".join(
+                    char for char in text if not unicodedata.combining(char)
+                )
+    text = _CLEAN_RE.sub(" ", text)
+    text = _FUSED_QUANTITY_RE.sub(r"\1 \2", text)
+    return " ".join(text.split())
+
+
+def whole_phrase_tokenize(phrase: str) -> list[str]:
+    cleaned = whole_phrase_clean(phrase)
+    if not cleaned:
+        return []
+    return cleaned.split(" ")
+
+
+def whole_phrase_normalize(phrase: str) -> list[str]:
+    """Singularise every token, then drop and apply the contextual-measure
+    rule over the whole phrase's token list."""
+    singular = [singularize(token) for token in whole_phrase_tokenize(phrase)]
+    content: list[str] = []
+    for position, token in enumerate(singular):
+        verdict = _classify(token)
+        if verdict == _DROP:
+            continue
+        following = next(
+            (t for t in singular[position + 1 :] if _classify(t) != _DROP),
+            None,
+        )
+        if verdict == _CONTEXTUAL and following in CONTEXTUAL_MEASURES[token]:
+            continue
+        content.append(token)
+    return content

@@ -1,12 +1,19 @@
 """Tests for phrase normalisation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aliasing import (
     basic_clean,
     is_quantity_token,
     normalize_phrase,
     tokenize,
+)
+from tests.oracles import (
+    whole_phrase_clean,
+    whole_phrase_normalize,
+    whole_phrase_tokenize,
 )
 
 
@@ -76,6 +83,48 @@ class TestBasicCleanEdgeCases:
     )
     def test_golden(self, phrase, expected):
         assert basic_clean(phrase) == expected
+
+
+#: Pieces that exercise every rule of the cleaner, including the ones at
+#: chunk edges: vulgar fractions, accents and combining marks,
+#: compatibility forms, dashes, dots next to digits, fused quantities,
+#: punctuation runs and Unicode whitespace; and contextual measures
+#: ("cloves garlic") with dropped tokens between them.
+_PIECES = st.sampled_from(
+    [
+        "½", "¼", "⅔", "1½", "2¾kg", "é", "ñ", "crème", "jalapen\u0303o",
+        "ﬁ", "１２", "－", "-", "–", "—", "——", ".", "..", "2.", ".5",
+        "2.5", "no.5", "oz.", "250g", "1.5kg", "3lb", "2-3", "1/2", "(",
+        ")", ",", ";", "!?", "'s", "&", "_", "#1", " ", "  ", "\t", "\n",
+        "\xa0", "\u2009", "\u3000", "\x1c", "\x85", "\u2028", "cup",
+        "cups", "tomatoes", "Garlic", "cloves", "of", "and", "fresh",
+        "a", "x", "7", "0", "clove", "head", "heads", "cabbage", "ear",
+        "corn", "stick", "butter", "2 cloves garlic", "cloves, garlic",
+    ]
+)
+_PHRASES = st.one_of(
+    st.lists(_PIECES, max_size=12).map("".join),
+    st.text(max_size=30),
+)
+
+
+class TestChunkedCleaningMatchesWholePhrase:
+    """The per-chunk cleaner equals one pass over the whole phrase."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PHRASES)
+    def test_basic_clean(self, phrase):
+        assert basic_clean(phrase) == whole_phrase_clean(phrase)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PHRASES)
+    def test_tokenize(self, phrase):
+        assert tokenize(phrase) == whole_phrase_tokenize(phrase)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PHRASES)
+    def test_normalize_phrase(self, phrase):
+        assert normalize_phrase(phrase) == whole_phrase_normalize(phrase)
 
 
 class TestTokenize:

@@ -1,10 +1,13 @@
 """Tests for the end-to-end aliasing pipeline."""
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
 from repro.aliasing import AliasingPipeline, MatchKind, MatchReport
+from repro.corpus import CorpusGenerator
 from repro.datamodel import RawRecipe
 
 
@@ -198,9 +201,21 @@ class TestPhraseMemo:
         baseline_hits = fresh._cache_hits.value
         first = fresh.resolve_phrase("2 cups chopped tomatoes")
         second = fresh.resolve_phrase("2 cups chopped tomatoes")
-        assert second is first  # served from the memo
+        assert second == first  # served from the memo
         assert fresh._cache_hits.value == baseline_hits + 1
         assert fresh.phrase_cache_info()[0] >= 1
+
+    def test_same_tokens_share_an_entry(self, catalog):
+        fresh = AliasingPipeline(catalog)
+        baseline_hits = fresh._cache_hits.value
+        first = fresh.resolve_phrase("2 cups chopped tomatoes")
+        other = fresh.resolve_phrase("3 Tomatoes, diced")
+        assert fresh._cache_hits.value == baseline_hits + 1
+        assert fresh.phrase_cache_info()[0] == 1
+        # The match is shared; the phrase is the caller's own.
+        assert other.phrase == "3 Tomatoes, diced"
+        assert other.ingredients == first.ingredients
+        assert other.kind is first.kind
 
     def test_report_counts_per_occurrence(self, catalog):
         fresh = AliasingPipeline(catalog)
@@ -240,6 +255,111 @@ class TestPhraseMemo:
         after = fresh.resolve_phrase("glorp")
         assert after.kind is MatchKind.EXACT
         assert [i.name for i in after.ingredients] == ["tomato"]
+
+
+@pytest.fixture(scope="module")
+def memo_phrases():
+    """Generated lines plus typos, partial and unknown ones, each twice."""
+    corpus = CorpusGenerator(recipe_scale=0.01, include_world_only=False)
+    lines = [
+        phrase
+        for raw in corpus.generate().raw_recipes[:300]
+        for phrase in raw.ingredient_phrases
+    ]
+    lines += [
+        "1 tbsp oregeno",
+        "fresh mozzarela cheese",
+        "2 cups chopped tomatoe",
+        "2 cups gravel and tomatoes",
+        "3 scoops of moon dust",
+        "moon dust",
+        "glorp",
+        "2 Glorps, sliced",
+        "qqqqzzzz flibberjab",
+    ]
+    return lines + lines
+
+
+class TestTokenMemoEquivalence:
+    """Memoised resolutions equal those of a pipeline without the memo."""
+
+    @pytest.mark.parametrize("fuzzy", [False, True])
+    def test_memo_matches_no_memo(self, catalog, memo_phrases, fuzzy):
+        memo = AliasingPipeline(catalog, fuzzy=fuzzy)
+        plain = AliasingPipeline(catalog, fuzzy=fuzzy, phrase_cache_size=0)
+        for phrase in memo_phrases:
+            assert memo.resolve_phrase(phrase) == plain.resolve_phrase(phrase)
+        entries, _capacity = memo.phrase_cache_info()
+        assert 0 < entries < len(set(memo_phrases))
+        assert plain.phrase_cache_info() == (0, 0)
+
+    def test_after_register_alias(self, catalog, memo_phrases):
+        memo = AliasingPipeline(catalog)
+        plain = AliasingPipeline(catalog, phrase_cache_size=0)
+        for phrase in memo_phrases:
+            memo.resolve_phrase(phrase)
+        for pipeline in (memo, plain):
+            pipeline.register_alias("glorp", catalog.get("tomato"))
+            pipeline.register_alias("moon dust", catalog.get("basil"))
+        assert memo.phrase_cache_info()[0] == 0
+        for phrase in memo_phrases:
+            assert memo.resolve_phrase(phrase) == plain.resolve_phrase(phrase)
+        assert memo.resolve_phrase("2 Glorps, sliced").kind is MatchKind.EXACT
+
+
+class TestConcurrentResolve:
+    """``QueryService`` shares one pipeline across its executor threads."""
+
+    THREADS = 8
+    CALLS = 20_000
+    PHRASES = (
+        "3 cups apple",
+        "2 tomatoes",
+        "1 cup cream",
+        "fresh basil",
+        "moon dust",
+        "chopped onions",
+        "olive oil",
+        "2 cups gravel and tomatoes",
+    )
+
+    def test_threads_share_a_tiny_memo(self, catalog):
+        serial = AliasingPipeline(catalog, phrase_cache_size=0)
+        expected = [serial.resolve_phrase(p) for p in self.PHRASES]
+        # Capacity 2 against 8 token tuples: nearly every call evicts.
+        shared = AliasingPipeline(catalog, phrase_cache_size=2)
+        errors: list[BaseException] = []
+        mismatches: list[str] = []
+        start = threading.Barrier(self.THREADS)
+
+        def work(offset):
+            start.wait()
+            try:
+                for call in range(self.CALLS):
+                    index = (call + offset) % len(self.PHRASES)
+                    got = shared.resolve_phrase(self.PHRASES[index])
+                    if got != expected[index]:
+                        mismatches.append(self.PHRASES[index])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(offset,))
+                for offset in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert mismatches == []
+        assert shared.phrase_cache_info() == (2, 2)
 
 
 class TestShardedResolveCorpus:

@@ -7,10 +7,15 @@ import pytest
 
 from repro.corpus import (
     REGION_GENERATOR_PROFILES,
+    WORLD_ONLY_PROFILES,
+    CorpusGenerator,
     RecipeAssembler,
+    RegionPantry,
     build_pantry,
     overlap_matrix,
+    sample_recipe_sizes,
 )
+from repro.flavordb import stable_seed
 
 
 def int32_overlap_matrix(ingredients):
@@ -104,6 +109,123 @@ class TestReferenceAssembler:
             # Both paths consumed the identical random stream.
             assert rng_fast.random() == choice_stream.random()
         assert choice_calls > 0
+
+
+def _per_recipe(assembler, rng, sizes):
+    return [assembler.assemble(rng, int(size)) for size in sizes]
+
+
+def _assert_same_recipes(lockstep, oracle):
+    assert len(lockstep) == len(oracle)
+    for got, want in zip(lockstep, oracle):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestAssembleMany:
+    """Lockstep draws must equal per-recipe ``assemble`` bit for bit.
+
+    Each pair of generators is seeded identically; besides equal recipes,
+    both must leave the generator in the same state, since the corpus
+    generator keeps drawing from it (coverage enforcement).
+    """
+
+    @pytest.fixture(scope="class")
+    def small_generator(self, catalog_module):
+        return CorpusGenerator(catalog_module, recipe_scale=0.02)
+
+    @pytest.mark.parametrize(
+        "profile",
+        (*REGION_GENERATOR_PROFILES.values(), *WORLD_ONLY_PROFILES),
+        ids=lambda profile: profile.code,
+    )
+    def test_every_region_profile(
+        self, profile, catalog_module, small_generator
+    ):
+        assembler = RecipeAssembler(build_pantry(profile, catalog_module))
+        streams = []
+        for _ in range(2):
+            rng = np.random.Generator(
+                np.random.PCG64(stable_seed("assemble", profile.code))
+            )
+            sizes = sample_recipe_sizes(
+                rng,
+                small_generator._region_recipe_count(profile),
+                profile.mean_recipe_size,
+            )
+            streams.append((rng, sizes))
+        (lockstep_rng, sizes), (oracle_rng, _) = streams
+        _assert_same_recipes(
+            assembler.assemble_many(lockstep_rng, sizes),
+            _per_recipe(assembler, oracle_rng, sizes),
+        )
+        assert (
+            lockstep_rng.bit_generator.state
+            == oracle_rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("bias", [0.0, -1.6, 1.25])
+    def test_bias_and_clamped_sizes(self, ita_pantry, bias):
+        profile = dataclasses.replace(ita_pantry.profile, pairing_bias=bias)
+        assembler = RecipeAssembler(
+            dataclasses.replace(ita_pantry, profile=profile)
+        )
+        # Mixed sizes across several blocks, some beyond the pantry.
+        sizes = np.random.default_rng(5).integers(1, 30, size=700)
+        sizes[:3] = ita_pantry.size + 40
+        lockstep_rng = np.random.Generator(np.random.PCG64(11))
+        oracle_rng = np.random.Generator(np.random.PCG64(11))
+        _assert_same_recipes(
+            assembler.assemble_many(lockstep_rng, sizes),
+            _per_recipe(assembler, oracle_rng, sizes),
+        )
+        assert lockstep_rng.random() == oracle_rng.random()
+
+    def test_non_positive_total_takes_the_fallback(self, ita_pantry):
+        """A tilt summing to 0 sends the whole region through ``assemble``.
+
+        Entry 0 carries all the popularity, entry 1 the smallest
+        subnormal and the rest none. Every recipe starts with entry 0;
+        unless the noise test fires, entry 1's tilt (a negative bias
+        against a shared molecule) rounds to 0, so the total is 0 and
+        ``assemble`` picks it with ``rng.integers``.
+        """
+        first, *others = ita_pantry.ingredients
+        partner = next(i for i in others if first.shared_molecules(i) > 0)
+        rest = [i for i in others if i is not partner][:4]
+        ingredients = (first, partner, *rest)
+        popularity = np.zeros(len(ingredients))
+        popularity[0] = 1.0
+        popularity[1] = 5e-324
+        pantry = RegionPantry(
+            dataclasses.replace(ita_pantry.profile, pairing_bias=-3.0),
+            ingredients,
+            popularity,
+        )
+        assembler = RecipeAssembler(pantry)
+        sizes = np.asarray([2, 1, 2, 2, 2, 2, 1, 2] * 8)
+        lockstep_rng = np.random.Generator(np.random.PCG64(2))
+        oracle_rng = np.random.Generator(np.random.PCG64(2))
+        calls = 0
+        assemble = assembler.assemble
+
+        def counting_assemble(rng, size):
+            nonlocal calls
+            calls += 1
+            return assemble(rng, size)
+
+        assembler.assemble = counting_assemble
+        lockstep = assembler.assemble_many(lockstep_rng, sizes)
+        assert calls == len(sizes)  # the whole region fell back
+        _assert_same_recipes(
+            lockstep, _per_recipe(assembler, oracle_rng, sizes)
+        )
+        pairs = [recipe.tolist() for recipe in lockstep if len(recipe) == 2]
+        assert pairs and all(pair == [0, 1] for pair in pairs)
+        assert (
+            lockstep_rng.bit_generator.state
+            == oracle_rng.bit_generator.state
+        )
 
 
 class TestAssemble:

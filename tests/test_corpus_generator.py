@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.corpus import (
@@ -84,6 +85,48 @@ class TestSourceAttribution:
             share = counts[source] / total
             published_share = published / published_total
             assert abs(share - published_share) < 0.03, source
+
+
+def numpy_source_labels(region_counts):
+    """Largest-deficit labels as first written: ``np.argmax`` over numpy
+    float64 deficits, once per general-source recipe."""
+    general = ("AllRecipes", "Food Network", "Epicurious")
+    total = sum(count for _code, count in region_counts)
+    scale = total / sum(SOURCE_TOTALS.values())
+    tarladalal_quota = int(round(SOURCE_TOTALS["TarlaDalal"] * scale))
+    weights = np.asarray([SOURCE_TOTALS[name] for name in general], np.float64)
+    weights /= weights.sum()
+    assigned = Counter()
+    general_total = 0
+    labels = []
+    for code, count in region_counts:
+        for _ in range(count):
+            if code == "INSC" and tarladalal_quota > 0:
+                labels.append("TarlaDalal")
+                tarladalal_quota -= 1
+                continue
+            general_total += 1
+            deficits = [
+                weights[i] * general_total - assigned[name]
+                for i, name in enumerate(general)
+            ]
+            pick = general[int(np.argmax(deficits))]
+            assigned[pick] += 1
+            labels.append(pick)
+    return labels
+
+
+class TestSourceLabels:
+    @pytest.mark.parametrize("scale", [1.0, 0.05])
+    def test_labels_equal_numpy_oracle(self, catalog, scale):
+        generator = CorpusGenerator(catalog, recipe_scale=scale)
+        counts = [
+            (profile.code, generator._region_recipe_count(profile))
+            for profile in generator.profiles()
+        ]
+        labels = generator._source_labels(counts)
+        assert len(labels) == sum(count for _code, count in counts)
+        assert labels == numpy_source_labels(counts)
 
 
 class TestDeterminismAndScaling:
