@@ -2,8 +2,8 @@
 
 Recipe-size statistics (Fig 3a), ingredient popularity scaling (Fig 3b),
 category composition (Fig 2), plus the paper's discussed extensions:
-flavor networks, higher-order n-tuple sharing and the copy-mutate culinary
-evolution model.
+higher-order n-tuple sharing, the copy-mutate culinary evolution model,
+robustness studies and ingredient authenticity.
 """
 
 from .authenticity import (
@@ -25,15 +25,7 @@ from .evolution import (
     copy_mutate_evolution,
     zipf_fit_exponent,
 )
-from .network import (
-    backbone,
-    cuisine_flavor_network,
-    flavor_communities,
-    flavor_network,
-    popular_pair_strength,
-)
 from .ntuples import TupleSharing, cuisine_tuple_sharing, recipe_tuple_sharing
-from .pairshare import PairShareDistribution, pair_share_distribution
 from .robustness import (
     BootstrapResult,
     PerturbationResult,
@@ -46,13 +38,6 @@ from .popularity import (
     scaling_collapse_error,
 )
 from .sizes import SizeDistribution, pooled_size_distribution, size_distribution
-from .stats import (
-    PoissonFit,
-    ZipfFit,
-    fit_recipe_sizes,
-    fit_zipf,
-    size_distributions_consistent,
-)
 
 __all__ = [
     "authenticity_scores",
@@ -68,14 +53,7 @@ __all__ = [
     "EvolutionResult",
     "copy_mutate_evolution",
     "zipf_fit_exponent",
-    "backbone",
-    "cuisine_flavor_network",
-    "flavor_communities",
-    "flavor_network",
-    "popular_pair_strength",
     "TupleSharing",
-    "PairShareDistribution",
-    "pair_share_distribution",
     "BootstrapResult",
     "PerturbationResult",
     "bootstrap_pairing_direction",
@@ -88,9 +66,4 @@ __all__ = [
     "SizeDistribution",
     "pooled_size_distribution",
     "size_distribution",
-    "PoissonFit",
-    "ZipfFit",
-    "fit_recipe_sizes",
-    "fit_zipf",
-    "size_distributions_consistent",
 ]

@@ -121,14 +121,13 @@ def store_contributions(
     """
     ensure_analysis_tables(db)
     table = db.table("ingredient_contributions")
-    next_id = len(table) + 1
     # Clear any previous rows for this region (idempotent refresh).
     from ..db import col
 
-    removed = table.delete(col("region_code") == region_code)
-    if removed:
+    if table.delete(col("region_code") == region_code):
         table.compact()
-        next_id = len(table) + 1
+    # Other regions' rows keep their ids, so continue after the largest.
+    next_id = max(table.column_values("contribution_id"), default=0) + 1
     written = 0
     for contribution in contributions:
         table.insert(

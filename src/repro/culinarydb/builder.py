@@ -1,4 +1,11 @@
-"""Populate CulinaryDB from a catalog and a resolved recipe collection."""
+"""Populate CulinaryDB from a catalog and a resolved recipe collection.
+
+One pass over the catalog and one over the recipes build every table's
+columns; each table is then filled by one
+:meth:`~repro.db.table.Table.load_columns` call, parents before children,
+so foreign keys resolve. The load makes the checks per-row inserts make,
+and the database equals the one per-row inserts build, index for index.
+"""
 
 from __future__ import annotations
 
@@ -32,111 +39,105 @@ def build_culinarydb(
     """
     catalog = catalog if catalog is not None else default_catalog()
     db = create_culinarydb_schema(name)
-
-    regions_table = db.table("regions")
-    for region in REGIONS:
-        regions_table.insert(
-            {
-                "code": region.code,
-                "name": region.name,
-                "pairing": region.pairing.value,
-                "is_aggregate_only": False,
-            }
-        )
-    for region_name in WORLD_ONLY_REGION_NAMES:
-        regions_table.insert(
-            {
-                "code": region_name,
-                "name": region_name,
-                "pairing": None,
-                "is_aggregate_only": True,
-            }
-        )
-
-    sources_table = db.table("sources")
-    for source_name, total in RECIPE_SOURCES.items():
-        sources_table.insert(
-            {"name": source_name, "published_total": total}
-        )
-
-    categories_table = db.table("categories")
-    category_names = sorted(
-        {ingredient.category.value for ingredient in catalog.ingredients}
-    )
-    for category_name in category_names:
-        categories_table.insert({"name": category_name})
-
-    molecules_table = db.table("molecules")
-    molecules_table.bulk_insert(
+    world_only = list(WORLD_ONLY_REGION_NAMES)
+    db.table("regions").load_columns(
         {
-            "molecule_id": molecule.molecule_id,
-            "name": molecule.name,
-            "flavor_family": molecule.flavor_family,
+            "code": [region.code for region in REGIONS] + world_only,
+            "name": [region.name for region in REGIONS] + world_only,
+            "pairing": [region.pairing.value for region in REGIONS]
+            + [None] * len(world_only),
+            "is_aggregate_only": [False] * len(REGIONS)
+            + [True] * len(world_only),
         }
-        for molecule in catalog.molecules
+    )
+    db.table("sources").load_columns(
+        {
+            "name": list(RECIPE_SOURCES),
+            "published_total": list(RECIPE_SOURCES.values()),
+        }
+    )
+    db.table("categories").load_columns(
+        {
+            "name": sorted(
+                {ingredient.category.value for ingredient in catalog.ingredients}
+            )
+        }
+    )
+    molecules = catalog.molecules
+    db.table("molecules").load_columns(
+        {
+            "molecule_id": [molecule.molecule_id for molecule in molecules],
+            "name": [molecule.name for molecule in molecules],
+            "flavor_family": [molecule.flavor_family for molecule in molecules],
+        }
     )
 
-    ingredients_table = db.table("ingredients")
-    link_rows = []
-    synonym_rows = []
-    link_id = 1
-    for ingredient in catalog.ingredients:
-        ingredients_table.insert(
-            {
-                "ingredient_id": ingredient.ingredient_id,
-                "name": ingredient.name,
-                "category": ingredient.category.value,
-                "is_compound": ingredient.is_compound,
-                "profile_size": len(ingredient.flavor_profile),
-            }
+    ingredients = catalog.ingredients
+    link_ingredients: list[int] = []
+    link_molecules: list[int] = []
+    synonyms: list[str] = []
+    synonym_ingredients: list[int] = []
+    for ingredient in ingredients:
+        profile = sorted(ingredient.flavor_profile)
+        link_molecules.extend(profile)
+        link_ingredients.extend([ingredient.ingredient_id] * len(profile))
+        synonyms.extend(ingredient.synonyms)
+        synonym_ingredients.extend(
+            [ingredient.ingredient_id] * len(ingredient.synonyms)
         )
-        for molecule_id in sorted(ingredient.flavor_profile):
-            link_rows.append(
-                {
-                    "link_id": link_id,
-                    "ingredient_id": ingredient.ingredient_id,
-                    "molecule_id": molecule_id,
-                }
-            )
-            link_id += 1
-        for synonym in ingredient.synonyms:
-            synonym_rows.append(
-                {
-                    "synonym": synonym,
-                    "ingredient_id": ingredient.ingredient_id,
-                }
-            )
-    db.table("ingredient_molecules").bulk_insert(link_rows)
-    db.table("ingredient_synonyms").bulk_insert(synonym_rows)
+    db.table("ingredients").load_columns(
+        {
+            "ingredient_id": [item.ingredient_id for item in ingredients],
+            "name": [item.name for item in ingredients],
+            "category": [item.category.value for item in ingredients],
+            "is_compound": [item.is_compound for item in ingredients],
+            "profile_size": [len(item.flavor_profile) for item in ingredients],
+        }
+    )
+    db.table("ingredient_molecules").load_columns(
+        {
+            "link_id": range(1, len(link_molecules) + 1),
+            "ingredient_id": link_ingredients,
+            "molecule_id": link_molecules,
+        }
+    )
+    db.table("ingredient_synonyms").load_columns(
+        {"synonym": synonyms, "ingredient_id": synonym_ingredients}
+    )
 
     raw_by_id = {}
     if raw_recipes is not None:
         raw_by_id = {raw.recipe_id: raw for raw in raw_recipes}
-
-    recipes_table = db.table("recipes")
-    recipe_links = []
-    link_id = 1
+    columns: dict[str, list] = {
+        "recipe_id": [],
+        "title": [],
+        "source": [],
+        "region_code": [],
+        "n_ingredients": [],
+        "instructions": [],
+    }
+    link_recipes: list[int] = []
+    recipe_ingredients: list[int] = []
     for recipe in recipes:
         raw = raw_by_id.get(recipe.recipe_id)
         source = raw.source if raw is not None else recipe.source
-        recipes_table.insert(
-            {
-                "recipe_id": recipe.recipe_id,
-                "title": raw.title if raw is not None else recipe.title,
-                "source": source if source in RECIPE_SOURCES else None,
-                "region_code": recipe.region_code,
-                "n_ingredients": recipe.size,
-                "instructions": raw.instructions if raw is not None else None,
-            }
+        columns["recipe_id"].append(recipe.recipe_id)
+        columns["title"].append(raw.title if raw is not None else recipe.title)
+        columns["source"].append(source if source in RECIPE_SOURCES else None)
+        columns["region_code"].append(recipe.region_code)
+        columns["n_ingredients"].append(recipe.size)
+        columns["instructions"].append(
+            raw.instructions if raw is not None else None
         )
-        for ingredient_id in sorted(recipe.ingredient_ids):
-            recipe_links.append(
-                {
-                    "link_id": link_id,
-                    "recipe_id": recipe.recipe_id,
-                    "ingredient_id": ingredient_id,
-                }
-            )
-            link_id += 1
-    db.table("recipe_ingredients").bulk_insert(recipe_links)
+        ids = sorted(recipe.ingredient_ids)
+        recipe_ingredients.extend(ids)
+        link_recipes.extend([recipe.recipe_id] * len(ids))
+    db.table("recipes").load_columns(columns)
+    db.table("recipe_ingredients").load_columns(
+        {
+            "link_id": range(1, len(recipe_ingredients) + 1),
+            "recipe_id": link_recipes,
+            "ingredient_id": recipe_ingredients,
+        }
+    )
     return db

@@ -151,6 +151,9 @@ def load_database(directory: str | Path) -> Database:
     """Load a database previously written by :func:`save_database`.
 
     Tables are recreated in their saved order so foreign keys resolve.
+    Each CSV is decoded into per-column lists and stored with one
+    :meth:`~repro.db.table.Table.load_columns` call, which makes every
+    check a per-row insert makes.
 
     Raises:
         SchemaError: on a missing catalog, missing table file, or a CSV
@@ -180,15 +183,13 @@ def load_database(directory: str | Path) -> Database:
                 raise SchemaError(
                     f"header mismatch in {csv_path}: {header} != {list(names)}"
                 )
+            values: list[list[Any]] = [[] for _ in names]
             for cells in reader:
                 if len(cells) != len(names):
                     raise SchemaError(
                         f"row width mismatch in {csv_path}: {cells!r}"
                     )
-                table.insert(
-                    {
-                        name: _decode_cell(cell, column)
-                        for name, column, cell in zip(names, columns, cells)
-                    }
-                )
+                for cell, column, column_values in zip(cells, columns, values):
+                    column_values.append(_decode_cell(cell, column))
+        table.load_columns(dict(zip(names, values)))
     return database

@@ -12,6 +12,12 @@ Constraint enforcement on write:
 * ``nullable`` declarations,
 * foreign keys, when the table is attached to a
   :class:`~repro.db.database.Database` that can resolve the referenced table.
+
+Rows arrive one at a time through :meth:`Table.insert`, or all at once
+through :meth:`Table.load_columns`, which fills an empty table from whole
+columns. The column load makes the same checks one column at a time,
+stores the same values and builds the same indexes in bulk, so every
+other method sees exactly what per-row inserts would have left.
 """
 
 from __future__ import annotations
@@ -131,6 +137,68 @@ class Table:
         for row in rows:
             self.insert(row)
             count += 1
+        return count
+
+    def load_columns(self, columns: Mapping[str, Any]) -> int:
+        """Fill this empty table from whole columns; returns the row count.
+
+        Each column is a list, a tuple or a 1-D numpy array; arrays are
+        stored through ``tolist()``, so every cell is a Python object, as
+        :meth:`insert` would store it. The load makes every check
+        :meth:`insert` makes, one column at a time: unknown and missing
+        columns, type and nullability (with the same coercions), primary
+        and unique keys, and foreign keys, where a self-reference may point
+        only at an earlier row. A table with one defect raises what
+        :meth:`insert` raises for that row, with the same message. Nothing
+        is stored on any error. The indexes are built eagerly, in bulk.
+
+        Raises:
+            SchemaError: if the table holds rows (live or tombstoned), on
+                columns of unequal length, or on a type mismatch.
+            ConstraintViolation: on a unique or foreign-key failure.
+        """
+        if self._live:
+            raise SchemaError(
+                f"load_columns needs an empty table; {self.name!r} holds "
+                f"{len(self._live)} rows"
+            )
+        unknown = set(columns) - set(self.schema.column_names)
+        if unknown:
+            raise SchemaError(f"unknown columns in row: {sorted(unknown)}")
+        given: dict[str, list[Any]] = {}
+        for name, values in columns.items():
+            if getattr(values, "ndim", 1) != 1:
+                raise SchemaError(f"column {name!r} is not one-dimensional")
+            given[name] = (
+                values.tolist() if hasattr(values, "tolist") else list(values)
+            )
+        lengths = {name: len(values) for name, values in given.items()}
+        if len(set(lengths.values())) > 1:
+            raise SchemaError(f"columns of unequal length: {lengths}")
+        count = next(iter(lengths.values()), 0)
+        loaded: dict[str, list[Any]] = {}
+        for column in self.schema:
+            values = given.get(column.name)
+            if values is None:
+                if not column.nullable:
+                    raise SchemaError(
+                        f"missing value for column {column.name!r}"
+                    )
+                values = [None] * count
+            loaded[column.name] = _coerce_column(column, values)
+        unique = {
+            name: self._unique_index(name, loaded[name])
+            for name in self._unique_indexes
+        }
+        self._check_column_foreign_keys(loaded)
+        self._columns = loaded
+        self._live = [True] * count
+        self._live_count = count
+        self._version += 1
+        self._unique_indexes = unique
+        self._secondary_indexes = {
+            name: _buckets(loaded[name]) for name in self._secondary_indexes
+        }
         return count
 
     def update(self, values: Mapping[str, Any], where: Expression | None = None) -> int:
@@ -325,15 +393,7 @@ class Table:
                 continue
             existing = index.get(value)
             if existing is not None and existing != ignore_row_id:
-                kind = (
-                    "primary key"
-                    if self.schema.column(name).primary_key
-                    else "unique"
-                )
-                raise ConstraintViolation(
-                    f"{kind} violation on {self.name}.{name}: "
-                    f"value {value!r} already present"
-                )
+                raise self._unique_violation(name, value)
 
     def _check_foreign_keys(self, row: Mapping[str, Any]) -> None:
         if self._database is None:
@@ -347,10 +407,63 @@ class Table:
                 continue
             target = self._database.table(fk.table)
             if not target.contains_value(fk.column, value):
-                raise ConstraintViolation(
-                    f"foreign key violation: {self.name}.{column.name}="
-                    f"{value!r} has no match in {fk.table}.{fk.column}"
-                )
+                raise self._foreign_key_violation(column, value)
+
+    def _unique_index(self, name: str, values: list[Any]) -> dict[Any, int]:
+        """The unique index of a loaded column; raises on a duplicate."""
+        index = dict(zip(values, range(len(values))))
+        nulls = values.count(None) if index.pop(None, -1) != -1 else 0
+        if len(index) + nulls < len(values):
+            seen = set()
+            for value in values:
+                if value is not None:
+                    if value in seen:
+                        raise self._unique_violation(name, value)
+                    seen.add(value)
+        return index
+
+    def _check_column_foreign_keys(self, columns: Mapping[str, list]) -> None:
+        """:meth:`_check_foreign_keys` for every row of a column load."""
+        if self._database is None:
+            return
+        for column in self.schema:
+            fk = column.foreign_key
+            if fk is None:
+                continue
+            values = columns[column.name]
+            target = self._database.table(fk.table)
+            if target is self:
+                # Per-row inserts see only the rows before their own.
+                first: dict[Any, int] = {}
+                for row_id, key in enumerate(columns[fk.column]):
+                    first.setdefault(key, row_id)
+                for row_id, value in enumerate(values):
+                    if value is not None and first.get(value, row_id) >= row_id:
+                        raise self._foreign_key_violation(column, value)
+                continue
+            # Distinct values in first-seen order, so the first failure
+            # is the earliest failing row's.
+            for value in dict.fromkeys(values):
+                if value is not None and not target.contains_value(
+                    fk.column, value
+                ):
+                    raise self._foreign_key_violation(column, value)
+
+    def _unique_violation(self, name: str, value: Any) -> ConstraintViolation:
+        kind = "primary key" if self.schema.column(name).primary_key else "unique"
+        return ConstraintViolation(
+            f"{kind} violation on {self.name}.{name}: "
+            f"value {value!r} already present"
+        )
+
+    def _foreign_key_violation(
+        self, column: Column, value: Any
+    ) -> ConstraintViolation:
+        fk = column.foreign_key
+        return ConstraintViolation(
+            f"foreign key violation: {self.name}.{column.name}="
+            f"{value!r} has no match in {fk.table}.{fk.column}"
+        )
 
     # ------------------------------------------------------------------
     # internals
@@ -372,3 +485,35 @@ class Table:
                 # drift out of order when updates re-append row ids).
                 return sorted(self._secondary_indexes[bare].get(value, []))
         return range(len(self._live))
+
+
+def _coerce_column(column: Column, values: list[Any]) -> list[Any]:
+    """``values`` as :meth:`Column.coerce` would store each of them.
+
+    A column whose cells already have exactly the stored type is kept as
+    is; any other goes through ``coerce`` cell by cell, which widens ints
+    in FLOAT columns and raises ``insert``'s error for the first bad cell.
+    """
+    types = set(map(type, values))
+    if column.nullable:
+        types.discard(type(None))
+    expected = column.type.python_type
+    if expected is None:  # JSON stores any value but a forbidden NULL
+        clean = type(None) not in types
+    else:
+        clean = types <= {expected}
+    if clean:
+        return values
+    return [column.coerce(value) for value in values]
+
+
+def _buckets(values: list[Any]) -> dict[Any, list[int]]:
+    """A secondary index of a loaded column: value -> ascending row ids."""
+    index: dict[Any, list[int]] = {}
+    for row_id, value in enumerate(values):
+        bucket = index.get(value)
+        if bucket is None:
+            index[value] = [row_id]
+        else:
+            bucket.append(row_id)
+    return index

@@ -13,6 +13,8 @@ import dataclasses
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..datamodel import REGIONS, PairingKind
 from ..pairing import CuisinePairingResult, NullModel, analyze_cuisine
 from ..reporting.tables import render_table
@@ -68,6 +70,24 @@ PAPER_CONTRASTING_ORDER: tuple[str, ...] = (
 )
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def spearman_rho(x, y) -> float:
+    """Spearman's rank correlation: Pearson's r of the average ranks."""
+    ranks_x = _average_ranks(np.asarray(x, dtype=np.float64))
+    ranks_y = _average_ranks(np.asarray(y, dtype=np.float64))
+    return float(np.corrcoef(ranks_x, ranks_y)[0, 1])
+
+
 @dataclasses.dataclass(frozen=True)
 class Fig4Result:
     rows: tuple[Fig4Row, ...]
@@ -100,13 +120,10 @@ class Fig4Result:
         """Spearman correlation between our positive-group Z ordering and
         the order Section II.C lists the uniform regions in (presumed
         strongest-first). 1.0 = identical ordering."""
-        from scipy import stats as scipy_stats
-
         by_code = {row.code: row for row in self.rows}
         observed = [-by_code[code].z_random for code in PAPER_UNIFORM_ORDER]
         listed = list(range(len(PAPER_UNIFORM_ORDER)))
-        result = scipy_stats.spearmanr(listed, observed)
-        return float(result.statistic)
+        return spearman_rho(listed, observed)
 
     def render(self) -> str:
         ordered = sorted(self.rows, key=lambda row: -row.z_random)

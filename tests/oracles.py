@@ -15,6 +15,9 @@ each of them.
   once, the spec of the per-chunk :func:`repro.aliasing.basic_clean`,
   :func:`repro.aliasing.tokenize` and
   :func:`repro.aliasing.normalize_phrase`.
+* :func:`per_row_build_culinarydb` — one ``Table.insert`` per row, the
+  spec of the column-loading :func:`repro.culinarydb.build_culinarydb`;
+  :func:`table_state` is what a column-loaded table must match.
 """
 
 from __future__ import annotations
@@ -39,7 +42,13 @@ from repro.aliasing.normalize import (
     _TRANSLATE_TABLE,
     _classify,
 )
-from repro.datamodel import Ingredient
+from repro.culinarydb import create_culinarydb_schema
+from repro.datamodel import (
+    RECIPE_SOURCES,
+    REGIONS,
+    WORLD_ONLY_REGION_NAMES,
+    Ingredient,
+)
 from repro.pairing import CuisineView, NullModel
 
 
@@ -173,3 +182,111 @@ def whole_phrase_normalize(phrase: str) -> list[str]:
             continue
         content.append(token)
     return content
+
+
+def per_row_build_culinarydb(recipes, catalog, raw_recipes=None, name="culinarydb"):
+    """CulinaryDB built with one ``Table.insert`` per row, in table order."""
+    db = create_culinarydb_schema(name)
+    regions_table = db.table("regions")
+    for region in REGIONS:
+        regions_table.insert(
+            {
+                "code": region.code,
+                "name": region.name,
+                "pairing": region.pairing.value,
+                "is_aggregate_only": False,
+            }
+        )
+    for region_name in WORLD_ONLY_REGION_NAMES:
+        regions_table.insert(
+            {
+                "code": region_name,
+                "name": region_name,
+                "pairing": None,
+                "is_aggregate_only": True,
+            }
+        )
+    for source_name, total in RECIPE_SOURCES.items():
+        db.table("sources").insert(
+            {"name": source_name, "published_total": total}
+        )
+    for category_name in sorted(
+        {ingredient.category.value for ingredient in catalog.ingredients}
+    ):
+        db.table("categories").insert({"name": category_name})
+    db.table("molecules").bulk_insert(
+        {
+            "molecule_id": molecule.molecule_id,
+            "name": molecule.name,
+            "flavor_family": molecule.flavor_family,
+        }
+        for molecule in catalog.molecules
+    )
+    link_rows = []
+    synonym_rows = []
+    for ingredient in catalog.ingredients:
+        db.table("ingredients").insert(
+            {
+                "ingredient_id": ingredient.ingredient_id,
+                "name": ingredient.name,
+                "category": ingredient.category.value,
+                "is_compound": ingredient.is_compound,
+                "profile_size": len(ingredient.flavor_profile),
+            }
+        )
+        for molecule_id in sorted(ingredient.flavor_profile):
+            link_rows.append(
+                {
+                    "link_id": len(link_rows) + 1,
+                    "ingredient_id": ingredient.ingredient_id,
+                    "molecule_id": molecule_id,
+                }
+            )
+        for synonym in ingredient.synonyms:
+            synonym_rows.append(
+                {"synonym": synonym, "ingredient_id": ingredient.ingredient_id}
+            )
+    db.table("ingredient_molecules").bulk_insert(link_rows)
+    db.table("ingredient_synonyms").bulk_insert(synonym_rows)
+    raw_by_id = {raw.recipe_id: raw for raw in raw_recipes or ()}
+    recipe_links = []
+    for recipe in recipes:
+        raw = raw_by_id.get(recipe.recipe_id)
+        source = raw.source if raw is not None else recipe.source
+        db.table("recipes").insert(
+            {
+                "recipe_id": recipe.recipe_id,
+                "title": raw.title if raw is not None else recipe.title,
+                "source": source if source in RECIPE_SOURCES else None,
+                "region_code": recipe.region_code,
+                "n_ingredients": recipe.size,
+                "instructions": raw.instructions if raw is not None else None,
+            }
+        )
+        for ingredient_id in sorted(recipe.ingredient_ids):
+            recipe_links.append(
+                {
+                    "link_id": len(recipe_links) + 1,
+                    "recipe_id": recipe.recipe_id,
+                    "ingredient_id": ingredient_id,
+                }
+            )
+    db.table("recipe_ingredients").bulk_insert(recipe_links)
+    return db
+
+
+def table_state(table) -> dict:
+    """Everything a column load must reproduce of a per-row built table:
+    the cells in row order with their exact types, the live flags, and
+    every unique and secondary index."""
+    return {
+        "names": list(table._columns),
+        "columns": table._columns,
+        "types": {
+            name: [type(value) for value in values]
+            for name, values in table._columns.items()
+        },
+        "live": (table._live, table._live_count),
+        "unique": table._unique_indexes,
+        "secondary": table._secondary_indexes,
+    }

@@ -4,6 +4,7 @@ import pytest
 
 from repro.culinarydb import CulinaryDB, build_culinarydb, create_culinarydb_schema
 from repro.datamodel import RECIPE_SOURCES
+from tests.oracles import per_row_build_culinarydb, table_state
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,18 @@ class TestBuild:
             "synonym", "whisky"
         )
         assert len(rows) == 1
+
+    def test_column_loads_equal_per_row_inserts(self, culinary, workspace):
+        oracle = per_row_build_culinarydb(
+            workspace.recipes,
+            workspace.catalog,
+            raw_recipes=workspace.corpus.raw_recipes,
+        )
+        assert culinary.db.table_names() == oracle.table_names()
+        for table in oracle:
+            assert table_state(culinary.db.table(table.name)) == table_state(
+                table
+            ), table.name
 
 
 class TestQueries:

@@ -116,3 +116,32 @@ class TestContributions:
             "WHERE region_code = 'KOR'"
         )[0]["n"]
         assert count == first
+
+
+class TestContributionIds:
+    def test_refresh_after_another_region_keeps_ids_unique(self, workspace):
+        db = build_culinarydb(workspace.recipes, workspace.catalog)
+        cuisines = workspace.regional_cuisines()
+        name_to_id = {
+            ingredient.name: ingredient.ingredient_id
+            for ingredient in workspace.catalog.ingredients
+        }
+        contributions = {
+            code: ingredient_contributions(
+                build_cuisine_view(cuisines[code], workspace.catalog)
+            )[:2]
+            for code in ("ITA", "KOR")
+        }
+        store_contributions(db, "ITA", contributions["ITA"], name_to_id)
+        store_contributions(db, "KOR", contributions["KOR"], name_to_id)
+        # Used to restart ids at len(table) + 1 = 3, which KOR holds.
+        store_contributions(db, "ITA", contributions["ITA"], name_to_id)
+        table = db.table("ingredient_contributions")
+        rows = list(table.rows())
+        ids = [row["contribution_id"] for row in rows]
+        assert len(set(ids)) == len(ids) == 4
+        assert sorted(row["region_code"] for row in rows) == [
+            "ITA", "ITA", "KOR", "KOR",
+        ]
+        store_contributions(db, "ITA", contributions["ITA"], name_to_id)
+        assert list(table.rows()) == rows

@@ -164,3 +164,58 @@ class TestErrors:
         target = tmp_path / "deep" / "nested"
         save_database(build_db(), target)
         assert (target / "_catalog.json").exists()
+
+
+class TestColumnLoads:
+    def test_culinarydb_round_trips_rows_and_indexes(self, workspace, tmp_path):
+        from repro.culinarydb import build_culinarydb
+        from tests.oracles import table_state
+
+        db = build_culinarydb(
+            workspace.recipes,
+            workspace.catalog,
+            raw_recipes=workspace.corpus.raw_recipes,
+        )
+        save_database(db, tmp_path)
+        loaded = load_database(tmp_path)
+        assert loaded.table_names() == db.table_names()
+        for table in db:
+            assert table_state(loaded.table(table.name)) == table_state(
+                table
+            ), table.name
+
+    def test_self_referencing_table_round_trips(self, tmp_path):
+        db = Database()
+        db.create_table(
+            "nodes",
+            Schema(
+                [
+                    Column("node_id", ColumnType.INT, primary_key=True),
+                    Column(
+                        "parent_id",
+                        ColumnType.INT,
+                        nullable=True,
+                        foreign_key=ForeignKey("nodes", "node_id"),
+                    ),
+                ]
+            ),
+        )
+        db.table("nodes").insert({"node_id": 1, "parent_id": None})
+        db.table("nodes").insert({"node_id": 2, "parent_id": 1})
+        db.table("nodes").insert({"node_id": 3, "parent_id": 1})
+        save_database(db, tmp_path)
+        loaded = load_database(tmp_path).table("nodes")
+        assert list(loaded.rows()) == list(db.table("nodes").rows())
+        assert loaded.get(3) == {"node_id": 3, "parent_id": 1}
+
+    def test_duplicated_primary_key_rejected(self, tmp_path):
+        from repro.db import ConstraintViolation
+
+        save_database(build_db(), tmp_path)
+        path = tmp_path / "kinds.csv"
+        path.write_text("kind\nfruit\nherb\nfruit\n", encoding="utf-8")
+        with pytest.raises(
+            ConstraintViolation,
+            match="primary key violation on kinds.kind: value 'fruit'",
+        ):
+            load_database(tmp_path)

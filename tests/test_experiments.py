@@ -4,7 +4,9 @@ These run on the shared reduced-scale workspace; the shape claims they
 assert are the ones EXPERIMENTS.md reports at full scale.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from repro.datamodel import REGIONS, PairingKind
 from repro.experiments import (
@@ -197,6 +199,38 @@ class TestFig4Ordering:
         """Our Z ordering of the uniform group should agree with the
         paper's listing order more than chance (rho > 0)."""
         assert fig4_result.positive_order_spearman() > 0.0
+
+    def test_positive_order_spearman_matches_scipy(self, fig4_result):
+        from scipy import stats
+
+        from repro.experiments.fig4 import PAPER_UNIFORM_ORDER
+
+        by_code = {row.code: row for row in fig4_result.rows}
+        observed = [-by_code[code].z_random for code in PAPER_UNIFORM_ORDER]
+        expected = stats.spearmanr(range(len(observed)), observed).statistic
+        assert fig4_result.positive_order_spearman() == pytest.approx(
+            expected, abs=1e-12
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from([-1.5, 0.0, 0.5, 2.0, 7.25])),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_spearman_rho_matches_scipy_with_ties(pairs):
+    from scipy import stats
+
+    from repro.experiments.fig4 import spearman_rho
+
+    x, y = zip(*pairs)
+    assume(len(set(x)) > 1 and len(set(y)) > 1)
+    assert spearman_rho(x, y) == pytest.approx(
+        stats.spearmanr(x, y).statistic, abs=1e-12
+    )
 
 
 class TestWorkspaceCache:
