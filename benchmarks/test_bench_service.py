@@ -8,8 +8,8 @@ The cold/cached gap is the speedup the cache buys on repeated queries.
 
 import pytest
 
+from repro.lru import MISSING
 from repro.service import QueryService, ResultCache, ServiceApp
-from repro.service.cache import MISSING
 
 
 @pytest.fixture(scope="module")

@@ -1535,11 +1535,12 @@ def _execute_grouped(query: "Query", compiler: Compiler, mask):
         for alias, name, vec in agg_specs
     ]
     n = len(sel)
-    if n == 0:
-        return []  # the row executor emits no groups for an empty input
     if key_vecs:
+        if n == 0:
+            return []  # GROUP BY over zero rows yields no groups
         gids, groups, group_keys, _strategy = _group_rows(key_vecs, n)
     else:
+        # An ungrouped aggregate is one group, even over zero rows.
         gids = np.zeros(n, dtype=np.int64)
         groups, group_keys = 1, [()]
     # Vectorised grouped tail: the per-group results become a

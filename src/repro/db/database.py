@@ -20,9 +20,13 @@ class Database:
     """An in-process database: a catalog of tables."""
 
     def __init__(self, name: str = "db") -> None:
+        # Deferred so that programs which never build a database skip
+        # importing the SQL front end.
+        from .sql.plan_cache import PlanCache
+
         self.name = name
         self._tables: dict[str, Table] = {}
-        self._plan_cache: Any = None  # built lazily on first sql()
+        self._plan_cache = PlanCache()
 
     # ------------------------------------------------------------------
     # catalog
@@ -144,10 +148,6 @@ class Database:
             repro.db.sql.plan_cache.PreparedStatement: execute it with
             ``plan.execute(db, params)``.
         """
-        if self._plan_cache is None:
-            from .sql.plan_cache import PlanCache
-
-            self._plan_cache = PlanCache()
         return self._plan_cache.lookup(text)
 
     def explain(

@@ -399,6 +399,10 @@ class Query:
                 accumulators[position] = aggregate.step(
                     accumulators[position], row
                 )
+        if not order and not self._group_columns:
+            # An ungrouped aggregate is one group, even over zero rows.
+            groups[()] = [agg.initial() for _alias, agg in self._aggregates]
+            order.append(())
         results: list[dict[str, Any]] = []
         for key in order:
             out: dict[str, Any] = dict(zip(self._group_columns, key))

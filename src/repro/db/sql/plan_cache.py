@@ -2,13 +2,15 @@
 
 ``Database.sql`` routes every statement through a per-database
 :class:`PlanCache`, so hot queries are tokenized, parsed, and
-constant-folded exactly once. Two cache keys are maintained:
+constant-folded exactly once, even when threads ask for them at once.
+It is two :class:`~repro.lru.ResultCache` maps:
 
-* a **raw-text fast path** — the exact SQL string maps straight to its
-  plan, skipping even tokenization on repeat queries;
-* a **normalized key** — the token stream ``(kind, value)`` tuple, so
-  whitespace and keyword-case variants of the same statement share one
-  plan entry.
+* **plans**, keyed by the normalized token stream ``(kind, value)``
+  tuple, so whitespace and keyword-case variants of the same statement
+  share one plan entry;
+* **aliases**, a raw-text fast path from the exact SQL string to its
+  normalized key, skipping even tokenization on repeat queries. An
+  alias whose plan was evicted simply misses, and the lookup re-parses.
 
 Parameterised statements (``?`` placeholders) make the cache effective
 for templated workloads: the plan for ``... WHERE cuisine = ?`` is
@@ -22,10 +24,9 @@ span (attribute ``cache=hit|miss``) are emitted per lookup.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
+from ...lru import MISSING, ResultCache
 from ...obs import get_registry, span
 from .tokenizer import tokenize
 
@@ -111,20 +112,16 @@ class PlanCache:
     """Thread-safe LRU cache of :class:`PreparedStatement` objects."""
 
     def __init__(self, maxsize: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
-        self._maxsize = max(1, maxsize)
-        self._lock = threading.Lock()
-        # raw SQL text -> normalized key (fast path on exact repeats)
-        self._raw_keys: OrderedDict[str, tuple[Any, ...]] = OrderedDict()
+        maxsize = max(1, maxsize)
         # normalized key -> plan (shared across spelling variants)
-        self._plans: OrderedDict[tuple[Any, ...], PreparedStatement] = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
+        self._plans = ResultCache(capacity=maxsize)
+        # raw SQL text -> normalized key. Many spellings may map to few
+        # plans, and each alias costs one slot plus the SQL string, so
+        # aliases are bounded on their own.
+        self._aliases = ResultCache(capacity=4 * maxsize)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
+        return len(self._plans)
 
     def lookup(self, text: str) -> PreparedStatement:
         """The cached plan for ``text``, parsing and caching on miss.
@@ -132,95 +129,45 @@ class PlanCache:
         Raises:
             SqlSyntaxError: when ``text`` does not tokenize or parse.
         """
-        registry = get_registry()
         with span("db.sql.plan") as plan_span:
-            plan = self._cached_by_raw(text)
-            if plan is None:
+            key = self._aliases.probe(text)
+            plan = MISSING if key is MISSING else self._plans.probe(key)
+            hit = plan is not MISSING
+            if not hit:
                 # Normalize before deciding hit/miss so case/whitespace
                 # variants of a cached statement still count as hits.
                 key = tuple(
                     (token.kind, token.value) for token in tokenize(text)
                 )
-                plan = self._cached_by_key(text, key)
-            if plan is not None:
-                plan_span.set("cache", "hit")
-                plan_span.set("kind", plan.kind)
-                registry.counter(PLAN_CACHE_HITS).incr()
-                return plan
-            from .dml import parse_statement
-            from .planner import fold_statement
-            from .parser import SelectStatement
-
-            statement = parse_statement(text)
-            if isinstance(statement, SelectStatement):
-                statement = fold_statement(statement)
-            plan = PreparedStatement(text, statement)
-            self._store(text, key, plan)
-            plan_span.set("cache", "miss")
+                plan, source = self._plans.get_or_compute(
+                    key, lambda: _prepare(text)
+                )
+                self._aliases.put(text, key)
+                hit = source == "hit"
+            plan_span.set("cache", "hit" if hit else "miss")
             plan_span.set("kind", plan.kind)
-            registry.counter(PLAN_CACHE_MISSES).incr()
+            get_registry().counter(
+                PLAN_CACHE_HITS if hit else PLAN_CACHE_MISSES
+            ).incr()
             return plan
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _cached_by_raw(self, text: str) -> PreparedStatement | None:
-        with self._lock:
-            key = self._raw_keys.get(text)
-            if key is None:
-                return None
-            plan = self._plans.get(key)
-            if plan is None:  # plan evicted out from under the raw key
-                del self._raw_keys[text]
-                return None
-            self._raw_keys.move_to_end(text)
-            self._plans.move_to_end(key)
-            self.hits += 1
-            return plan
-
-    def _cached_by_key(
-        self, text: str, key: tuple[Any, ...]
-    ) -> PreparedStatement | None:
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                return None
-            self._plans.move_to_end(key)
-            self._remember_raw(text, key)
-            self.hits += 1
-            return plan
-
-    def _store(
-        self, text: str, key: tuple[Any, ...], plan: PreparedStatement
-    ) -> None:
-        with self._lock:
-            self.misses += 1
-            existing = self._plans.get(key)
-            if existing is not None:  # raced with another thread: keep it
-                self._plans.move_to_end(key)
-                self._remember_raw(text, key)
-                return
-            self._plans[key] = plan
-            self._remember_raw(text, key)
-            while len(self._plans) > self._maxsize:
-                evicted_key, _plan = self._plans.popitem(last=False)
-                for raw, raw_key in list(self._raw_keys.items()):
-                    if raw_key == evicted_key:
-                        del self._raw_keys[raw]
-
-    def _remember_raw(self, text: str, key: tuple[Any, ...]) -> None:
-        self._raw_keys[text] = key
-        self._raw_keys.move_to_end(text)
-        # Bound raw aliases independently: many spellings may map to few
-        # plans, and each alias costs one dict slot plus the SQL string.
-        while len(self._raw_keys) > 4 * self._maxsize:
-            self._raw_keys.popitem(last=False)
 
     def info(self) -> dict[str, int]:
         """Cache occupancy and hit/miss totals (diagnostics)."""
-        with self._lock:
-            return {
-                "size": len(self._plans),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        stats = self._plans.stats()
+        return {
+            "size": stats.size,
+            "hits": stats.hits,
+            "misses": stats.misses,
+        }
+
+
+def _prepare(text: str) -> PreparedStatement:
+    """Parse and constant-fold one statement."""
+    from .dml import parse_statement
+    from .parser import SelectStatement
+    from .planner import fold_statement
+
+    statement = parse_statement(text)
+    if isinstance(statement, SelectStatement):
+        statement = fold_statement(statement)
+    return PreparedStatement(text, statement)

@@ -1,11 +1,11 @@
 """``repro.engine`` — the staged artifact pipeline behind every workload.
 
-The monolithic workspace build is decomposed into four declarative
-stages (``corpus → aliasing → cuisines → pairing_views``), each a pure
-function whose output is content-addressed by *(stage name, code
-version tag, upstream fingerprints, the RunConfig fields it reads)* and
-cached in two tiers: a shared in-process LRU, then an on-disk artifact
-store with atomic writes, checksum validation and size-bounded LRU
+The monolithic workspace build is decomposed into five declarative
+stages (``corpus → aliasing → cuisines → pairing_views →
+retrieval_index``), each a pure function whose output is
+content-addressed by *(stage name, code version tag, upstream
+fingerprints, the RunConfig fields it reads)* and cached in two tiers: a
+shared in-process LRU with single flight, then an on-disk artifact store with atomic writes, checksum validation and size-bounded LRU
 eviction. A second CLI run — or a service restart — warm-loads the whole
 graph in seconds instead of paying the ~minute cold build.
 
@@ -35,7 +35,6 @@ from .engine import (
     memory_tier_len,
 )
 from .fingerprint import stage_fingerprint
-from .locks import KeyedLocks
 from .stages import (
     STAGE_ORDER,
     STAGES,
@@ -59,7 +58,6 @@ __all__ = [
     "AliasingArtifact",
     "ArtifactStore",
     "Engine",
-    "KeyedLocks",
     "RunConfig",
     "STAGES",
     "STAGE_ORDER",

@@ -246,10 +246,6 @@ class RunConfig:
         """A copy with the given fields replaced (validation re-runs)."""
         return dataclasses.replace(self, **changes)
 
-    def workspace_key(self) -> tuple[int, float, bool]:
-        """The identity of the workspace this config builds."""
-        return (self.corpus_seed, self.recipe_scale, self.include_world_only)
-
 
 def config_parent_parser(
     fields: Sequence[str] | None = None,

@@ -4,9 +4,10 @@
 that :class:`~repro.engine.config.RunConfig`, resolving dependencies
 recursively and consulting two tiers before building:
 
-1. an in-process LRU of recently used artifacts (shared by every engine
-   instance, keyed by fingerprint — two configs that agree on the fields
-   a stage reads share its artifact), then
+1. an in-process memory tier of recently used artifacts (one
+   :class:`~repro.lru.ResultCache` shared by every engine instance,
+   keyed by fingerprint — two configs that agree on the fields a stage
+   reads share its artifact), then
 2. the content-addressed disk store, when the config enables it.
 
 Every resolution is traced (``engine.stage`` spans) and counted in the
@@ -15,24 +16,24 @@ metrics registry: ``engine_stage_hit_total{stage,tier}``,
 and the ``engine_stage_load_ms``/``engine_stage_build_ms`` histograms —
 which is how a warm restart can *prove* it built nothing.
 
-Concurrent callers asking for the same artifact build it exactly once
-(per-fingerprint locks that free themselves when the last waiter
-leaves — the engine does not reintroduce the old lock-table leak).
+Concurrent callers asking for the same artifact load or build it exactly
+once: the memory tier's single flight makes every other caller wait for
+the first and share its artifact. When that load or build raises, the
+waiting callers re-raise the same exception rather than retrying in
+turn; nothing is stored, so the next call builds again.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from typing import Any
 
+from ..lru import MISSING, ResultCache
 from ..obs import get_logger, get_registry, span
 from .config import RunConfig
 from .fingerprint import stage_fingerprint
-from .locks import KeyedLocks
 from .stages import STAGE_ORDER, get_stage
-from .store import MISSING, ArtifactStore
+from .store import ArtifactStore
 
 __all__ = [
     "MAX_MEMORY_ARTIFACTS",
@@ -44,43 +45,21 @@ __all__ = [
 
 _LOG = get_logger("repro.engine")
 
-#: Artifacts retained in the shared in-memory tier. Four stages per
-#: workspace — this holds the stage sets of a few recent configs.
-MAX_MEMORY_ARTIFACTS = 16
+#: Artifacts retained in the shared in-memory tier: the stage sets of
+#: four recent configs.
+MAX_MEMORY_ARTIFACTS = 4 * len(STAGE_ORDER)
 
-_MemoryKey = tuple[str, str]  # (stage name, fingerprint)
-
-_MEMORY: OrderedDict[_MemoryKey, Any] = OrderedDict()
-_MEMORY_LOCK = threading.Lock()
-_BUILD_LOCKS = KeyedLocks()
-
-
-def _memory_get(key: _MemoryKey) -> Any:
-    with _MEMORY_LOCK:
-        if key not in _MEMORY:
-            return MISSING
-        _MEMORY.move_to_end(key)
-        return _MEMORY[key]
-
-
-def _memory_put(key: _MemoryKey, value: Any) -> None:
-    with _MEMORY_LOCK:
-        _MEMORY[key] = value
-        _MEMORY.move_to_end(key)
-        while len(_MEMORY) > MAX_MEMORY_ARTIFACTS:
-            _MEMORY.popitem(last=False)
+#: (stage name, fingerprint) -> artifact.
+_MEMORY = ResultCache(capacity=MAX_MEMORY_ARTIFACTS)
 
 
 def clear_memory_tier() -> None:
     """Drop every in-memory artifact (tests use this to force disk/build)."""
-    with _MEMORY_LOCK:
-        _MEMORY.clear()
-    _BUILD_LOCKS.clear()
+    _MEMORY.clear()
 
 
 def memory_tier_len() -> int:
-    with _MEMORY_LOCK:
-        return len(_MEMORY)
+    return len(_MEMORY)
 
 
 class Engine:
@@ -143,7 +122,7 @@ class Engine:
         states: list[dict[str, Any]] = []
         for name in STAGE_ORDER:
             fingerprint = self.fingerprint(name)
-            if _memory_get((name, fingerprint)) is not MISSING:
+            if _MEMORY.probe((name, fingerprint)) is not MISSING:
                 tier = "memory"
             elif self._store is not None and self._store.contains(
                 name, fingerprint
@@ -168,19 +147,15 @@ class Engine:
         """The stage's output: memory tier, then disk tier, then build."""
         stage = get_stage(name)
         fingerprint = self.fingerprint(name)
-        key = (name, fingerprint)
-        value = _memory_get(key)
-        if value is not MISSING:
+        value, source = _MEMORY.get_or_compute(
+            (name, fingerprint),
+            lambda: self._load_or_build(stage, fingerprint),
+        )
+        if source != "computed":
             self._count_hit(name, "memory")
-            return value
-        with _BUILD_LOCKS.holding(key):
-            value = _memory_get(key)  # resolved while we waited?
-            if value is not MISSING:
-                self._count_hit(name, "memory")
-                return value
-            return self._load_or_build(stage, fingerprint, key)
+        return value
 
-    def _load_or_build(self, stage, fingerprint: str, key: _MemoryKey) -> Any:
+    def _load_or_build(self, stage, fingerprint: str) -> Any:
         with span(
             "engine.stage", stage=stage.name, fingerprint=fingerprint[:12]
         ) as trace:
@@ -200,7 +175,6 @@ class Engine:
                         fingerprint=fingerprint[:12],
                         seconds=round(elapsed, 3),
                     )
-                    _memory_put(key, value)
                     return value
             self._registry.counter(
                 "engine_stage_miss_total", stage=stage.name
@@ -224,7 +198,6 @@ class Engine:
             )
             if self._store is not None:
                 self._store.put(stage.name, fingerprint, value)
-            _memory_put(key, value)
             return value
 
     def _count_hit(self, stage_name: str, tier: str) -> None:

@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from ..lru import MISSING
 from ..obs import get_logger, get_registry
 
 __all__ = [
@@ -37,9 +38,6 @@ __all__ = [
 ]
 
 _LOG = get_logger("repro.engine.store")
-
-#: Sentinel for "not in the store" (``None`` is a valid artifact value).
-MISSING = object()
 
 ARTIFACT_SUFFIX = ".art"
 _MAGIC = b"repro-artifact/1\n"

@@ -17,7 +17,6 @@ from .table1 import Table1Result, Table1Row, run_table1
 from .workspace import (
     ExperimentWorkspace,
     build_workspace,
-    clear_workspace_cache,
     workspace_for,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentWorkspace",
     "build_workspace",
-    "clear_workspace_cache",
     "workspace_for",
     "Fig2Result",
     "Fig3aResult",

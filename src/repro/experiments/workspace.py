@@ -4,32 +4,29 @@ Every experiment consumes the same pipeline output (generated raw corpus,
 aliased recipes, cuisines grouped by region, numeric pairing views).
 Those are no longer built monolithically: :mod:`repro.engine` resolves
 them as five content-addressed stage artifacts (``corpus → aliasing →
-cuisines → pairing_views → retrieval_index``), each cached in a shared
-in-memory LRU and —
-when the :class:`~repro.engine.RunConfig` enables it — a checksummed
-disk store, so a second process warm-loads in seconds.
+cuisines → pairing_views → retrieval_index``), each cached in the
+engine's shared in-memory tier and — when the
+:class:`~repro.engine.RunConfig` enables it — a checksummed disk store,
+so a second process warm-loads in seconds.
 
 :class:`ExperimentWorkspace` remains the object every call site holds: a
-thin immutable bundle assembled from the stage artifacts. Assembled
-workspaces are additionally cached per ``(seed, recipe_scale,
-include_world_only)`` with the same bounded-LRU, build-once-per-key
-semantics the serving layer has always relied on.
+thin immutable bundle assembled from the stage artifacts. Assembling one
+is five memory-tier lookups once the stages are resolved, so workspaces
+are not cached themselves; concurrent callers share the engine's single
+build of each stage.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from collections import OrderedDict
-
-import threading
 
 import numpy as np
 
 from ..aliasing import MatchReport
 from ..corpus import DEFAULT_SEED, GeneratedCorpus
 from ..datamodel import Cuisine, Recipe, region_codes
-from ..engine import Engine, KeyedLocks, RunConfig
+from ..engine import Engine, RunConfig
 from ..flavordb import IngredientCatalog, default_catalog
 from ..obs import get_logger, span
 from ..pairing.views import CuisineView
@@ -141,84 +138,14 @@ class ExperimentWorkspace:
         return self._similarity
 
 
-#: Workspaces retained in the LRU cache. Each full-scale workspace holds
-#: tens of thousands of recipe objects, so the bound is deliberately small.
-MAX_CACHED_WORKSPACES = 4
-
-_CacheKey = tuple[int, float, bool]
-
-_CACHE: OrderedDict[_CacheKey, ExperimentWorkspace] = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-#: Per-key build dedup: concurrent callers asking for the same workspace
-#: (e.g. service threads on a cold start) build it once, not N times.
-#: KeyedLocks entries free themselves when the last waiter leaves, so
-#: the table no longer grows with every distinct key ever requested.
-_BUILD_LOCKS = KeyedLocks()
-
-
-def _cache_get(key: _CacheKey) -> ExperimentWorkspace | None:
-    with _CACHE_LOCK:
-        workspace = _CACHE.get(key)
-        if workspace is not None:
-            _CACHE.move_to_end(key)
-        return workspace
-
-
-def _cache_put(key: _CacheKey, workspace: ExperimentWorkspace) -> None:
-    with _CACHE_LOCK:
-        _CACHE[key] = workspace
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > MAX_CACHED_WORKSPACES:
-            _CACHE.popitem(last=False)
-
-
-def workspace_for(
-    config: RunConfig, use_cache: bool = True
-) -> ExperimentWorkspace:
-    """Build (or fetch) the workspace one :class:`RunConfig` describes.
+def workspace_for(config: RunConfig) -> ExperimentWorkspace:
+    """Assemble the workspace one :class:`RunConfig` describes.
 
     This is the single parameter path: argparse, the HTTP service and
     the full-experiment script all construct a RunConfig and call here.
-    The assembled-workspace cache is thread-safe and bounded (at most
-    :data:`MAX_CACHED_WORKSPACES` entries, LRU) and concurrent requests
-    for the same key build exactly once.
+    Each stage artifact comes from the engine, which builds it at most
+    once however many threads ask.
     """
-    key = config.workspace_key()
-    if not use_cache:
-        return _build(config)
-    workspace = _cache_get(key)
-    if workspace is not None:
-        return workspace
-    with _BUILD_LOCKS.holding(key):
-        workspace = _cache_get(key)  # built while we waited?
-        if workspace is None:
-            workspace = _build(config)
-            _cache_put(key, workspace)
-        return workspace
-
-
-def build_workspace(
-    seed: int = DEFAULT_SEED,
-    recipe_scale: float = 1.0,
-    include_world_only: bool = True,
-    use_cache: bool = True,
-) -> ExperimentWorkspace:
-    """Legacy keyword entry point; delegates to :func:`workspace_for`.
-
-    Direct callers (tests, examples) get the in-memory tiers only; disk
-    caching is opted into through a RunConfig (``--cache-dir`` or
-    ``$REPRO_CACHE_DIR``).
-    """
-    config = RunConfig(
-        seed=seed,
-        recipe_scale=recipe_scale,
-        include_world_only=include_world_only,
-    )
-    return workspace_for(config, use_cache=use_cache)
-
-
-def _build(config: RunConfig) -> ExperimentWorkspace:
-    """Assemble a workspace from the engine's stage artifacts."""
     engine = Engine(config)
     with span(
         "workspace.build",
@@ -255,15 +182,20 @@ def _build(config: RunConfig) -> ExperimentWorkspace:
         )
 
 
-def clear_workspace_cache() -> None:
-    """Drop all cached workspaces and in-memory stage artifacts.
+def build_workspace(
+    seed: int = DEFAULT_SEED,
+    recipe_scale: float = 1.0,
+    include_world_only: bool = True,
+) -> ExperimentWorkspace:
+    """Legacy keyword entry point; delegates to :func:`workspace_for`.
 
-    Tests use this to bound memory; it also clears the engine's shared
-    in-memory artifact tier so the drop actually releases the data.
+    Direct callers (tests, examples) get the in-memory tier only; disk
+    caching is opted into through a RunConfig (``--cache-dir`` or
+    ``$REPRO_CACHE_DIR``).
     """
-    from ..engine import clear_memory_tier
-
-    with _CACHE_LOCK:
-        _CACHE.clear()
-    _BUILD_LOCKS.clear()
-    clear_memory_tier()
+    config = RunConfig(
+        seed=seed,
+        recipe_scale=recipe_scale,
+        include_world_only=include_world_only,
+    )
+    return workspace_for(config)

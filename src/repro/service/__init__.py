@@ -14,15 +14,15 @@ The serving stack is layered; requests flow top to bottom:
   limits, graceful drain).
 * **admission** — :mod:`repro.service.admission`: bounded per-endpoint
   queues; sheds load with structured ``429``/``503`` envelopes.
-* **coalescing** — :mod:`repro.service.coalesce`: N identical in-flight
-  cacheable requests trigger one handler computation.
 * **dispatch** — :mod:`repro.service.app`: routing, caching, metrics,
   error envelopes; the sync core the transport calls, and that answers
-  in-process without HTTP.
+  in-process without HTTP. Cacheable requests go through the result
+  cache's single flight (:class:`~repro.lru.ResultCache`), so N
+  identical in-flight requests trigger one handler computation.
 
 Below dispatch sit :mod:`repro.service.handlers` (typed handlers over a
 warm :class:`~repro.experiments.ExperimentWorkspace`),
-:mod:`repro.service.cache` (thread-safe LRU+TTL result cache) and
+:mod:`repro.service.cache` (result-cache keys) and
 :mod:`repro.service.metrics` (per-endpoint counters/latency plus the
 serving gauges). :mod:`repro.service.loadtest` is the matching load
 harness (``repro loadtest``).
@@ -31,6 +31,7 @@ harness (``repro loadtest``).
 serves it until interrupted; SIGTERM drains gracefully.
 """
 
+from ..lru import CacheStats, ResultCache
 from .admission import AdmissionController, AdmissionLimits, AdmissionReject
 from .aio import AsyncServerHandle, AsyncServiceServer, serve_async_in_thread
 from .app import (
@@ -40,8 +41,7 @@ from .app import (
     generate_request_id,
     resolve_request_id,
 )
-from .cache import CacheStats, ResultCache, canonical_key
-from .coalesce import RequestCoalescer
+from .cache import canonical_key
 from .handlers import QueryService, RequestError
 from .loadtest import LoadClient, LoadReport, run_loadtest
 from .metrics import LatencyStats, ServiceMetrics
@@ -54,7 +54,6 @@ __all__ = [
     "AsyncServerHandle",
     "AsyncServiceServer",
     "PlainTextResponse",
-    "RequestCoalescer",
     "ServiceApp",
     "CacheStats",
     "LoadClient",

@@ -9,10 +9,10 @@ The layered serving stack, top to bottom:
    with ``503 draining``.
 2. **admission** (:mod:`repro.service.admission`) — bounded per-endpoint
    queues; sheds load with ``429 rate_limited`` / ``503 overloaded``.
-3. **coalescing** (:mod:`repro.service.coalesce`) — N identical
-   in-flight cacheable requests run the handler once.
-4. **dispatch** (:class:`~repro.service.app.ServiceApp`) — the sync
-   routing/caching/metrics core; the same call answers in-process.
+3. **dispatch** (:class:`~repro.service.app.ServiceApp`) — the sync
+   routing/caching/metrics core; the same call answers in-process. Its
+   result cache runs N identical in-flight cacheable requests' handler
+   once.
 
 The event loop only ever parses bytes and shuffles buffers. CPU-bound
 handler work runs through ``loop.run_in_executor`` on a bounded thread

@@ -4,6 +4,9 @@
 ``(status, body)`` pair. It owns the shared :class:`ResultCache` and
 :class:`ServiceMetrics`; callers (the asyncio transport, tests, or a
 future batching front-end) only ever call :meth:`ServiceApp.dispatch`.
+Cacheable requests go through the cache's single flight, so N identical
+in-flight requests run the handler once and the other N-1 share its
+``(status, body)``, counted in ``repro_service_coalesced_total``.
 
 Error responses use one structured envelope::
 
@@ -33,10 +36,10 @@ from ..obs import NOOP_SPAN, bound_log_fields, get_registry, get_tracer, span
 #: The tracer singleton, bound once: ``configure_tracing`` mutates its
 #: ``enabled`` flag in place, so dispatch can check one attribute.
 _TRACER = get_tracer()
-from .cache import MISSING, ResultCache, canonical_key
-from .coalesce import RequestCoalescer
+from ..lru import MISSING, ResultCache
+from .cache import canonical_key
 from .handlers import QueryService, RequestError
-from .metrics import ServiceMetrics
+from .metrics import COALESCED, ServiceMetrics
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,6 +82,11 @@ ROUTES: dict[str, Route] = {
 def error_body(status: int, code: str, message: str) -> dict[str, Any]:
     """The structured error envelope every failure path uses."""
     return {"error": {"code": code, "message": message}, "status": status}
+
+
+def _succeeded(response: tuple[int, Any]) -> bool:
+    """Whether a computed ``(status, body)`` may enter the result cache."""
+    return response[0] == 200
 
 
 #: Client-supplied request ids must be short and log-safe; anything else
@@ -129,19 +137,11 @@ class ServiceApp:
         cache: ResultCache | None = None,
         metrics: ServiceMetrics | None = None,
         clock: Callable[[], float] = time.perf_counter,
-        coalescer: RequestCoalescer | None = None,
     ) -> None:
         self.service = service
         self.cache = cache if cache is not None else ResultCache()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._clock = clock
-        # The coalescer registers its counter in this app's registry so
-        # /metrics exports it alongside the request series.
-        self.coalescer = (
-            coalescer
-            if coalescer is not None
-            else RequestCoalescer(self.metrics.registry)
-        )
 
     def dispatch(
         self,
@@ -225,23 +225,19 @@ class ServiceApp:
             if route.handler == "handle_metrics":
                 status, body = self._dispatch_metrics(payload)
             elif route.cacheable:
-                key = canonical_key(endpoint, payload)
-                cached = self.cache.get(key)
-                if cached is not MISSING:
-                    cache_hit = True
-                    status, body = 200, cached
-                else:
-                    # Concurrent identical requests coalesce: one leader
-                    # runs the handler (and warms the cache), followers
-                    # receive the leader's completed (status, body).
-                    (status, body), leader = self.coalescer.run(
-                        key,
-                        lambda: self._compute_cacheable(
-                            route, endpoint, key, payload
-                        ),
-                        endpoint=endpoint,
-                    )
-                    coalesced = not leader
+                # Only successes are stored; followers of a failed leader
+                # still share its error envelope.
+                (status, body), source = self.cache.get_or_compute(
+                    canonical_key(endpoint, payload),
+                    lambda: self._invoke(route, endpoint, payload),
+                    keep=_succeeded,
+                )
+                cache_hit = source == "hit"
+                coalesced = source == "shared"
+                if coalesced:
+                    self.metrics.registry.counter(
+                        COALESCED, endpoint=endpoint
+                    ).incr()
             else:
                 status, body = self._invoke(route, endpoint, payload)
                 if (
@@ -295,15 +291,6 @@ class ServiceApp:
                 500, "internal_error", f"{type(error).__name__}: {error}"
             )
 
-    def _compute_cacheable(
-        self, route: Route, endpoint: str, key: str, payload: Any
-    ) -> tuple[int, dict[str, Any]]:
-        """The leader's computation: invoke, then warm the cache."""
-        status, body = self._invoke(route, endpoint, payload)
-        if status == 200:
-            self.cache.put(key, body)
-        return status, body
-
     def dispatch_cached(
         self,
         method: str,
@@ -332,11 +319,12 @@ class ServiceApp:
         cached = self.cache.probe(canonical_key(endpoint, payload))
         if cached is MISSING:
             return None
+        status, body = cached
         rid = resolve_request_id(request_id)
         self.metrics.observe(
             endpoint, self._clock() - started, cache_hit=True
         )
-        return 200, {**cached, "request_id": rid}
+        return status, {**body, "request_id": rid}
 
     def _dispatch_metrics(
         self, payload: Any

@@ -40,7 +40,7 @@ QUEUE_DEPTH = "repro_service_queue_depth"
 #: Counter: requests rejected by admission, per endpoint and reason.
 REJECTED = "repro_service_rejected_total"
 #: Counter: responses served from another request's in-flight
-#: computation (see :mod:`repro.service.coalesce`).
+#: computation (the result cache's single flight).
 COALESCED = "repro_service_coalesced_total"
 #: Counter: actual handler invocations, per endpoint — requests minus
 #: cache hits minus coalesced responses; the load test's compute proof.

@@ -363,23 +363,13 @@ class TestObservabilityFlags:
         import json
 
         out = tmp_path / "trace.jsonl"
-        # A scale no other test uses, so the workspace cache cannot hide
-        # the corpus/aliasing/workspace spans.
+        # A scale no other test uses, so the engine's memory tier cannot
+        # hide the corpus/aliasing spans.
         argv = [
             "run", "fig4", "--scale", "0.2", "--samples", "200",
             "--trace-out", str(out), "--log-json",
         ]
-        try:
-            assert main(argv) == 0
-        finally:
-            # Evict only this test's workspace so the bounded LRU keeps
-            # the session-scoped 0.25 workspace other tests rely on.
-            from repro.experiments import workspace as workspace_module
-
-            with workspace_module._CACHE_LOCK:
-                for key in list(workspace_module._CACHE):
-                    if key[1] == pytest.approx(0.2):
-                        del workspace_module._CACHE[key]
+        assert main(argv) == 0
         rows = [
             json.loads(line)
             for line in out.read_text().splitlines()

@@ -397,3 +397,37 @@ def test_empty_table_matches_reference(predicate):
         .group_by("cuisine", n=count(), total=sum_("size"))
     )
     assert_equivalent(grouped)
+    ungrouped = (
+        db.query("dishes")
+        .where(predicate)
+        .group_by(n=count(), total=sum_("size"))
+    )
+    assert_equivalent(ungrouped)
+    assert ungrouped.all() == [{"n": 0, "total": None}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_strategy, predicate_strategy(), st.booleans())
+def test_ungrouped_aggregates_match_reference(rows, predicate, filter_all):
+    # An ungrouped aggregate yields exactly one row, also when the table
+    # is empty or the WHERE clause removes every row (dish_id >= 0).
+    db = build_db(rows)
+    if filter_all:
+        predicate = predicate & (col("dish_id") < 0)
+    query = (
+        db.query("dishes")
+        .where(predicate)
+        .group_by(
+            n=count(),
+            sized=count("size"),
+            total=sum_("size"),
+            mean=avg("rating"),
+            lo=min_("size"),
+            hi=max_("cuisine"),
+            kinds=count_distinct("cuisine"),
+            spread=stddev("size"),
+            var_rating=variance("rating"),
+        )
+    )
+    assert_equivalent(query)
+    assert len(query.all()) == 1

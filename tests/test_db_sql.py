@@ -283,3 +283,74 @@ class TestPlanner:
             .all()
         )
         assert sql_rows == fluent_rows
+
+
+@pytest.fixture()
+def sparse():
+    """``t(id INT PRIMARY KEY, x FLOAT NULL)``, empty."""
+    database = Database()
+    database.create_table(
+        "t",
+        Schema(
+            [
+                Column("id", ColumnType.INT, primary_key=True),
+                Column("x", ColumnType.FLOAT, nullable=True),
+            ]
+        ),
+    )
+    return database
+
+
+@pytest.mark.parametrize(
+    "reference", [False, True], ids=["columnar", "reference"]
+)
+class TestAggregatesOverZeroRows:
+    """An ungrouped aggregate is one row, even when no row reaches it:
+    ``COUNT`` gives 0 and every other aggregate NULL."""
+
+    @staticmethod
+    def _sql(db, text, reference):
+        info = {}
+        rows = db.prepare(text).execute(
+            db, reference=reference, info_out=info
+        )
+        assert info["executor"] == ("reference" if reference else "columnar")
+        return rows
+
+    def test_count_of_empty_table(self, sparse, reference):
+        rows = self._sql(sparse, "SELECT COUNT(*) AS n FROM t", reference)
+        assert rows == [{"n": 0}]
+
+    def test_every_aggregate_of_empty_table(self, sparse, reference):
+        rows = self._sql(
+            sparse,
+            "SELECT COUNT(*) AS n, COUNT(x) AS c, COUNT(DISTINCT x) AS d, "
+            "SUM(x) AS s, AVG(x) AS a, MIN(x) AS lo, MAX(x) AS hi, "
+            "STDDEV(x) AS sd, VARIANCE(x) AS v FROM t",
+            reference,
+        )
+        assert rows == [
+            {
+                "n": 0, "c": 0, "d": 0, "s": None, "a": None,
+                "lo": None, "hi": None, "sd": None, "v": None,
+            }
+        ]
+
+    def test_fully_filtered_count(self, sparse, reference):
+        sparse.table("t").insert({"id": 1, "x": 2.0})
+        rows = self._sql(
+            sparse, "SELECT COUNT(*) AS n FROM t WHERE id > 5", reference
+        )
+        assert rows == [{"n": 0}]
+
+    def test_having_can_drop_the_row(self, sparse, reference):
+        rows = self._sql(
+            sparse, "SELECT COUNT(*) AS n FROM t HAVING n > 0", reference
+        )
+        assert rows == []
+
+    def test_group_by_over_zero_rows_has_no_rows(self, sparse, reference):
+        rows = self._sql(
+            sparse, "SELECT id, COUNT(*) AS n FROM t GROUP BY id", reference
+        )
+        assert rows == []

@@ -1,5 +1,5 @@
 """Tests for the artifact engine: two-tier resolution, warm restarts
-that build nothing, corruption recovery, and lock hygiene."""
+that build nothing, corruption recovery, and single-flight hygiene."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.engine import (
     engine_cache_summary,
     memory_tier_len,
 )
-from repro.engine.engine import _BUILD_LOCKS
+from repro.engine.engine import _MEMORY
 from repro.obs import get_registry
 
 #: Tiny corpus: fast to build, and a scale no other test suite uses, so
@@ -73,15 +73,15 @@ class TestResolution:
 
     def test_build_locks_leak_free(self, config):
         _resolve_all(Engine(config.replace(no_disk_cache=True)))
-        assert len(_BUILD_LOCKS) == 0
+        assert not _MEMORY._flights
         clear_memory_tier()
 
     def test_memory_tier_stays_bounded(self, config):
         from repro.engine import MAX_MEMORY_ARTIFACTS
-        from repro.engine.engine import _memory_put
 
+        assert MAX_MEMORY_ARTIFACTS == 4 * len(STAGE_ORDER)
         for index in range(MAX_MEMORY_ARTIFACTS * 2):
-            _memory_put(("corpus", f"{index:064d}"), index)
+            _MEMORY.put(("corpus", f"{index:064d}"), index)
         assert memory_tier_len() <= MAX_MEMORY_ARTIFACTS
         clear_memory_tier()
 

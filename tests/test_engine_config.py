@@ -102,14 +102,6 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             config.replace(recipe_scale=0.0)
 
-    def test_workspace_key(self):
-        assert RunConfig().workspace_key() == (DEFAULT_SEED, 1.0, True)
-        assert RunConfig(seed=5, recipe_scale=0.5).workspace_key() == (
-            5,
-            0.5,
-            True,
-        )
-
 
 class TestGeneratedParser:
     def test_all_cli_fields_exposed(self):

@@ -234,21 +234,6 @@ def test_spearman_rho_matches_scipy_with_ties(pairs):
 
 
 class TestWorkspaceCache:
-    def test_cache_returns_same_object(self, workspace):
-        from repro.experiments import build_workspace
-
-        again = build_workspace(recipe_scale=workspace.recipe_scale)
-        assert again is workspace
-
-    def test_cache_bypass(self, workspace):
-        from repro.experiments import build_workspace
-
-        fresh = build_workspace(
-            recipe_scale=workspace.recipe_scale, use_cache=False
-        )
-        assert fresh is not workspace
-        assert len(fresh.recipes) == len(workspace.recipes)
-
     def test_regional_cuisines_excludes_world_only(self, workspace):
         regional = workspace.regional_cuisines()
         assert len(regional) == 22

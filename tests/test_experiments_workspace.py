@@ -1,105 +1,101 @@
-"""Tests for the workspace cache: thread safety, LRU bound, build dedup.
+"""Tests for workspace assembly: build dedup and the memory tier's bound.
 
 The serving layer (``repro.service``) hits ``build_workspace`` from many
-threads at once; these tests pin down the guarantees it relies on.
+threads at once; these tests pin down the guarantees it relies on. A
+workspace is assembled from the engine's stage artifacts on every call,
+so the guarantees come from the engine's memory tier. Each test gets a
+private tier, so its evictions never force other modules to rebuild.
 """
 
 import threading
 
 import pytest
 
-from repro.experiments import build_workspace, clear_workspace_cache
-from repro.experiments import workspace as workspace_module
+from repro.engine import STAGE_ORDER, clear_memory_tier
+from repro.engine import engine as engine_module
+from repro.experiments import build_workspace
+from repro.lru import ResultCache
+from repro.obs import get_registry
 
 #: Tiny corpus so cache-behaviour tests build in well under a second.
 TINY = dict(recipe_scale=0.01, include_world_only=False)
 
 
 @pytest.fixture()
-def preserved_cache():
-    """Snapshot the module cache and restore it, so cache-eviction games
-    here never force other test modules to rebuild their workspaces."""
-    with workspace_module._CACHE_LOCK:
-        saved = dict(workspace_module._CACHE)
-    yield
-    with workspace_module._CACHE_LOCK:
-        workspace_module._CACHE.update(saved)
+def tier(monkeypatch):
+    """A private memory tier that holds the stage sets of two configs."""
+    private = ResultCache(capacity=2 * len(STAGE_ORDER))
+    monkeypatch.setattr(engine_module, "_MEMORY", private)
+    return private
+
+
+def _builds() -> float:
+    return sum(
+        series.metric.value
+        for series in get_registry().collect()
+        if series.name == "engine_stage_build_total"
+    )
+
+
+def _run_threads(target, args):
+    threads = [threading.Thread(target=target, args=(arg,)) for arg in args]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 class TestCacheBasics:
-    def test_same_key_returns_cached_object(self, preserved_cache):
+    def test_same_key_returns_cached_object(self, tier):
         first = build_workspace(**TINY)
-        assert build_workspace(**TINY) is first
+        again = build_workspace(**TINY)
+        assert again.corpus is first.corpus
+        assert again.recipes is first.recipes
 
-    def test_clear_forgets_entries(self, preserved_cache):
+    def test_clear_forgets_entries(self, tier):
         first = build_workspace(**TINY)
-        clear_workspace_cache()
-        assert build_workspace(**TINY) is not first
-
-    def test_use_cache_false_neither_reads_nor_writes(self, preserved_cache):
-        cached = build_workspace(**TINY)
-        fresh = build_workspace(use_cache=False, **TINY)
-        assert fresh is not cached
-        assert build_workspace(**TINY) is cached
+        clear_memory_tier()
+        assert build_workspace(**TINY).recipes is not first.recipes
 
 
 class TestLRUBound:
-    def test_capacity_is_enforced(self, preserved_cache, monkeypatch):
-        monkeypatch.setattr(workspace_module, "MAX_CACHED_WORKSPACES", 2)
+    def test_capacity_is_enforced(self, tier):
         first = build_workspace(seed=1, **TINY)
         build_workspace(seed=2, **TINY)
-        build_workspace(seed=3, **TINY)  # evicts seed=1 (the LRU entry)
-        with workspace_module._CACHE_LOCK:
-            assert len(workspace_module._CACHE) <= 2
-        assert build_workspace(seed=3, **TINY) is not None
-        assert build_workspace(seed=1, **TINY) is not first  # rebuilt
+        build_workspace(seed=3, **TINY)  # evicts seed=1 (the LRU stages)
+        assert len(tier) <= tier.capacity
+        assert build_workspace(seed=1, **TINY).recipes is not first.recipes
 
-    def test_get_refreshes_recency(self, preserved_cache, monkeypatch):
-        monkeypatch.setattr(workspace_module, "MAX_CACHED_WORKSPACES", 2)
+    def test_get_refreshes_recency(self, tier):
         first = build_workspace(seed=1, **TINY)
         build_workspace(seed=2, **TINY)
         build_workspace(seed=1, **TINY)  # touch: seed=2 becomes the LRU
         build_workspace(seed=3, **TINY)  # evicts seed=2
-        assert build_workspace(seed=1, **TINY) is first
+        assert build_workspace(seed=1, **TINY).recipes is first.recipes
 
 
 class TestConcurrency:
-    def test_concurrent_same_key_builds_once(
-        self, preserved_cache, monkeypatch
-    ):
-        clear_workspace_cache()
-        builds = []
-        real_build = workspace_module._build
-
-        def counting_build(*args, **kwargs):
-            builds.append(threading.get_ident())
-            return real_build(*args, **kwargs)
-
-        monkeypatch.setattr(workspace_module, "_build", counting_build)
+    def test_concurrent_same_key_builds_once(self, tier):
+        builds = _builds()
         results = [None] * 8
 
         def worker(slot):
             results[slot] = build_workspace(**TINY)
 
-        threads = [
-            threading.Thread(target=worker, args=(slot,))
-            for slot in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(builds) == 1  # deduped: built exactly once
-        assert all(result is results[0] for result in results)
+        _run_threads(worker, range(8))
+        # Each stage built once, not once per thread.
+        assert _builds() == builds + len(STAGE_ORDER)
+        assert all(result.recipes is results[0].recipes for result in results)
 
-    def test_build_lock_table_does_not_grow(self, preserved_cache):
-        """Regression: the per-key lock dict used to leak one lock per
-        distinct workspace key for the life of the process."""
+    def test_build_lock_table_does_not_grow(self, tier):
+        """Regression: per-key build locks used to leak one entry per
+        distinct workspace key; finished flights must leave nothing."""
         for seed in (21, 22, 23, 24):
             build_workspace(seed=seed, **TINY)
-        assert len(workspace_module._BUILD_LOCKS) == 0
+        assert not tier._flights
 
-    def test_concurrent_distinct_keys(self, preserved_cache):
+    def test_concurrent_distinct_keys(self, tier):
         errors = []
 
         def worker(seed):
@@ -109,17 +105,6 @@ class TestConcurrency:
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
-        threads = [
-            threading.Thread(target=worker, args=(seed,))
-            for seed in (11, 12, 13, 14)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        _run_threads(worker, (11, 12, 13, 14))
         assert not errors
-        with workspace_module._CACHE_LOCK:
-            assert (
-                len(workspace_module._CACHE)
-                <= workspace_module.MAX_CACHED_WORKSPACES
-            )
+        assert len(tier) <= tier.capacity

@@ -1,28 +1,29 @@
-"""Tests for the request-coalescing layer.
+"""Tests for request coalescing through ``ServiceApp.dispatch``.
 
 The contract: N identical in-flight cacheable requests trigger exactly
 one handler computation; the other N-1 receive the leader's result and
 are counted in ``repro_service_coalesced_total``. Distinct payloads must
-never coalesce. Proven here both on the bare primitive and through
-``ServiceApp.dispatch`` under real thread concurrency with a counting
-stub service.
+never coalesce. Coalescing is the result cache's single flight (tested
+on its own in ``tests/test_service_cache.py``); these tests prove it
+through dispatch under real thread concurrency with a counting stub
+service.
 """
 
 import threading
 
-import pytest
-
-from repro.service import ResultCache, ServiceApp
-from repro.service.coalesce import RequestCoalescer
+from repro.service import ServiceApp
 from repro.service.handlers import RequestError
+from repro.service.metrics import COALESCED
+from tests.test_service_cache import SignallingCache
 
 
 class CountingService:
     """A /score stub that counts invocations and blocks on a gate.
 
     The gate holds the leader inside the handler until the test has
-    seen every concurrent caller reach the coalescer — no sleep-based
-    timing, so the coalesce-vs-recompute split is deterministic.
+    seen every concurrent caller take its role in the result cache — no
+    sleep-based timing, so the coalesce-vs-recompute split is
+    deterministic.
     """
 
     def __init__(self):
@@ -45,29 +46,13 @@ class FailingService(CountingService):
         raise RequestError(404, "unknown_ingredient", "no such ingredient")
 
 
-class SignallingCoalescer(RequestCoalescer):
-    """Releases a semaphore as each caller enters ``run``.
-
-    Lets the test block until all N threads are inside the coalescer
-    before the leader is allowed to publish — the only way to make
-    "exactly one handler invocation" a deterministic assertion rather
-    than a timing bet.
-    """
-
-    def __init__(self, registry=None):
-        super().__init__(registry)
-        self.entered = threading.Semaphore(0)
-
-    def run(self, key, compute, endpoint="(unknown)"):
-        self.entered.release()
-        return super().run(key, compute, endpoint=endpoint)
-
-
 def _app_with(service):
-    app = ServiceApp(service, cache=ResultCache(capacity=16))
-    coalescer = SignallingCoalescer(app.metrics.registry)
-    app.coalescer = coalescer
-    return app, coalescer
+    cache = SignallingCache(capacity=16)
+    return ServiceApp(service, cache=cache), cache
+
+
+def _coalesced(app):
+    return app.metrics.registry.counter(COALESCED, endpoint="score").value
 
 
 def _fire_concurrently(app, payloads):
@@ -86,79 +71,23 @@ def _fire_concurrently(app, payloads):
     return threads, results
 
 
-def _await_entries(coalescer, count):
-    for _ in range(count):
-        assert coalescer.entered.acquire(timeout=10), (
-            "caller never reached the coalescer"
-        )
-
-
-class TestRequestCoalescer:
-    def test_single_caller_leads(self):
-        coalescer = RequestCoalescer()
-        result, leader = coalescer.run("k", lambda: 42, endpoint="score")
-        assert (result, leader) == (42, True)
-        assert len(coalescer) == 0
-        assert coalescer.coalesced_total("score") == 0
-
-    def test_table_self_cleans_after_error(self):
-        coalescer = RequestCoalescer()
-        with pytest.raises(RuntimeError):
-            coalescer.run("k", self._boom)
-        assert len(coalescer) == 0
-
-    @staticmethod
-    def _boom():
-        raise RuntimeError("boom")
-
-    def test_concurrent_identical_keys_compute_once(self):
-        coalescer = SignallingCoalescer()
-        calls = 0
-        gate = threading.Event()
-
-        def compute():
-            nonlocal calls
-            calls += 1
-            assert gate.wait(timeout=10)
-            return "value"
-
-        results = []
-
-        def run():
-            results.append(coalescer.run("k", compute, endpoint="score"))
-
-        threads = [threading.Thread(target=run) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        _await_entries(coalescer, 6)
-        assert len(coalescer) == 1
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert calls == 1
-        assert sorted(leader for _, leader in results) == [False] * 5 + [True]
-        assert all(value == "value" for value, _ in results)
-        assert coalescer.coalesced_total("score") == 5
-        assert len(coalescer) == 0
-
-
 class TestCoalescingThroughDispatch:
     N = 8
 
     def test_identical_cold_requests_invoke_handler_once(self):
         service = CountingService()
-        app, coalescer = _app_with(service)
+        app, cache = _app_with(service)
         payload = {"ingredients": ["garlic", "onion"]}
         threads, results = _fire_concurrently(
             app, [dict(payload) for _ in range(self.N)]
         )
-        _await_entries(coalescer, self.N)
+        cache.await_entries(self.N)
         service.gate.set()
         for thread in threads:
             thread.join(timeout=10)
 
         assert service.calls == 1
-        assert coalescer.coalesced_total("score") == self.N - 1
+        assert _coalesced(app) == self.N - 1
         assert (
             app.metrics.registry.counter(
                 "repro_service_handler_calls_total", endpoint="score"
@@ -175,32 +104,32 @@ class TestCoalescingThroughDispatch:
 
     def test_distinct_payloads_never_coalesce(self):
         service = CountingService()
-        app, coalescer = _app_with(service)
+        app, cache = _app_with(service)
         payloads = [
             {"ingredients": ["garlic", f"item-{n}"]} for n in range(4)
         ]
         threads, results = _fire_concurrently(app, payloads)
-        _await_entries(coalescer, len(payloads))
+        cache.await_entries(len(payloads))
         service.gate.set()
         for thread in threads:
             thread.join(timeout=10)
         assert service.calls == len(payloads)
-        assert coalescer.coalesced_total("score") == 0
+        assert _coalesced(app) == 0
         assert {status for status, _ in results} == {200}
 
     def test_followers_share_the_leaders_error_envelope(self):
         service = FailingService()
-        app, coalescer = _app_with(service)
+        app, cache = _app_with(service)
         payload = {"ingredients": ["kryptonite"]}
         threads, results = _fire_concurrently(
             app, [dict(payload) for _ in range(4)]
         )
-        _await_entries(coalescer, 4)
+        cache.await_entries(4)
         service.gate.set()
         for thread in threads:
             thread.join(timeout=10)
         assert service.calls == 1
-        assert coalescer.coalesced_total("score") == 3
+        assert _coalesced(app) == 3
         for status, body in results:
             assert status == 404
             assert body["error"]["code"] == "unknown_ingredient"
@@ -208,9 +137,9 @@ class TestCoalescingThroughDispatch:
     def test_sequential_requests_hit_cache_not_coalescer(self):
         service = CountingService()
         service.gate.set()
-        app, coalescer = _app_with(service)
+        app, cache = _app_with(service)
         payload = {"ingredients": ["garlic"]}
         app.dispatch("POST", "/score", payload)
         app.dispatch("POST", "/score", payload)
         assert service.calls == 1
-        assert coalescer.coalesced_total("score") == 0
+        assert _coalesced(app) == 0
