@@ -70,7 +70,8 @@ import argparse
 import gc
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import Any
 
 from .engine import (
     RunConfig,
@@ -83,21 +84,6 @@ from .engine import (
 from .experiments import EXPERIMENTS, workspace_for
 from .experiments.fig4 import run_fig4
 from .obs import configure_logging, configure_tracing, get_tracer
-from .retrieval import DEFAULT_TOPK, MAX_TOPK
-
-
-def _topk_int(value: str) -> int:
-    """Positive int capped at :data:`repro.retrieval.MAX_TOPK`.
-
-    The same ceiling the service applies to ``/pairings``' partner limit
-    and the retrieval endpoints' ``k``.
-    """
-    k = positive_int(value)
-    if k > MAX_TOPK:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_TOPK}, got {k}"
-        )
-    return k
 
 
 def _observability_flags() -> argparse.ArgumentParser:
@@ -399,9 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     similar.add_argument(
         "-k",
         "--top",
-        type=_topk_int,
-        default=DEFAULT_TOPK,
-        help=f"results to show (default {DEFAULT_TOPK}, max {MAX_TOPK})",
+        type=int,
+        help="results to show (/similar's k)",
     )
     similar.add_argument(
         "--fuzzy", action="store_true", help="enable typo correction"
@@ -416,29 +401,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--region", required=True, help="region code (e.g. ITA)"
     )
     recommend.add_argument(
-        "--count",
-        type=positive_int,
-        default=3,
-        help="proposals to generate (default 3)",
+        "--count", type=int, help="proposals to generate (/recommend's count)"
     )
     recommend.add_argument(
         "--size",
-        type=positive_int,
-        default=None,
+        type=int,
         help="recipe size (default: sampled from the cuisine's own sizes)",
     )
     recommend.add_argument(
         "--proposal-seed",
         type=int,
-        default=0,
-        help="RNG seed for the proposals (default 0)",
-    )
-    recommend.add_argument(
-        "-k",
-        "--top",
-        type=_topk_int,
-        default=5,
-        help=f"nearest cuisines to list (default 5, max {MAX_TOPK})",
+        help="RNG seed for the proposals (/recommend's seed)",
     )
 
     cache = sub.add_parser(
@@ -832,94 +805,84 @@ def _run_loadtest(args: argparse.Namespace) -> int:
     return 0 if report.errors == 0 else 1
 
 
-def _run_similar(args: argparse.Namespace) -> int:
-    """``repro similar`` — top-k neighbors off the retrieval index."""
-    from .retrieval import nearest_cuisines, similar_ingredients
+def _answer(
+    args: argparse.Namespace,
+    handler_name: str,
+    payload: dict[str, Any],
+    render: Callable[[dict[str, Any]], None],
+) -> int:
+    """Print one service handler's answer over the command's workspace.
 
+    Unset flags (``None``) leave their field to the request spec. An
+    error the service would send as an envelope exits 2.
+    """
+    from .datamodel import ReproError
+    from .service import QueryService
+    from .service.requests import parse
+
+    handler = getattr(QueryService, handler_name)
+    payload = {key: val for key, val in payload.items() if val is not None}
     config = config_from_args(args)
-    workspace = workspace_for(config)
-    index = workspace.retrieval()
-    target = " ".join(args.target)
-    if args.cuisine:
-        code = target.upper()
-        if code not in index.cuisine_row:
-            known = ", ".join(index.cuisine_codes)
-            print(
-                f"error: unknown region {code!r} (known: {known})",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"# cuisines nearest {code}")
-        for match in nearest_cuisines(index, code, args.top):
-            print(f"{match.region_code:6s} {match.similarity:.6f}")
-        _print_cache_summary(config)
-        return 0
-    from .aliasing import AliasingPipeline
-
-    pipeline = AliasingPipeline(workspace.catalog, fuzzy=args.fuzzy)
-    resolution = pipeline.resolve_phrase(target)
-    if not resolution.ingredients:
-        print(
-            f"error: unrecognised ingredient {target!r}", file=sys.stderr
-        )
+    try:
+        parse(handler.spec, payload)  # refuse bad flags before any build
+        body = handler(QueryService(workspace_for(config), config), payload)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    ingredient = resolution.ingredients[0]
-    if not ingredient.has_flavor_profile:
-        print(
-            f"error: {ingredient.name!r} has no flavor profile to pair on",
-            file=sys.stderr,
-        )
-        return 2
-    print(f"# ingredients most similar to {ingredient.name}")
-    matches = similar_ingredients(
-        index, workspace.catalog, ingredient, args.top
-    )
-    for match in matches:
-        print(f"{match.shared_molecules:4d}  {match.name}")
+    render(body)
     _print_cache_summary(config)
     return 0
+
+
+def _run_similar(args: argparse.Namespace) -> int:
+    """``repro similar`` — ``/similar`` off the retrieval index."""
+
+    def render(body: dict[str, Any]) -> None:
+        if "cuisine" in body:
+            print(f"# cuisines nearest {body['cuisine']}")
+            for match in body["matches"]:
+                print(f"{match['region_code']:6s} {match['similarity']:.6f}")
+            return
+        print(f"# ingredients most similar to {body['ingredient']}")
+        for match in body["matches"]:
+            print(f"{match['shared_molecules']:4d}  {match['name']}")
+
+    target = "cuisine" if args.cuisine else "ingredient"
+    payload = {
+        target: " ".join(args.target),
+        "k": args.top,
+        "fuzzy": args.fuzzy,
+    }
+    return _answer(args, "handle_similar", payload, render)
 
 
 def _run_recommend(args: argparse.Namespace) -> int:
-    """``repro recommend`` — index-backed proposals for one region."""
-    import numpy as np
+    """``repro recommend`` — ``/recommend`` for one region."""
 
-    from .generation import RecipeDesigner
-    from .retrieval import nearest_cuisines
+    def render(body: dict[str, Any]) -> None:
+        print(
+            f"# {len(body['proposals'])} proposal(s) for {body['region']} "
+            f"(seed {body['seed']})"
+        )
+        for number, proposal in enumerate(body["proposals"], 1):
+            print(
+                f"\n[{number}] N_s={proposal['pairing_score']:.3f} "
+                f"style={proposal['style_score']:.3f} "
+                f"novelty={proposal['novelty']:.2f}"
+            )
+            print("    " + ", ".join(proposal["ingredients"]))
+        if body["similar_cuisines"]:
+            print("\n# nearest cuisines")
+            for match in body["similar_cuisines"]:
+                print(f"{match['region_code']:6s} {match['similarity']:.6f}")
 
-    config = config_from_args(args)
-    workspace = workspace_for(config)
-    index = workspace.retrieval()
-    code = args.region.upper()
-    views = workspace.views()
-    view = views.get(code)
-    if view is None:
-        known = ", ".join(sorted(views))
-        print(
-            f"error: unknown region {code!r} (known: {known})",
-            file=sys.stderr,
-        )
-        return 2
-    designer = RecipeDesigner(view, index=index)
-    rng = np.random.default_rng(args.proposal_seed)
-    print(
-        f"# {args.count} proposal(s) for {code} "
-        f"(seed {args.proposal_seed})"
-    )
-    for number in range(1, args.count + 1):
-        proposal = designer.propose(rng, size=args.size)
-        novelty = 1.0 - proposal.max_overlap
-        print(
-            f"\n[{number}] N_s={proposal.pairing_score:.3f} "
-            f"style={proposal.style_score:.3f} novelty={novelty:.2f}"
-        )
-        print("    " + ", ".join(proposal.ingredient_names))
-    if code in index.cuisine_row:
-        print("\n# nearest cuisines")
-        for match in nearest_cuisines(index, code, args.top):
-            print(f"{match.region_code:6s} {match.similarity:.6f}")
-    _print_cache_summary(config)
-    return 0
+    payload = {
+        "region": args.region,
+        "count": args.count,
+        "size": args.size,
+        "seed": args.proposal_seed,
+    }
+    return _answer(args, "handle_recommend", payload, render)
 
 
 def _run_cache(args: argparse.Namespace) -> int:

@@ -22,6 +22,7 @@ The serving stack is layered; requests flow top to bottom:
 
 Below dispatch sit :mod:`repro.service.handlers` (typed handlers over a
 warm :class:`~repro.experiments.ExperimentWorkspace`),
+:mod:`repro.service.requests` (one request spec per endpoint),
 :mod:`repro.service.cache` (result-cache keys) and
 :mod:`repro.service.metrics` (per-endpoint counters/latency plus the
 serving gauges). :mod:`repro.service.loadtest` is the matching load

@@ -131,10 +131,14 @@ def frame_body(
 
 
 def decode_body(raw: bytes) -> tuple[Any, dict[str, Any] | None]:
-    """The decoded JSON payload, or the ``invalid_json`` envelope."""
+    """The decoded JSON payload, or the ``invalid_json`` envelope.
+
+    ``ValueError`` also covers a body that is not UTF-8 and an integer
+    past CPython's int-to-string digit limit.
+    """
     try:
         return json.loads(raw), None
-    except json.JSONDecodeError as error:
+    except ValueError as error:
         return None, error_body(
             400, "invalid_json", f"request body is not valid JSON: {error}"
         )

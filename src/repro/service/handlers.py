@@ -1,7 +1,8 @@
 """Typed request handlers over a warm experiment workspace.
 
 :class:`QueryService` is the transport-independent core of the serving
-layer: each ``handle_*`` method takes a decoded JSON payload (a dict) and
+layer: each ``handle_*`` method takes a decoded JSON payload, receives it
+parsed against its endpoint's spec (:mod:`repro.service.requests`), and
 returns a JSON-ready dict, raising :class:`RequestError` for anything the
 client got wrong. Heavy derived artefacts (the aliasing pipeline, the
 cuisine classifier, the CulinaryDB instance) are built lazily on first
@@ -26,168 +27,31 @@ from ..generation import CuisineClassifier, RecipeDesigner
 from ..obs import get_logger
 from ..pairing import CuisineView, food_pairing_score
 from ..retrieval import (
-    DEFAULT_TOPK,
-    MAX_TOPK,
     RetrievalIndex,
     complete_recipe,
     nearest_cuisines,
     similar_ingredients,
 )
+from .requests import (
+    AliasRequest,
+    ClassifyRequest,
+    CompleteRequest,
+    MonteCarloRequest,
+    PairingsRequest,
+    ProfileRequest,
+    RecommendRequest,
+    RequestError,
+    ScoreRequest,
+    SimilarRequest,
+    SqlRequest,
+    parses,
+    payload_dict,
+)
 
 _LOG = get_logger("repro.service")
 
-#: Hard ceiling on rows returned by ``/sql`` (and default row cap).
-MAX_SQL_ROWS = 1000
-DEFAULT_SQL_ROWS = 200
-
-#: Default / maximum pairing partners returned by ``/pairings``.
-DEFAULT_PAIRING_LIMIT = 10
-MAX_PAIRING_LIMIT = 50
-
-#: ``/recommend`` bounds: proposals per request, allowed recipe sizes,
-#: and how many nearest cuisines ride along in the response.
-DEFAULT_RECOMMEND_COUNT = 3
-MAX_RECOMMEND_COUNT = 10
-MIN_RECOMMEND_SIZE = 2
-MAX_RECOMMEND_SIZE = 20
+#: How many nearest cuisines ride along in a ``/recommend`` response.
 RECOMMEND_NEAR_CUISINES = 5
-MAX_RECOMMEND_SEED = 2**31 - 1
-
-#: ``/montecarlo`` sampling bounds — generous enough for real estimates,
-#: tight enough that one request cannot monopolise the server.
-DEFAULT_MC_SAMPLES = 10_000
-MIN_MC_SAMPLES = 100
-MAX_MC_SAMPLES = 50_000
-MAX_MC_WORKERS = 8
-DEFAULT_MC_SHARD_SIZE = 5_000
-MIN_MC_SHARD_SIZE = 100
-MAX_MC_SHARD_SIZE = 25_000
-
-#: ``/debug/profile`` capture bounds: long enough to catch a slow
-#: endpoint in the act, short enough that the request thread (which
-#: blocks for the duration) frees up promptly.
-DEFAULT_PROFILE_SECONDS = 2.0
-MIN_PROFILE_SECONDS = 0.01
-MAX_PROFILE_SECONDS = 30.0
-
-
-class RequestError(ReproError):
-    """A request the service refuses; carries an HTTP status and a code.
-
-    Attributes:
-        status: HTTP status to respond with (4xx).
-        code: stable machine-readable error code for the envelope.
-    """
-
-    def __init__(self, status: int, code: str, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.code = code
-
-
-def _payload_dict(payload: Any) -> dict[str, Any]:
-    if payload is None:
-        return {}
-    if not isinstance(payload, dict):
-        raise RequestError(
-            400, "invalid_payload", "request body must be a JSON object"
-        )
-    return payload
-
-
-def _reject_unknown(payload: dict[str, Any], allowed: frozenset[str]) -> None:
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise RequestError(
-            400,
-            "unknown_field",
-            f"unknown field(s): {', '.join(unknown)} "
-            f"(allowed: {', '.join(sorted(allowed))})",
-        )
-
-
-def _string_field(payload: dict[str, Any], name: str) -> str:
-    value = payload.get(name)
-    if not isinstance(value, str) or not value.strip():
-        raise RequestError(
-            400, "invalid_field", f"{name!r} must be a non-empty string"
-        )
-    return value.strip()
-
-
-def _string_list_field(payload: dict[str, Any], name: str) -> list[str]:
-    value = payload.get(name)
-    if (
-        not isinstance(value, list)
-        or not value
-        or not all(isinstance(item, str) and item.strip() for item in value)
-    ):
-        raise RequestError(
-            400,
-            "invalid_field",
-            f"{name!r} must be a non-empty list of non-empty strings",
-        )
-    return [item.strip() for item in value]
-
-
-def _int_field(
-    payload: dict[str, Any],
-    name: str,
-    default: int,
-    minimum: int,
-    maximum: int,
-) -> int:
-    value = payload.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RequestError(
-            400, "invalid_field", f"{name!r} must be an integer"
-        )
-    if not minimum <= value <= maximum:
-        raise RequestError(
-            400,
-            "invalid_field",
-            f"{name!r} must be between {minimum} and {maximum}, got {value}",
-        )
-    return value
-
-
-def _bool_field(payload: dict[str, Any], name: str, default: bool) -> bool:
-    value = payload.get(name, default)
-    if not isinstance(value, bool):
-        raise RequestError(
-            400, "invalid_field", f"{name!r} must be a boolean"
-        )
-    return value
-
-
-def _float_field(
-    payload: dict[str, Any],
-    name: str,
-    default: float,
-    minimum: float,
-    maximum: float,
-) -> float:
-    """A bounded float field; accepts numeric strings (query params)."""
-    value = payload.get(name, default)
-    if isinstance(value, str):
-        try:
-            value = float(value)
-        except ValueError:
-            raise RequestError(
-                400, "invalid_field", f"{name!r} must be a number"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RequestError(
-            400, "invalid_field", f"{name!r} must be a number"
-        )
-    if not minimum <= value <= maximum:
-        raise RequestError(
-            400,
-            "invalid_field",
-            f"{name!r} must be between {minimum:g} and {maximum:g}, "
-            f"got {value:g}",
-        )
-    return float(value)
 
 
 class QueryService:
@@ -366,31 +230,23 @@ class QueryService:
             )
         return resolved
 
-    def _ingredient_from(
-        self, body: dict[str, Any], fuzzy: bool, field: str = "ingredient"
-    ) -> Ingredient:
-        """One resolved ingredient from a request field.
-
-        Validates the field (non-empty string) and resolves it through
-        the aliasing pipeline; the single resolution path every
-        one-ingredient endpoint shares.
-        """
-        name = _string_field(body, field)
-        return self._resolve_names([name], fuzzy)[0]
-
-    def _ingredients_from(
-        self, body: dict[str, Any], fuzzy: bool, field: str = "ingredients"
-    ) -> list[Ingredient]:
-        """Distinct resolved ingredients from a request list field."""
-        names = _string_list_field(body, field)
-        return self._resolve_names(names, fuzzy)
+    def _pairable(self, name: str, fuzzy: bool) -> Ingredient:
+        """The first ingredient ``name`` resolves to; 422 if unpairable."""
+        target = self._resolve_names([name], fuzzy)[0]
+        if not target.has_flavor_profile:
+            raise RequestError(
+                422,
+                "not_pairable",
+                f"{target.name!r} has no flavor profile to pair on",
+            )
+        return target
 
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
     def handle_healthz(self, payload: Any) -> dict[str, Any]:
         """Liveness: workspace identity and corpus size."""
-        _payload_dict(payload)
+        payload_dict(payload)
         workspace = self._workspace
         return {
             "status": "ok",
@@ -415,7 +271,7 @@ class QueryService:
         """
         from ..engine import Engine
 
-        _payload_dict(payload)
+        payload_dict(payload)
         with self._lock:
             components = {
                 "aliasing_pipeline": bool(self._pipelines),
@@ -432,7 +288,8 @@ class QueryService:
             "stages": Engine(self._config).cache_states(),
         }
 
-    def handle_debug_profile(self, payload: Any) -> dict[str, Any]:
+    @parses(ProfileRequest)
+    def handle_debug_profile(self, request: ProfileRequest) -> dict[str, Any]:
         """Sample this process for N seconds; respond with speedscope JSON.
 
         The request thread blocks while the profiler samples every
@@ -441,30 +298,21 @@ class QueryService:
         """
         from ..obs.profile import ProfileBusyError, capture_profile
 
-        body = _payload_dict(payload)
-        _reject_unknown(body, frozenset({"seconds"}))
-        seconds = _float_field(
-            body,
-            "seconds",
-            default=DEFAULT_PROFILE_SECONDS,
-            minimum=MIN_PROFILE_SECONDS,
-            maximum=MAX_PROFILE_SECONDS,
-        )
+        seconds = request.seconds
         try:
             profiler = capture_profile(seconds)
         except ProfileBusyError as error:
             raise RequestError(409, "profile_busy", str(error)) from error
         return profiler.to_speedscope(name=f"repro service {seconds:g}s")
 
-    def handle_alias(self, payload: Any) -> dict[str, Any]:
+    @parses(AliasRequest)
+    def handle_alias(self, request: AliasRequest) -> dict[str, Any]:
         """Resolve one raw ingredient phrase against the catalog."""
-        body = _payload_dict(payload)
-        _reject_unknown(body, frozenset({"phrase", "fuzzy"}))
-        phrase = _string_field(body, "phrase")
-        fuzzy = _bool_field(body, "fuzzy", default=False)
-        resolution = self._pipeline(fuzzy).resolve_phrase(phrase)
+        resolution = self._pipeline(request.fuzzy).resolve_phrase(
+            request.phrase
+        )
         return {
-            "phrase": phrase,
+            "phrase": request.phrase,
             "kind": resolution.kind.value,
             "ingredients": [
                 {
@@ -477,12 +325,10 @@ class QueryService:
             "leftover_tokens": list(resolution.leftover_tokens),
         }
 
-    def handle_score(self, payload: Any) -> dict[str, Any]:
+    @parses(ScoreRequest)
+    def handle_score(self, request: ScoreRequest) -> dict[str, Any]:
         """Food-pairing N_s for an ad-hoc ingredient list."""
-        body = _payload_dict(payload)
-        _reject_unknown(body, frozenset({"ingredients", "fuzzy"}))
-        fuzzy = _bool_field(body, "fuzzy", default=False)
-        ingredients = self._ingredients_from(body, fuzzy)
+        ingredients = self._resolve_names(request.ingredients, request.fuzzy)
         pairable = [i for i in ingredients if i.has_flavor_profile]
         if len(pairable) < 2:
             raise RequestError(
@@ -497,13 +343,10 @@ class QueryService:
             "pairable": len(pairable),
         }
 
-    def handle_classify(self, payload: Any) -> dict[str, Any]:
+    @parses(ClassifyRequest)
+    def handle_classify(self, request: ClassifyRequest) -> dict[str, Any]:
         """Cuisine prediction for an ad-hoc ingredient list."""
-        body = _payload_dict(payload)
-        _reject_unknown(body, frozenset({"ingredients", "fuzzy", "top"}))
-        fuzzy = _bool_field(body, "fuzzy", default=False)
-        top = _int_field(body, "top", default=5, minimum=1, maximum=22)
-        ingredients = self._ingredients_from(body, fuzzy)
+        ingredients = self._resolve_names(request.ingredients, request.fuzzy)
         prediction = self.classifier().predict(
             [ingredient.ingredient_id for ingredient in ingredients]
         )
@@ -512,29 +355,14 @@ class QueryService:
             "resolved": [ingredient.name for ingredient in ingredients],
             "ranking": [
                 {"region_code": code, "log_likelihood": round(value, 4)}
-                for code, value in prediction.ranking()[:top]
+                for code, value in prediction.ranking()[: request.top]
             ],
         }
 
-    def handle_pairings(self, payload: Any) -> dict[str, Any]:
+    @parses(PairingsRequest)
+    def handle_pairings(self, request: PairingsRequest) -> dict[str, Any]:
         """Top molecule-sharing partners for one ingredient."""
-        body = _payload_dict(payload)
-        _reject_unknown(body, frozenset({"ingredient", "fuzzy", "limit"}))
-        fuzzy = _bool_field(body, "fuzzy", default=False)
-        limit = _int_field(
-            body,
-            "limit",
-            default=DEFAULT_PAIRING_LIMIT,
-            minimum=1,
-            maximum=MAX_PAIRING_LIMIT,
-        )
-        target = self._ingredient_from(body, fuzzy)
-        if not target.has_flavor_profile:
-            raise RequestError(
-                422,
-                "not_pairable",
-                f"{target.name!r} has no flavor profile to pair on",
-            )
+        target = self._pairable(request.ingredient, request.fuzzy)
         catalog = self._workspace.catalog
         partners = sorted(
             (
@@ -553,43 +381,23 @@ class QueryService:
                     "category": other.category.value,
                     "shared_molecules": shared,
                 }
-                for shared, other in partners[:limit]
+                for shared, other in partners[: request.limit]
                 if shared > 0
             ],
         }
 
-    def handle_similar(self, payload: Any) -> dict[str, Any]:
+    @parses(SimilarRequest)
+    def handle_similar(self, request: SimilarRequest) -> dict[str, Any]:
         """Top-k nearest neighbors of one ingredient — or one cuisine.
 
         Exactly one of ``ingredient`` / ``cuisine`` must be given; the
         answer comes off the retrieval index (precomputed neighbor lists
         / prevalence-vector cosines).
         """
-        body = _payload_dict(payload)
-        _reject_unknown(
-            body, frozenset({"ingredient", "cuisine", "k", "fuzzy"})
-        )
-        has_ingredient = "ingredient" in body
-        has_cuisine = "cuisine" in body
-        if has_ingredient == has_cuisine:
-            raise RequestError(
-                400,
-                "invalid_field",
-                "provide exactly one of 'ingredient' or 'cuisine'",
-            )
-        k = _int_field(
-            body, "k", default=DEFAULT_TOPK, minimum=1, maximum=MAX_TOPK
-        )
-        fuzzy = _bool_field(body, "fuzzy", default=False)
+        k = request.k
         index = self.retrieval()
-        if has_ingredient:
-            target = self._ingredient_from(body, fuzzy)
-            if not target.has_flavor_profile:
-                raise RequestError(
-                    422,
-                    "not_pairable",
-                    f"{target.name!r} has no flavor profile to pair on",
-                )
+        if request.ingredient is not None:
+            target = self._pairable(request.ingredient, request.fuzzy)
             matches = similar_ingredients(
                 index, self._workspace.catalog, target, k
             )
@@ -605,7 +413,7 @@ class QueryService:
                     for match in matches
                 ],
             }
-        code = _string_field(body, "cuisine").upper()
+        code = request.cuisine
         if code not in index.cuisine_row:
             known = ", ".join(index.cuisine_codes)
             raise RequestError(
@@ -626,15 +434,10 @@ class QueryService:
             ],
         }
 
-    def handle_complete(self, payload: Any) -> dict[str, Any]:
+    @parses(CompleteRequest)
+    def handle_complete(self, request: CompleteRequest) -> dict[str, Any]:
         """Best pairing completions for a partial ingredient list."""
-        body = _payload_dict(payload)
-        _reject_unknown(body, frozenset({"ingredients", "k", "fuzzy"}))
-        k = _int_field(
-            body, "k", default=DEFAULT_TOPK, minimum=1, maximum=MAX_TOPK
-        )
-        fuzzy = _bool_field(body, "fuzzy", default=False)
-        ingredients = self._ingredients_from(body, fuzzy)
+        ingredients = self._resolve_names(request.ingredients, request.fuzzy)
         pairable = [i for i in ingredients if i.has_flavor_profile]
         if not pairable:
             raise RequestError(
@@ -644,12 +447,12 @@ class QueryService:
                 "ingredient with a flavor profile",
             )
         completions = complete_recipe(
-            self.retrieval(), self._workspace.catalog, ingredients, k
+            self.retrieval(), self._workspace.catalog, ingredients, request.k
         )
         return {
             "resolved": [ingredient.name for ingredient in ingredients],
             "pairable": len(pairable),
-            "k": k,
+            "k": request.k,
             "completions": [
                 {
                     "ingredient_id": completion.ingredient_id,
@@ -662,38 +465,21 @@ class QueryService:
             ],
         }
 
-    def handle_recommend(self, payload: Any) -> dict[str, Any]:
+    @parses(RecommendRequest)
+    def handle_recommend(self, request: RecommendRequest) -> dict[str, Any]:
         """Novel in-style recipe proposals for one region.
 
         The designer sources candidates from the retrieval index; the
         RNG is seeded from the request (default 0), so the response is a
         pure function of the payload and safely cacheable.
         """
-        body = _payload_dict(payload)
-        _reject_unknown(body, frozenset({"region", "count", "size", "seed"}))
-        region_code = _string_field(body, "region").upper()
-        count = _int_field(
-            body,
-            "count",
-            default=DEFAULT_RECOMMEND_COUNT,
-            minimum=1,
-            maximum=MAX_RECOMMEND_COUNT,
-        )
-        size = None
-        if body.get("size") is not None:
-            size = _int_field(
-                body,
-                "size",
-                default=MIN_RECOMMEND_SIZE,
-                minimum=MIN_RECOMMEND_SIZE,
-                maximum=MAX_RECOMMEND_SIZE,
-            )
-        seed = _int_field(
-            body, "seed", default=0, minimum=0, maximum=MAX_RECOMMEND_SEED
-        )
+        region_code = request.region
         designer = self.designer(region_code)
-        rng = np.random.default_rng(seed)
-        proposals = [designer.propose(rng, size=size) for _ in range(count)]
+        rng = np.random.default_rng(request.seed)
+        proposals = [
+            designer.propose(rng, size=request.size)
+            for _ in range(request.count)
+        ]
         index = self.retrieval()
         neighbors = (
             nearest_cuisines(index, region_code, RECOMMEND_NEAR_CUISINES)
@@ -702,7 +488,7 @@ class QueryService:
         )
         return {
             "region": region_code,
-            "seed": seed,
+            "seed": request.seed,
             "proposals": [
                 {
                     "ingredients": list(proposal.ingredient_names),
@@ -723,7 +509,7 @@ class QueryService:
 
     def handle_regions(self, payload: Any) -> dict[str, Any]:
         """Table 1-style per-region summary of the workspace corpus."""
-        _payload_dict(payload)
+        payload_dict(payload)
         cuisines = self._workspace.regional_cuisines()
         rows = []
         for region in REGIONS:
@@ -745,7 +531,7 @@ class QueryService:
 
     def handle_stats(self, payload: Any) -> dict[str, Any]:
         """Aggregate corpus and aliasing statistics."""
-        _payload_dict(payload)
+        payload_dict(payload)
         workspace = self._workspace
         report = workspace.report
         sizes = [recipe.size for recipe in workspace.recipes]
@@ -764,7 +550,8 @@ class QueryService:
             },
         }
 
-    def handle_sql(self, payload: Any) -> dict[str, Any]:
+    @parses(SqlRequest)
+    def handle_sql(self, request: SqlRequest) -> dict[str, Any]:
         """Read-only SELECT against the in-memory CulinaryDB.
 
         Statements go through the per-database plan cache, so repeated
@@ -772,38 +559,9 @@ class QueryService:
         ``params``) skip tokenizing and parsing. ``reference=true`` pins
         the row-at-a-time executor for ablations.
         """
-        body = _payload_dict(payload)
-        _reject_unknown(
-            body,
-            frozenset({"sql", "query", "params", "max_rows", "reference"}),
-        )
-        if ("sql" in body) == ("query" in body):
-            raise RequestError(
-                400,
-                "invalid_field",
-                "provide exactly one of 'sql' or 'query'",
-            )
-        field = "sql" if "sql" in body else "query"
-        query = _string_field(body, field)
-        params = body.get("params", [])
-        if not isinstance(params, list):
-            raise RequestError(
-                400,
-                "invalid_field",
-                f"field 'params' must be a list, got "
-                f"{type(params).__name__}",
-            )
-        reference = _bool_field(body, "reference", default=False)
-        max_rows = _int_field(
-            body,
-            "max_rows",
-            default=DEFAULT_SQL_ROWS,
-            minimum=1,
-            maximum=MAX_SQL_ROWS,
-        )
         database = self.database()
         try:
-            plan = database.prepare(query)
+            plan = database.prepare(request.sql or request.query)
         except SqlSyntaxError as error:
             raise RequestError(400, "sql_syntax", str(error)) from error
         if plan.kind != "select":
@@ -815,10 +573,14 @@ class QueryService:
         execution: dict[str, Any] = {}
         try:
             rows = plan.execute(
-                database, params, reference=reference, info_out=execution
+                database,
+                request.params,
+                reference=request.reference,
+                info_out=execution,
             )
         except ReproError as error:
             raise RequestError(400, "sql_error", str(error)) from error
+        max_rows = request.max_rows
         response = {
             "rows": rows[:max_rows],
             "row_count": len(rows),
@@ -829,7 +591,8 @@ class QueryService:
             response["fallback"] = execution["reason_family"]
         return response
 
-    def handle_montecarlo(self, payload: Any) -> dict[str, Any]:
+    @parses(MonteCarloRequest)
+    def handle_montecarlo(self, request: MonteCarloRequest) -> dict[str, Any]:
         """Null-model Z-score for one region through the parallel engine.
 
         Runs the same sharded Monte Carlo engine as ``fig4 --workers``
@@ -838,71 +601,28 @@ class QueryService:
         depends only on ``(region, model, n_samples, seed, shard_size)``
         — never on ``workers`` — and is therefore safely cacheable.
         """
-        from ..pairing import NullModel, compare_to_model
+        from ..pairing import compare_to_model
         from ..parallel import resolve_workers
 
-        body = _payload_dict(payload)
-        _reject_unknown(
-            body,
-            frozenset(
-                {"region", "model", "n_samples", "workers",
-                 "shard_size", "seed"}
-            ),
-        )
-        region_code = _string_field(body, "region").upper()
-        model_value = body.get("model", NullModel.RANDOM.value)
-        try:
-            model = NullModel(model_value)
-        except ValueError:
-            known = ", ".join(item.value for item in NullModel)
-            raise RequestError(
-                400,
-                "invalid_field",
-                f"unknown null model {model_value!r} (known: {known})",
-            ) from None
-        n_samples = _int_field(
-            body,
-            "n_samples",
-            default=DEFAULT_MC_SAMPLES,
-            minimum=MIN_MC_SAMPLES,
-            maximum=MAX_MC_SAMPLES,
-        )
-        workers = _int_field(
-            body, "workers", default=1, minimum=1, maximum=MAX_MC_WORKERS
-        )
-        shard_size = _int_field(
-            body,
-            "shard_size",
-            default=DEFAULT_MC_SHARD_SIZE,
-            minimum=MIN_MC_SHARD_SIZE,
-            maximum=MAX_MC_SHARD_SIZE,
-        )
-        seed = body.get("seed")
-        if seed is not None and (
-            isinstance(seed, bool) or not isinstance(seed, int)
-        ):
-            raise RequestError(
-                400, "invalid_field", "'seed' must be an integer"
-            )
-        view = self.cuisine_view(region_code)
+        view = self.cuisine_view(request.region)
         request_config = self._config.replace(
-            n_samples=n_samples,
-            workers=workers,
-            shard_size=shard_size,
-            seed=seed,
+            n_samples=request.n_samples,
+            workers=request.workers,
+            shard_size=request.shard_size,
+            seed=request.seed,
         )
         comparison = compare_to_model(
             view,
-            model,
+            request.model,
             request_config.n_samples,
             parallel=request_config.parallel(cap=resolve_workers(None)),
             seed=request_config.sampling_seed,
         )
         return {
-            "region": region_code,
-            "model": model.value,
-            "n_samples": n_samples,
-            "shard_size": shard_size,
+            "region": request.region,
+            "model": request.model.value,
+            "n_samples": request.n_samples,
+            "shard_size": request.shard_size,
             "cuisine_mean": comparison.cuisine_mean,
             "random_mean": comparison.random_mean,
             "random_std": comparison.random_std,

@@ -406,3 +406,80 @@ class TestObservabilityFlags:
         assert main(["list"]) == 0
         assert get_tracer().finished_spans() == ()
         assert "# trace" not in capsys.readouterr().err
+
+
+class TestServedCommands:
+    """``similar`` and ``recommend`` print the service handlers' answers."""
+
+    @pytest.fixture(scope="class")
+    def service(self, workspace):
+        from repro.service import QueryService
+
+        return QueryService(workspace)
+
+    def test_similar_ingredient(self, service, capsys):
+        body = service.handle_similar({"ingredient": "garlic"})
+        assert main(["similar", "garlic", "--scale", "0.25"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"# ingredients most similar to {body['ingredient']}",
+            *(
+                f"{match['shared_molecules']:4d}  {match['name']}"
+                for match in body["matches"]
+            ),
+        ]
+
+    def test_similar_cuisine(self, service, capsys):
+        body = service.handle_similar({"cuisine": "ita"})
+        assert main(["similar", "ita", "--cuisine", "--scale", "0.25"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "# cuisines nearest ITA",
+            *(
+                f"{match['region_code']:6s} {match['similarity']:.6f}"
+                for match in body["matches"]
+            ),
+        ]
+
+    def test_recommend(self, service, capsys):
+        body = service.handle_recommend(
+            {"region": "ITA", "count": 2, "seed": 7}
+        )
+        argv = [
+            "recommend", "--region", "ITA", "--count", "2",
+            "--proposal-seed", "7", "--scale", "0.25",
+        ]
+        assert main(argv) == 0
+        expected = ["# 2 proposal(s) for ITA (seed 7)"]
+        for number, proposal in enumerate(body["proposals"], 1):
+            expected += [
+                "",
+                f"[{number}] N_s={proposal['pairing_score']:.3f} "
+                f"style={proposal['style_score']:.3f} "
+                f"novelty={proposal['novelty']:.2f}",
+                "    " + ", ".join(proposal["ingredients"]),
+            ]
+        expected += ["", "# nearest cuisines"]
+        expected += [
+            f"{match['region_code']:6s} {match['similarity']:.6f}"
+            for match in body["similar_cuisines"]
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recommend", "--region", "ITA", "--size", "1"],
+            ["recommend", "--region", "ITA", "--size", "900"],
+            ["recommend", "--region", "ITA", "--proposal-seed", "-1"],
+            ["recommend", "--region", "ITA", "--count", "11"],
+            ["similar", "garlic", "-k", "0"],
+            ["similar", "garlic", "-k", "51"],
+        ],
+    )
+    def test_out_of_range_flags_exit_2(self, argv, capsys):
+        assert main([*argv, "--scale", "0.25"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")

@@ -12,6 +12,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     AdmissionLimits,
@@ -22,6 +24,7 @@ from repro.service import (
     ServiceApp,
     serve_async_in_thread,
 )
+from repro.service.aio import decode_body
 
 
 @pytest.fixture(scope="module")
@@ -256,9 +259,11 @@ class TestFraming:
         assert status == 400
         assert body["error"]["code"] == "payload_too_large"
 
-    def test_invalid_json_keeps_the_connection(self, aserver):
+    def test_invalid_json_keeps_the_connection(
+        self, aserver, raw=b"{not json"
+    ):
         with connect(aserver) as sock:
-            send_request(sock, "POST", "/score", raw_body=b"{not json")
+            send_request(sock, "POST", "/score", raw_body=raw)
             status, headers, body = read_response(sock)
             assert status == 400
             assert body["error"]["code"] == "invalid_json"
@@ -267,12 +272,33 @@ class TestFraming:
             status, _, _ = read_response(sock)
             assert status == 200
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"a": "\xc3"}', b'{"seed": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "int-past-digit-limit"],
+    )
+    def test_undecodable_body_keeps_the_connection(self, aserver, raw):
+        self.test_invalid_json_keeps_the_connection(aserver, raw)
+
     def test_malformed_request_line_is_400(self, aserver):
         with connect(aserver) as sock:
             sock.sendall(b"NONSENSE\r\n\r\n")
             status, _, body = read_response(sock)
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary())
+@example(b'{"a": "\xc3"}')
+@example(b'{"seed": ' + b"1" * 5000 + b"}")
+def test_decode_body_answers_every_body(raw):
+    """A payload or the invalid_json envelope; never an exception."""
+    payload, envelope = decode_body(raw)
+    if envelope is not None:
+        assert payload is None
+        assert envelope["status"] == 400
+        assert envelope["error"]["code"] == "invalid_json"
 
 
 class TestMethodRouting:

@@ -3,10 +3,12 @@
 Most bodies are made by dispatch: each must equal, byte for byte modulo
 the ``request_id`` value, ``json.dumps`` of the in-process
 :meth:`ServiceApp.dispatch` answer to the same request — success
-responses and the 400, 404 and 405 envelopes dispatch produces. Five
-framing envelopes are made by the transport itself (411 no length, 411
-transfer encoding, 400 invalid_json, 400 malformed length, 400
-payload_too_large); those are compared with recorded literal bytes.
+responses and the 400, 404 and 405 envelopes dispatch produces. Seven
+envelopes are made by the transport itself (411 no length, 411 transfer
+encoding, 400 invalid_json for malformed JSON, for a body that is not
+UTF-8 and for an integer past the int-to-string digit limit, 400
+malformed length, 400 payload_too_large); those are compared with
+recorded literal bytes.
 Raw sockets keep the exchanges (missing Content-Length, arbitrary
 methods) under full control.
 """
@@ -163,6 +165,24 @@ MIX = {
         b"not valid JSON: Expecting property name enclosed in double "
         b'quotes: line 1 column 2 (char 1)"}, "status": 400, '
         b'"request_id": "_"}',
+    ),
+    "400 invalid_json, not UTF-8": framed(
+        build("POST", "/score", raw_body=b'{"a": "\xc3"}'),
+        400,
+        b'{"error": {"code": "invalid_json", "message": "request body is '
+        b"not valid JSON: 'utf-8' codec can't decode byte 0xc3 in position "
+        b'7: invalid continuation byte"}, "status": 400, "request_id": "_"}',
+    ),
+    "400 invalid_json, int past the digit limit": framed(
+        build(
+            "POST", "/montecarlo", raw_body=b'{"seed": ' + b"1" * 5000 + b"}"
+        ),
+        400,
+        b'{"error": {"code": "invalid_json", "message": "request body is '
+        b"not valid JSON: Exceeds the limit (4300 digits) for integer "
+        b"string conversion: value has 5000 digits; use "
+        b'sys.set_int_max_str_digits() to increase the limit"}, '
+        b'"status": 400, "request_id": "_"}',
     ),
     "400 malformed length": framed(
         build("POST", "/score", extra_headers=("Content-Length: banana",)),
