@@ -1,9 +1,11 @@
 """Bench the retrieval index: build/load cost and indexed-vs-scan top-k.
 
-Sweeps ``similar_ingredients`` over the *full* pairable ingredient
-universe twice — once through the brute-force reference scan, once
-through the precomputed neighbor lists — plus a ``complete_recipe``
-sample, and writes the numbers to ``BENCH_retrieval.json``::
+Sweeps the *full* pairable ingredient universe twice — once through the
+brute-force scan ``tests.oracles.scan_similar``, once through
+``similar_ingredients`` on the precomputed neighbor lists — plus a
+``complete_recipe`` sample against ``scan_complete``, and writes the
+numbers to ``BENCH_retrieval.json`` (the ``reference_*`` keys time the
+scans)::
 
     {"ingredients": ..., "build_seconds": ..., "load_seconds": ...,
      "similar": {"reference_seconds": ..., "indexed_seconds": ...,
@@ -16,7 +18,9 @@ The indexed similar sweep must beat the scan by at least 10x
 measurement but skip the speedup assertion (CI smoke mode on small
 runners).
 
-``REPRO_BENCH_SCALE`` scales the workload as for the other benches.
+``REPRO_BENCH_SCALE`` scales the workload as for the other benches. Run
+it from the repo root (``python -m pytest benchmarks/...``) so that the
+``tests`` package imports.
 """
 
 import json
@@ -31,6 +35,7 @@ from repro.retrieval import (
     complete_recipe,
     similar_ingredients,
 )
+from tests.oracles import scan_complete, scan_similar
 
 #: Where the timing table lands (repo root by default).
 BENCH_OUT = Path(os.environ.get("REPRO_BENCH_OUT", "BENCH_retrieval.json"))
@@ -44,21 +49,10 @@ COMPLETE_SAMPLES = 50
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 
-def _sweep_similar(index, catalog, universe, reference):
+def _sweep(query, inputs):
     started = time.perf_counter()
-    for ingredient in universe:
-        similar_ingredients(
-            index, catalog, ingredient, DEFAULT_TOPK, reference=reference
-        )
-    return time.perf_counter() - started
-
-
-def _sweep_complete(index, catalog, partials, reference):
-    started = time.perf_counter()
-    for partial in partials:
-        complete_recipe(
-            index, catalog, partial, DEFAULT_TOPK, reference=reference
-        )
+    for item in inputs:
+        query(item)
     return time.perf_counter() - started
 
 
@@ -76,8 +70,13 @@ def test_bench_retrieval(workspace):
     load_seconds = time.perf_counter() - started
 
     universe = catalog.pairable_ingredients()
-    reference_similar = _sweep_similar(index, catalog, universe, True)
-    indexed_similar = _sweep_similar(index, catalog, universe, False)
+    reference_similar = _sweep(
+        lambda item: scan_similar(catalog, item, DEFAULT_TOPK), universe
+    )
+    indexed_similar = _sweep(
+        lambda item: similar_ingredients(index, catalog, item, DEFAULT_TOPK),
+        universe,
+    )
 
     partials = []
     for recipe in workspace.recipes:
@@ -89,8 +88,12 @@ def test_bench_retrieval(workspace):
             partials.append(members)
         if len(partials) >= COMPLETE_SAMPLES:
             break
-    reference_complete = _sweep_complete(index, catalog, partials, True)
-    indexed_complete = _sweep_complete(index, catalog, partials, False)
+    reference_complete = _sweep(
+        lambda item: scan_complete(catalog, item, DEFAULT_TOPK), partials
+    )
+    indexed_complete = _sweep(
+        lambda item: complete_recipe(index, item, DEFAULT_TOPK), partials
+    )
 
     def ratio(reference, indexed):
         return round(reference / indexed, 2) if indexed > 0 else 0.0

@@ -42,12 +42,14 @@ core): Monte Carlo shards for the sampling commands
 (``run``/``fig4``/``fig5``/``report``, with ``--shard-size`` setting
 the shard decomposition; see :mod:`repro.parallel`) and the cold
 corpus-generation/aliasing stage builds for every command that builds a
-workspace (including ``build-db``). Without ``--workers`` everything
-runs serially, unchanged. Results never depend on the worker count:
-stage artifacts are byte-identical for any ``--workers`` value, and
+workspace (including ``build-db``). Stage artifacts are byte-identical
+with or without ``--workers`` and for any ``N``. With ``--workers N``,
 ``fig4 --z-out PATH`` writes full-precision Z-scores that depend only
-on ``(seed, samples, shard-size)`` — which is what the CI determinism
-checks diff.
+on ``(seed, samples, shard-size)``, never on ``N`` — which is what the
+CI determinism checks diff. Without ``--workers``, fig4 runs the
+single-stream sampler, which holds each model's full score vector; it
+samples the same distributions from different draws, so its Z-scores
+differ from every ``--workers N`` run.
 
 Every command accepts the global observability flags (see
 :mod:`repro.obs`): ``--trace`` prints a span timing tree on exit,
@@ -191,8 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "write the full-precision Z-scores as JSON "
-            "(independent of --workers; used by the CI determinism check)"
+            "write the full-precision Z-scores as JSON (the same for "
+            "every --workers N; used by the CI determinism check)"
         ),
     )
 

@@ -7,8 +7,7 @@ statements and a per-database plan cache, and CSV+JSON persistence.
 Supported queries run on a vectorised columnar executor
 (:mod:`repro.db.columnar`, numpy-backed) with the row-at-a-time
 reference executor retained behind ``Query.reference()`` /
-``sql(..., reference=True)``; without numpy the engine falls back to the
-row path everywhere. It hosts the reproduction's CulinaryDB
+``sql(..., reference=True)``. It hosts the reproduction's CulinaryDB
 (:mod:`repro.culinarydb`) and is usable on its own.
 """
 

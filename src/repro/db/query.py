@@ -27,14 +27,10 @@ import dataclasses
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
+from . import columnar as _columnar
 from .aggregates import Aggregate
 from .errors import QueryError
 from .expressions import BooleanOp, ColumnRef, Expression
-
-try:  # numpy-backed vectorised executor; the row path works without it
-    from . import columnar as _columnar
-except ImportError:  # pragma: no cover - numpy not installed
-    _columnar = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .database import Database
@@ -284,7 +280,7 @@ class Query:
     # pipeline internals
     # ------------------------------------------------------------------
     def _execute(self) -> Iterator[dict[str, Any]]:
-        if _columnar is not None and not self._use_reference:
+        if not self._use_reference:
             produced = _columnar.execute(self)
             if produced is not None:
                 # Vectorised scan/join/filter/group/having/projection/
@@ -301,17 +297,11 @@ class Query:
                 "reason": self._fallback_reason,
                 "reason_family": self._fallback_family,
             }
-        elif self._use_reference:
+        else:
             self._last_execution = {
                 "executor": "reference",
                 "reason": "reference requested",
                 "reason_family": "pinned",
-            }
-        else:
-            self._last_execution = {
-                "executor": "reference",
-                "reason": "columnar engine unavailable",
-                "reason_family": "unavailable",
             }
         rows = self._scan_base()
         for join in self._joins:

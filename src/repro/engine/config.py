@@ -142,8 +142,9 @@ class RunConfig:
         metavar="N",
         help=(
             "fan null-model sampling and cold corpus/aliasing builds "
-            "across N worker processes (0 = one per CPU core; omit to "
-            "run everything serially)"
+            "across N worker processes (0 = one per CPU core). Omit it "
+            "to build serially and sample fig4 on the single-stream "
+            "sampler, whose Z-scores differ from any --workers N run"
         ),
     )
     shard_size: int = _cfg(

@@ -152,17 +152,17 @@ def _build_retrieval_index(
 
     Depends on ``pairing_views`` (which regions are view-ready defines
     the cuisine-vector coverage) and ``cuisines`` (prevalence counts).
-    Built in-process from canonical inputs — no sharding — so the
-    artifact is byte-identical at any worker count by construction.
+    Built in-process from the catalog and canonical inputs — no
+    sharding — so the artifact is byte-identical at any worker count by
+    construction.
     """
     cuisines: Mapping[str, Cuisine] = inputs["cuisines"]
     views: Mapping[str, CuisineView] = inputs["pairing_views"]
     regional = {code: cuisines[code] for code in sorted(views)}
     with span("engine.retrieval_index", regions=len(regional)):
-        index = canonicalize(build_retrieval_index(default_catalog(), regional))
+        index = build_retrieval_index(default_catalog(), regional)
         # Materialise the cached lookup tables so they ride along in the
-        # persisted artifact (mirroring the pairing-view samplers);
-        # after canonicalize, which rebuilds the dataclass without them.
+        # persisted artifact (mirroring the pairing-view samplers).
         index.row_by_id
         index.name_rank
         index.cuisine_row

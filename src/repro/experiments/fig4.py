@@ -169,7 +169,8 @@ def run_fig4(
         parallel: when set, every (region, model) sampling shard fans out
             through one shared process pool; results are bit-identical
             for any worker count (see :mod:`repro.parallel`).
-        seed: extra seed mixed into the shard generators (engine path).
+        seed: extra seed mixed into the sampling generators on either
+            path; ``None`` selects the deterministic default streams.
     """
     cuisines = workspace.regional_cuisines()
     views = workspace.views()  # the engine's pairing_views artifact
@@ -188,6 +189,7 @@ def run_fig4(
                 workspace.catalog,
                 models=models,
                 n_samples=n_samples,
+                seed=seed,
                 view=views[region.code],
             )
             details[region.code] = result

@@ -21,8 +21,6 @@ from __future__ import annotations
 import dataclasses
 import time
 
-import numpy as np
-
 from ..aliasing import MatchReport
 from ..corpus import DEFAULT_SEED, GeneratedCorpus
 from ..datamodel import Cuisine, Recipe, region_codes
@@ -49,11 +47,9 @@ class ExperimentWorkspace:
         seed: generation seed.
         recipe_scale: recipe-count scale factor used.
         pairing_views: numeric pairing views for the 22 Table 1 regions
-            (the ``pairing_views`` stage artifact); built lazily when a
-            workspace is constructed by hand.
+            (the ``pairing_views`` stage artifact).
         retrieval_index: the top-k retrieval index (the
-            ``retrieval_index`` stage artifact); built lazily when a
-            workspace is constructed by hand.
+            ``retrieval_index`` stage artifact).
     """
 
     corpus: GeneratedCorpus
@@ -63,14 +59,11 @@ class ExperimentWorkspace:
     catalog: IngredientCatalog
     seed: int
     recipe_scale: float
-    pairing_views: dict[str, CuisineView] | None = dataclasses.field(
-        default=None, repr=False, compare=False
+    pairing_views: dict[str, CuisineView] = dataclasses.field(
+        repr=False, compare=False
     )
-    retrieval_index: RetrievalIndex | None = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
-    _similarity: tuple[list[str], np.ndarray] | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
+    retrieval_index: RetrievalIndex = dataclasses.field(
+        repr=False, compare=False
     )
 
     def regional_cuisines(self) -> dict[str, Cuisine]:
@@ -83,59 +76,12 @@ class ExperimentWorkspace:
         }
 
     def views(self) -> dict[str, CuisineView]:
-        """Region code -> numeric pairing view (22 Table 1 regions).
-
-        Engine-built workspaces carry the ``pairing_views`` stage
-        artifact; hand-assembled ones (tests, ad-hoc scripts) build the
-        views on first call and memoise them.
-        """
-        if self.pairing_views is None:
-            from ..pairing import build_cuisine_view
-
-            views = {
-                code: build_cuisine_view(cuisine, self.catalog)
-                for code, cuisine in self.regional_cuisines().items()
-            }
-            object.__setattr__(self, "pairing_views", views)
-        assert self.pairing_views is not None
+        """Region code -> numeric pairing view (22 Table 1 regions)."""
         return self.pairing_views
 
     def retrieval(self) -> RetrievalIndex:
-        """The top-k retrieval index over the molecule universe.
-
-        Engine-built workspaces carry the ``retrieval_index`` stage
-        artifact; hand-assembled ones build it on first call and
-        memoise it.
-        """
-        if self.retrieval_index is None:
-            from ..retrieval import build_retrieval_index
-
-            index = build_retrieval_index(
-                self.catalog, self.regional_cuisines()
-            )
-            object.__setattr__(self, "retrieval_index", index)
-        assert self.retrieval_index is not None
+        """The top-k retrieval index over the molecule universe."""
         return self.retrieval_index
-
-    def similarity(self) -> tuple[list[str], np.ndarray]:
-        """Cached ``(codes, matrix)`` cuisine-similarity pair.
-
-        :func:`repro.analysis.authenticity.similarity_matrix` is O(n²)
-        pairwise prevalence cosines; callers used to recompute it per
-        call. The workspace computes it once and every consumer —
-        including the ``nearest_cuisines`` reference path — shares the
-        result.
-        """
-        if self._similarity is None:
-            from ..analysis.authenticity import similarity_matrix
-
-            object.__setattr__(
-                self,
-                "_similarity",
-                similarity_matrix(self.regional_cuisines()),
-            )
-        assert self._similarity is not None
-        return self._similarity
 
 
 def workspace_for(config: RunConfig) -> ExperimentWorkspace:

@@ -11,12 +11,12 @@ turns those from O(universe) scans into index walks:
   ``retrieval_index`` engine stage.
 * :mod:`repro.retrieval.queries` — the top-k kernels
   (:func:`similar_ingredients`, :func:`complete_recipe`,
-  :func:`nearest_cuisines`), each with a retained ``reference=True``
-  brute-force path and deterministic tie-breaking.
+  :func:`nearest_cuisines`) over the index, with deterministic
+  tie-breaking; the brute-force scans they must match are test oracles.
 
-Served at ``POST /similar``, ``/complete`` and ``/recommend`` (see
-:mod:`repro.service`) and from the ``repro similar`` / ``repro
-recommend`` CLI subcommands.
+Served at ``POST /similar``, ``/pairings``, ``/complete`` and
+``/recommend`` (see :mod:`repro.service`) and from the ``repro similar``
+/ ``repro recommend`` CLI subcommands.
 """
 
 from .index import NEIGHBOR_LIST_LIMIT, RetrievalIndex, build_retrieval_index

@@ -45,8 +45,8 @@ from ..obs import span
 __all__ = ["NEIGHBOR_LIST_LIMIT", "RetrievalIndex", "build_retrieval_index"]
 
 #: Positive-overlap partners retained per ingredient. Comfortably above
-#: the serving cap (``MAX_TOPK``); kernels fall back to the brute-force
-#: reference for larger ``k`` so answers stay exact.
+#: the serving cap (``MAX_TOPK``); ``similar_ingredients`` scans the
+#: catalog for a larger ``k`` so answers stay exact.
 NEIGHBOR_LIST_LIMIT = 100
 
 

@@ -1,13 +1,12 @@
 """Top-k retrieval kernels: similar ingredients, completions, cuisines.
 
-Each kernel has two paths that return *identical* rankings:
-
-* the **indexed** path (default) walks the precomputed
-  :class:`~repro.retrieval.index.RetrievalIndex` structures, and
-* the **reference** path (``reference=True``) brute-forces the same
-  answer straight off the catalog / cuisine objects — retained
-  permanently, mirroring the corpus fast-path pattern, so equivalence
-  tests can always cross-check the index.
+Every kernel walks the precomputed
+:class:`~repro.retrieval.index.RetrievalIndex` structures, which the
+``retrieval_index`` engine stage builds once per corpus. The one live
+brute-force path is :func:`similar_ingredients` asked for more partners
+than a neighbor list holds (:data:`NEIGHBOR_LIST_LIMIT`): it scans the
+catalog so the answer stays exact. The plain scans each kernel must
+match are the test oracles in ``tests/oracles.py``.
 
 Ties are broken deterministically everywhere: equal overlap counts order
 by ascending ingredient name, equal cuisine similarities (after rounding
@@ -23,13 +22,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from ..datamodel import (
     ConfigurationError,
-    Cuisine,
     Ingredient,
     LookupFailure,
     ValidationError,
@@ -56,8 +54,8 @@ DEFAULT_TOPK = 10
 MAX_TOPK = 50
 
 #: Cuisine similarities are rounded to this many decimals before ranking,
-#: so the indexed (matrix-product) and reference (per-pair) paths — equal
-#: up to float round-off — always rank identically.
+#: so the matrix product and a per-pair cosine — equal up to float
+#: round-off — always rank identically.
 SIMILARITY_DECIMALS = 9
 
 
@@ -121,14 +119,13 @@ def similar_ingredients(
     catalog: IngredientCatalog,
     ingredient: Ingredient | str,
     k: int = DEFAULT_TOPK,
-    reference: bool = False,
 ) -> list[SimilarMatch]:
     """Top-k flavor-sharing partners of one ingredient.
 
-    Partners with zero shared molecules never appear. The indexed path is
-    an array slice of the precomputed neighbor list; asking for more than
-    :data:`NEIGHBOR_LIST_LIMIT` partners silently brute-forces so the
-    answer stays exact.
+    Partners with zero shared molecules never appear. The answer is an
+    array slice of the precomputed neighbor list; asking for more than
+    :data:`NEIGHBOR_LIST_LIMIT` partners scans the catalog instead, so
+    the answer stays exact.
 
     Raises:
         ConfigurationError: for a non-positive ``k``.
@@ -141,14 +138,14 @@ def similar_ingredients(
         raise ValidationError(
             f"{ingredient.name!r} has no flavor profile to pair on"
         )
-    use_reference = reference or k > NEIGHBOR_LIST_LIMIT
+    fallback = k > NEIGHBOR_LIST_LIMIT
     started = time.perf_counter()
     with span("retrieval.similar", k=k):
-        if use_reference:
+        if fallback:
             matches = _similar_reference(catalog, ingredient, k)
         else:
             matches = _similar_indexed(index, ingredient, k)
-    _observe("similar", "reference" if use_reference else "indexed", started)
+    _observe("similar", "reference" if fallback else "indexed", started)
     return matches
 
 
@@ -199,10 +196,8 @@ def _similar_reference(
 # ---------------------------------------------------------------------------
 def complete_recipe(
     index: RetrievalIndex,
-    catalog: IngredientCatalog,
     partial: Sequence[Ingredient],
     k: int = DEFAULT_TOPK,
-    reference: bool = False,
 ) -> list[Completion]:
     """Best pairing completions for a partial recipe.
 
@@ -210,9 +205,8 @@ def complete_recipe(
     that shares at least one molecule with it, ranked by total shared
     molecules (equivalently, by the projected N_s of the completed
     recipe — the two orders coincide because the recipe size is fixed
-    within one query). The indexed path gathers the per-candidate totals
-    by walking the molecule postings of the partial's profiles; the
-    reference path intersects profiles against the whole universe.
+    within one query). The per-candidate totals are gathered by walking
+    the molecule postings of the partial's profiles.
 
     Raises:
         ConfigurationError: for a non-positive ``k``.
@@ -229,15 +223,10 @@ def complete_recipe(
     base_pairs = _pair_sum(members)
     started = time.perf_counter()
     with span("retrieval.complete", partial=len(members), k=k):
-        if reference:
-            completions = _complete_reference(
-                catalog, members, exclude, base_pairs, k
-            )
-        else:
-            completions = _complete_indexed(
-                index, members, exclude, base_pairs, k
-            )
-    _observe("complete", "reference" if reference else "indexed", started)
+        completions = _complete_indexed(
+            index, members, exclude, base_pairs, k
+        )
+    _observe("complete", "indexed", started)
     return completions
 
 
@@ -303,39 +292,6 @@ def _complete_indexed(
     return completions
 
 
-def _complete_reference(
-    catalog: IngredientCatalog,
-    members: Sequence[Ingredient],
-    exclude: set[int],
-    base_pairs: int,
-    k: int,
-) -> list[Completion]:
-    scored = []
-    for candidate in catalog.pairable_ingredients():
-        if candidate.ingredient_id in exclude:
-            continue
-        shared_total = sum(
-            candidate.shared_molecules(member) for member in members
-        )
-        if shared_total > 0:
-            scored.append((shared_total, candidate))
-    scored.sort(key=lambda pair: (-pair[0], pair[1].name))
-    n = len(members)
-    completions: list[Completion] = []
-    for shared_total, candidate in scored[:k]:
-        score, delta = _completion_scores(shared_total, base_pairs, n)
-        completions.append(
-            Completion(
-                ingredient_id=candidate.ingredient_id,
-                name=candidate.name,
-                shared_total=shared_total,
-                score=score,
-                delta=delta,
-            )
-        )
-    return completions
-
-
 # ---------------------------------------------------------------------------
 # nearest cuisines
 # ---------------------------------------------------------------------------
@@ -343,21 +299,15 @@ def nearest_cuisines(
     index: RetrievalIndex,
     target_code: str,
     k: int = DEFAULT_TOPK,
-    reference: bool = False,
-    similarity: tuple[Sequence[str], np.ndarray] | None = None,
-    cuisines: Mapping[str, Cuisine] | None = None,
 ) -> list[CuisineMatch]:
     """The cuisines closest to a target by ingredient-prevalence cosine.
 
-    The indexed path is one matrix-vector product over the precomputed
-    prevalence vectors. The reference path reuses a ``(codes, matrix)``
-    pair from :func:`repro.analysis.authenticity.similarity_matrix`
-    (pass ``similarity=workspace.similarity()`` to share the workspace's
-    cached matrix) or computes per-pair similarities from raw ``cuisines``.
+    One matrix-vector product over the precomputed prevalence vectors;
+    similarities are rounded to :data:`SIMILARITY_DECIMALS` places before
+    ranking.
 
     Raises:
-        ConfigurationError: for a non-positive ``k``, or a reference call
-            without ``similarity`` or ``cuisines``.
+        ConfigurationError: for a non-positive ``k``.
         LookupFailure: for a region code outside the index.
     """
     _require_k(k)
@@ -368,71 +318,17 @@ def nearest_cuisines(
         )
     started = time.perf_counter()
     with span("retrieval.nearest_cuisines", k=k):
-        if reference:
-            matches = _nearest_reference(
-                index, target_code, k, similarity, cuisines
-            )
-        else:
-            matches = _nearest_indexed(index, target_code, k)
-    _observe(
-        "nearest_cuisines", "reference" if reference else "indexed", started
-    )
+        row = index.cuisine_row[target_code]
+        values = index.cuisine_vectors @ index.cuisine_vectors[row]
+        rounded = [
+            (round(float(value), SIMILARITY_DECIMALS), code)
+            for code, value in zip(index.cuisine_codes, values)
+            if code != target_code
+        ]
+        rounded.sort(key=lambda pair: (-pair[0], pair[1]))
+        matches = [
+            CuisineMatch(region_code=code, similarity=value)
+            for value, code in rounded[:k]
+        ]
+    _observe("nearest_cuisines", "indexed", started)
     return matches
-
-
-def _rank_cuisines(
-    codes: Sequence[str], values: Sequence[float], target_code: str, k: int
-) -> list[CuisineMatch]:
-    rounded = [
-        (round(float(value), SIMILARITY_DECIMALS), code)
-        for code, value in zip(codes, values)
-        if code != target_code
-    ]
-    rounded.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [
-        CuisineMatch(region_code=code, similarity=value)
-        for value, code in rounded[:k]
-    ]
-
-
-def _nearest_indexed(
-    index: RetrievalIndex, target_code: str, k: int
-) -> list[CuisineMatch]:
-    row = index.cuisine_row[target_code]
-    values = index.cuisine_vectors @ index.cuisine_vectors[row]
-    return _rank_cuisines(index.cuisine_codes, values, target_code, k)
-
-
-def _nearest_reference(
-    index: RetrievalIndex,
-    target_code: str,
-    k: int,
-    similarity: tuple[Sequence[str], np.ndarray] | None,
-    cuisines: Mapping[str, Cuisine] | None,
-) -> list[CuisineMatch]:
-    if similarity is not None:
-        codes, matrix = similarity
-        if target_code not in codes:
-            known = ", ".join(codes)
-            raise LookupFailure(
-                f"unknown cuisine {target_code!r} (known: {known})"
-            )
-        row = list(codes).index(target_code)
-        return _rank_cuisines(codes, matrix[row], target_code, k)
-    if cuisines is None:
-        raise ConfigurationError(
-            "reference nearest_cuisines needs 'similarity' or 'cuisines'"
-        )
-    from ..analysis.authenticity import cuisine_similarity
-
-    codes = sorted(cuisines)
-    if target_code not in cuisines:
-        raise LookupFailure(f"unknown cuisine {target_code!r}")
-    target = cuisines[target_code]
-    values = [
-        1.0
-        if code == target_code
-        else cuisine_similarity(target, cuisines[code])
-        for code in codes
-    ]
-    return _rank_cuisines(codes, values, target_code, k)

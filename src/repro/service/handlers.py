@@ -78,12 +78,6 @@ class QueryService:
         self._database: Database | None = None
         self._designers: dict[str, RecipeDesigner] = {}
         self._preloaded = False
-        # Engine-built workspaces already carry the pairing_views stage
-        # artifact; seed the per-region view cache from it so the first
-        # /montecarlo request never rebuilds a view.
-        self._views: dict[str, CuisineView] = dict(
-            workspace.pairing_views or {}
-        )
 
     @property
     def workspace(self) -> ExperimentWorkspace:
@@ -124,32 +118,21 @@ class QueryService:
             return self._database
 
     def cuisine_view(self, region_code: str) -> CuisineView:
-        """The pairing view of one region, built once on first use.
+        """The pairing view of one region (the stage artifact).
 
         Raises:
             RequestError: 404 for a region code outside the workspace.
         """
-        from ..pairing import build_cuisine_view
-
-        with self._lock:
-            view = self._views.get(region_code)
-            if view is None:
-                cuisine = self._workspace.regional_cuisines().get(
-                    region_code
-                )
-                if cuisine is None:
-                    known = ", ".join(
-                        sorted(self._workspace.regional_cuisines())
-                    )
-                    raise RequestError(
-                        404,
-                        "unknown_region",
-                        f"no such region {region_code!r} "
-                        f"(known: {known})",
-                    )
-                view = build_cuisine_view(cuisine, self._workspace.catalog)
-                self._views[region_code] = view
-            return view
+        views = self._workspace.views()
+        view = views.get(region_code)
+        if view is None:
+            raise RequestError(
+                404,
+                "unknown_region",
+                f"no such region {region_code!r} "
+                f"(known: {', '.join(sorted(views))})",
+            )
+        return view
 
     def retrieval(self) -> RetrievalIndex:
         """The workspace's retrieval index (the stage artifact)."""
@@ -177,22 +160,18 @@ class QueryService:
         self.database()
 
     def preload(self) -> None:
-        """Fully warm the service: lazy artefacts plus every region view.
+        """Fully warm the service before it binds its socket.
 
-        ``repro serve --preload`` calls this before binding the socket,
-        so the first request of any kind is served from warm state.
+        ``repro serve --preload`` calls this, so the first request of
+        any kind is served from warm state. The region views and the
+        retrieval index are stage artifacts the workspace already holds.
         """
         self.warm()
-        self._workspace.retrieval()
-        self._workspace.similarity()
-        views = self._workspace.views()
         with self._lock:
-            for code, view in views.items():
-                self._views.setdefault(code, view)
             self._preloaded = True
         _LOG.info(
             "service.preloaded",
-            regions=len(views),
+            regions=len(self._workspace.views()),
             recipes=len(self._workspace.recipes),
         )
 
@@ -279,12 +258,11 @@ class QueryService:
                 "database": self._database is not None,
             }
             preloaded = self._preloaded
-            views_cached = len(self._views)
         return {
             "ready": all(components.values()),
             "preloaded": preloaded,
             "components": components,
-            "views_cached": views_cached,
+            "views_cached": len(self._workspace.views()),
             "stages": Engine(self._config).cache_states(),
         }
 
@@ -361,28 +339,28 @@ class QueryService:
 
     @parses(PairingsRequest)
     def handle_pairings(self, request: PairingsRequest) -> dict[str, Any]:
-        """Top molecule-sharing partners for one ingredient."""
+        """Top molecule-sharing partners for one ingredient.
+
+        The ranking is ``/similar``'s: a slice of the retrieval index's
+        precomputed neighbor list.
+        """
         target = self._pairable(request.ingredient, request.fuzzy)
         catalog = self._workspace.catalog
-        partners = sorted(
-            (
-                (target.shared_molecules(other), other)
-                for other in catalog.pairable_ingredients()
-                if other.ingredient_id != target.ingredient_id
-            ),
-            key=lambda pair: (-pair[0], pair[1].name),
+        matches = similar_ingredients(
+            self.retrieval(), catalog, target, request.limit
         )
         return {
             "ingredient": target.name,
             "profile_size": len(target.flavor_profile),
             "partners": [
                 {
-                    "name": other.name,
-                    "category": other.category.value,
-                    "shared_molecules": shared,
+                    "name": match.name,
+                    "category": catalog.by_id(
+                        match.ingredient_id
+                    ).category.value,
+                    "shared_molecules": match.shared_molecules,
                 }
-                for shared, other in partners[: request.limit]
-                if shared > 0
+                for match in matches
             ],
         }
 
@@ -446,9 +424,7 @@ class QueryService:
                 "recipe completion needs at least one resolved "
                 "ingredient with a flavor profile",
             )
-        completions = complete_recipe(
-            self.retrieval(), self._workspace.catalog, ingredients, request.k
-        )
+        completions = complete_recipe(self.retrieval(), ingredients, request.k)
         return {
             "resolved": [ingredient.name for ingredient in ingredients],
             "pairable": len(pairable),

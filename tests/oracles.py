@@ -18,6 +18,12 @@ each of them.
 * :func:`per_row_build_culinarydb` — one ``Table.insert`` per row, the
   spec of the column-loading :func:`repro.culinarydb.build_culinarydb`;
   :func:`table_state` is what a column-loaded table must match.
+* :func:`scan_similar`, :func:`scan_complete` and
+  :func:`scan_nearest_cuisines` — one pass over every pairable
+  ingredient or every cuisine, the specs of the indexed
+  :func:`repro.retrieval.similar_ingredients`,
+  :func:`repro.retrieval.complete_recipe` and
+  :func:`repro.retrieval.nearest_cuisines`.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from repro.aliasing.normalize import (
     _TRANSLATE_TABLE,
     _classify,
 )
+from repro.analysis.authenticity import cuisine_similarity
 from repro.culinarydb import create_culinarydb_schema
 from repro.datamodel import (
     RECIPE_SOURCES,
@@ -50,6 +57,12 @@ from repro.datamodel import (
     Ingredient,
 )
 from repro.pairing import CuisineView, NullModel
+from repro.retrieval import (
+    SIMILARITY_DECIMALS,
+    Completion,
+    CuisineMatch,
+    SimilarMatch,
+)
 
 
 class NGramMatcher:
@@ -290,3 +303,73 @@ def table_state(table) -> dict:
         "unique": table._unique_indexes,
         "secondary": table._secondary_indexes,
     }
+
+
+def scan_similar(catalog, ingredient, k) -> list[SimilarMatch]:
+    """The ``k`` pairable ingredients sharing the most molecules with
+    ``ingredient``, ranked by ``(-shared, name)``; zero overlaps dropped."""
+    scored = sorted(
+        (-ingredient.shared_molecules(other), other.name, other)
+        for other in catalog.pairable_ingredients()
+        if other.ingredient_id != ingredient.ingredient_id
+    )
+    return [
+        SimilarMatch(other.ingredient_id, other.name, -negated)
+        for negated, _name, other in scored[:k]
+        if negated < 0
+    ]
+
+
+def scan_complete(catalog, partial, k) -> list[Completion]:
+    """The ``k`` best completions of ``partial``: every pairable
+    ingredient outside it, ranked by ``(-molecules shared with its
+    pairable members, name)``, scored as the completed recipe's N_s."""
+    members = [item for item in partial if item.has_flavor_profile]
+    exclude = {item.ingredient_id for item in partial}
+    n = len(members)
+    base_pairs = sum(
+        left.shared_molecules(right)
+        for i, left in enumerate(members)
+        for right in members[i + 1 :]
+    )
+    base = 2.0 * base_pairs / (n * (n - 1)) if n >= 2 else 0.0
+    scored = sorted(
+        (
+            -sum(candidate.shared_molecules(member) for member in members),
+            candidate.name,
+            candidate,
+        )
+        for candidate in catalog.pairable_ingredients()
+        if candidate.ingredient_id not in exclude
+    )
+    completions = []
+    for negated, _name, candidate in scored[:k]:
+        if negated == 0:
+            break
+        score = 2.0 * (base_pairs - negated) / ((n + 1) * n)
+        completions.append(
+            Completion(
+                candidate.ingredient_id,
+                candidate.name,
+                -negated,
+                score,
+                score - base,
+            )
+        )
+    return completions
+
+
+def scan_nearest_cuisines(cuisines, target_code, k) -> list[CuisineMatch]:
+    """The ``k`` cuisines most similar to ``target_code`` by per-pair
+    prevalence cosine, rounded to ``SIMILARITY_DECIMALS`` places, ties
+    broken by region code."""
+    target = cuisines[target_code]
+    ranked = sorted(
+        (
+            -round(cuisine_similarity(target, cuisine), SIMILARITY_DECIMALS),
+            code,
+        )
+        for code, cuisine in cuisines.items()
+        if code != target_code
+    )
+    return [CuisineMatch(code, -negated) for negated, code in ranked[:k]]

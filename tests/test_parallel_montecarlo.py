@@ -227,6 +227,17 @@ class TestExperimentIntegration:
             assert mine.code == theirs.code
             assert mine.z_random == theirs.z_random
 
+    def test_fig4_serial_path_honours_seed(self, workspace):
+        """Without ``parallel`` each seed samples its own streams."""
+        from repro.experiments.fig4 import run_fig4
+
+        kwargs = dict(n_samples=200, models=(NullModel.RANDOM,))
+        first = run_fig4(workspace, seed=1, **kwargs)
+        second = run_fig4(workspace, seed=2, **kwargs)
+        for mine, theirs in zip(first.rows, second.rows):
+            assert mine.code == theirs.code
+            assert mine.z_random != theirs.z_random, mine.code
+
     def test_fig5_parallel_matches_serial(self, workspace):
         from repro.experiments.fig5 import run_fig5
 

@@ -111,14 +111,7 @@ class TestWorkspaceCaching:
         assert workspace.retrieval() is workspace.retrieval()
 
     def test_engine_built_workspace_carries_stage_artifact(self, workspace):
-        # The session workspace comes from the engine path, so its index
-        # is the stage artifact, not a lazy rebuild.
+        # Every workspace comes from the engine path, so its index is
+        # the stage artifact.
         assert workspace.retrieval_index is not None
         assert workspace.retrieval() is workspace.retrieval_index
-
-    def test_similarity_memoized(self, workspace):
-        codes, matrix = workspace.similarity()
-        again_codes, again_matrix = workspace.similarity()
-        assert again_matrix is matrix
-        assert again_codes is codes
-        assert sorted(codes) == sorted(workspace.regional_cuisines())

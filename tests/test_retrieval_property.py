@@ -70,10 +70,8 @@ class TestRankMonotonicity:
         if not partial:
             return
         k = index.size
-        before = complete_recipe(index, _CATALOG, partial, k)
-        after = complete_recipe(
-            index, _CATALOG, partial + [constituent], k
-        )
+        before = complete_recipe(index, partial, k)
+        after = complete_recipe(index, partial + [constituent], k)
         assert _rank_of(after, compound.ingredient_id) <= _rank_of(
             before, compound.ingredient_id
         )
@@ -111,8 +109,8 @@ class TestPrefixConsistency:
         self, index, names, k_small, k_extra
     ):
         partial = [_CATALOG.get(name) for name in names]
-        large = complete_recipe(index, _CATALOG, partial, k_small + k_extra)
-        small = complete_recipe(index, _CATALOG, partial, k_small)
+        large = complete_recipe(index, partial, k_small + k_extra)
+        small = complete_recipe(index, partial, k_small)
         assert [(c.name, c.shared_total) for c in small] == [
             (c.name, c.shared_total) for c in large
         ][:k_small]

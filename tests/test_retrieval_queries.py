@@ -1,8 +1,8 @@
 """Equivalence and validation tests for the top-k retrieval kernels.
 
-The load-bearing guarantee: the indexed paths return *identical*
-rankings to the retained brute-force ``reference=True`` paths — checked
-across the full ingredient universe, not a sample.
+The load-bearing guarantee: the indexed kernels return *identical*
+rankings to the brute-force scans in ``tests/oracles.py`` — checked
+across the full ingredient universe and every cuisine, not a sample.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.retrieval import (
     nearest_cuisines,
     similar_ingredients,
 )
+from tests.oracles import scan_complete, scan_nearest_cuisines, scan_similar
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +34,11 @@ def _rows(matches):
 
 class TestSimilarEquivalence:
     def test_full_universe(self, index, workspace):
-        """Indexed == reference for every pairable catalog ingredient,
-        at the serving cap and at the default k (prefix consistency)."""
+        """Indexed == scan for every pairable catalog ingredient, at the
+        serving cap and at the default k (prefix consistency)."""
         catalog = workspace.catalog
         for ingredient in catalog.pairable_ingredients():
-            reference = similar_ingredients(
-                index, catalog, ingredient, MAX_TOPK, reference=True
-            )
+            reference = scan_similar(catalog, ingredient, MAX_TOPK)
             indexed = similar_ingredients(
                 index, catalog, ingredient, MAX_TOPK
             )
@@ -59,9 +58,7 @@ class TestSimilarEquivalence:
         ingredient = catalog.get("garlic")
         k = NEIGHBOR_LIST_LIMIT + 50
         fallback = similar_ingredients(index, catalog, ingredient, k)
-        reference = similar_ingredients(
-            index, catalog, ingredient, k, reference=True
-        )
+        reference = scan_similar(catalog, ingredient, k)
         assert _rows(fallback) == _rows(reference)
         assert len(fallback) > NEIGHBOR_LIST_LIMIT
 
@@ -82,7 +79,7 @@ class TestSimilarEquivalence:
 
 class TestCompleteEquivalence:
     def test_workspace_recipes(self, index, workspace):
-        """Indexed == reference for real partial recipes, full ranking."""
+        """Indexed == scan for real partial recipes, full ranking."""
         catalog = workspace.catalog
         checked = 0
         for recipe in workspace.recipes:
@@ -96,10 +93,8 @@ class TestCompleteEquivalence:
             if not any(m.has_flavor_profile for m in partial):
                 continue
             k = index.size  # the full ranking, not just a prefix
-            indexed = complete_recipe(index, catalog, partial, k)
-            reference = complete_recipe(
-                index, catalog, partial, k, reference=True
-            )
+            indexed = complete_recipe(index, partial, k)
+            reference = scan_complete(catalog, partial, k)
             assert [
                 (c.name, c.shared_total, c.score, c.delta) for c in indexed
             ] == [
@@ -118,7 +113,7 @@ class TestCompleteEquivalence:
             catalog.get("onion"),
             catalog.get("tomato"),
         ]
-        for completion in complete_recipe(index, catalog, partial, 5):
+        for completion in complete_recipe(index, partial, 5):
             candidate = catalog.by_id(completion.ingredient_id)
             assert completion.score == pytest.approx(
                 food_pairing_score(partial + [candidate])
@@ -127,45 +122,28 @@ class TestCompleteEquivalence:
     def test_excludes_partial_members(self, index, workspace):
         catalog = workspace.catalog
         partial = [catalog.get("garlic"), catalog.get("onion")]
-        names = {c.name for c in complete_recipe(index, catalog, partial, 50)}
+        names = {c.name for c in complete_recipe(index, partial, 50)}
         assert "garlic" not in names and "onion" not in names
 
     def test_rejects_profileless_partial(self, index, workspace):
         catalog = workspace.catalog
         unpairable = [i for i in catalog if not i.has_flavor_profile]
         with pytest.raises(ValidationError):
-            complete_recipe(index, catalog, unpairable[:2], 5)
+            complete_recipe(index, unpairable[:2], 5)
 
 
 class TestNearestEquivalence:
-    def test_all_codes_against_similarity_matrix(self, index, workspace):
-        """Indexed == reference (shared workspace matrix) for every code."""
-        similarity = workspace.similarity()
-        for code in index.cuisine_codes:
-            indexed = nearest_cuisines(index, code, len(index.cuisine_codes))
-            reference = nearest_cuisines(
-                index,
-                code,
-                len(index.cuisine_codes),
-                reference=True,
-                similarity=similarity,
-            )
-            assert [
-                (m.region_code, m.similarity) for m in indexed
-            ] == [(m.region_code, m.similarity) for m in reference], code
-
-    def test_reference_from_raw_cuisines(self, index, workspace):
+    def test_all_codes_against_scan(self, index, workspace):
+        """Indexed == per-pair scan for every code, full ranking."""
         cuisines = {
             code: workspace.regional_cuisines()[code]
             for code in index.cuisine_codes
         }
-        indexed = nearest_cuisines(index, "ITA", 5)
-        reference = nearest_cuisines(
-            index, "ITA", 5, reference=True, cuisines=cuisines
-        )
-        assert [(m.region_code, m.similarity) for m in indexed] == [
-            (m.region_code, m.similarity) for m in reference
-        ]
+        k = len(index.cuisine_codes)
+        for code in index.cuisine_codes:
+            assert nearest_cuisines(index, code, k) == scan_nearest_cuisines(
+                cuisines, code, k
+            ), code
 
     def test_never_returns_target(self, index):
         for code in index.cuisine_codes:
@@ -175,7 +153,3 @@ class TestNearestEquivalence:
     def test_unknown_code(self, index):
         with pytest.raises(LookupFailure):
             nearest_cuisines(index, "NOPE", 5)
-
-    def test_reference_needs_a_source(self, index):
-        with pytest.raises(ConfigurationError):
-            nearest_cuisines(index, "ITA", 5, reference=True)

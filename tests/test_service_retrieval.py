@@ -1,10 +1,11 @@
-"""Tests for the retrieval endpoints (/similar, /complete, /recommend)
-and the shared ingredient-resolution helper's error envelope."""
+"""Tests for the retrieval endpoints (/similar, /complete, /recommend,
+/pairings) and the shared ingredient-resolution helper's error envelope."""
 
 import pytest
 
 from repro.obs import get_registry
 from repro.service import QueryService, ResultCache, ServiceApp
+from tests.oracles import scan_similar
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,29 @@ class TestSimilar:
         )
         assert status == 200
         assert hits() == before + 1
+
+
+class TestPairingsOracle:
+    @pytest.mark.parametrize("limit", [1, 10, 50])
+    def test_partners_match_scan(self, service, workspace, limit):
+        """/pairings ranks every pairable ingredient's partners exactly
+        as the brute-force scan does."""
+        catalog = workspace.catalog
+        for ingredient in catalog.pairable_ingredients():
+            body = service.handle_pairings(
+                {"ingredient": ingredient.name, "limit": limit}
+            )
+            target = catalog.get(body["ingredient"])
+            assert body["partners"] == [
+                {
+                    "name": match.name,
+                    "category": catalog.by_id(
+                        match.ingredient_id
+                    ).category.value,
+                    "shared_molecules": match.shared_molecules,
+                }
+                for match in scan_similar(catalog, target, limit)
+            ], ingredient.name
 
 
 class TestKValidation:
