@@ -22,7 +22,11 @@ import dataclasses
 import numpy as np
 
 from ..datamodel import ConfigurationError, Cuisine
-from ..flavordb import IngredientCatalog
+from ..flavordb import (
+    IngredientCatalog,
+    membership_matrix,
+    shared_molecule_counts,
+)
 from ..pairing import NullModel, compare_to_model
 from ..pairing.views import CuisineView, build_cuisine_view
 
@@ -126,23 +130,23 @@ class PerturbationResult:
 def _thin_overlap(
     view: CuisineView,
     deletion_fraction: float,
-    catalog: IngredientCatalog,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Overlap matrix after deleting a fraction of each flavor profile."""
-    profiles = []
+    thinned = []
     for ingredient in view.ingredients:
         molecules = np.asarray(sorted(ingredient.flavor_profile))
         keep = max(2, int(round(len(molecules) * (1 - deletion_fraction))))
         picks = rng.choice(len(molecules), size=keep, replace=False)
-        profiles.append(frozenset(int(m) for m in molecules[picks]))
-    max_molecule = max(max(profile) for profile in profiles if profile)
-    membership = np.zeros((len(profiles), max_molecule + 1), np.float32)
-    for row, profile in enumerate(profiles):
-        membership[row, list(profile)] = 1.0
-    matrix = (membership @ membership.T).astype(np.float64)
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
+        thinned.append(
+            dataclasses.replace(
+                ingredient,
+                flavor_profile=frozenset(int(m) for m in molecules[picks]),
+            )
+        )
+    return shared_molecule_counts(membership_matrix(thinned)).astype(
+        np.float64
+    )
 
 
 def perturb_flavor_profiles(
@@ -167,7 +171,7 @@ def perturb_flavor_profiles(
             thinned = CuisineView(
                 region_code=view.region_code,
                 ingredients=view.ingredients,
-                overlap=_thin_overlap(view, fraction, catalog, rng),
+                overlap=_thin_overlap(view, fraction, rng),
                 recipes=view.recipes,
                 frequencies=view.frequencies,
                 categories=view.categories,

@@ -46,10 +46,12 @@ workspace (including ``build-db``). Stage artifacts are byte-identical
 with or without ``--workers`` and for any ``N``. With ``--workers N``,
 ``fig4 --z-out PATH`` writes full-precision Z-scores that depend only
 on ``(seed, samples, shard-size)``, never on ``N`` — which is what the
-CI determinism checks diff. Without ``--workers``, fig4 runs the
-single-stream sampler, which holds each model's full score vector; it
-samples the same distributions from different draws, so its Z-scores
-differ from every ``--workers N`` run.
+CI determinism checks diff. Without ``--workers``, fig4 runs the same
+sweep with one unsharded shard per (region, model), drawn in-process
+from the root seed sequence; it samples the same distributions from
+different draws, so its Z-scores differ from every ``--workers N`` run.
+``--seed 20180417`` (the paper seed) samples the same streams as no
+``--seed``.
 
 Every command accepts the global observability flags (see
 :mod:`repro.obs`): ``--trace`` prints a span timing tree on exit,

@@ -143,8 +143,9 @@ class RunConfig:
         help=(
             "fan null-model sampling and cold corpus/aliasing builds "
             "across N worker processes (0 = one per CPU core). Omit it "
-            "to build serially and sample fig4 on the single-stream "
-            "sampler, whose Z-scores differ from any --workers N run"
+            "to build serially and sample fig4 as one unsharded shard "
+            "per region and model, whose Z-scores differ from any "
+            "--workers N run"
         ),
     )
     shard_size: int = _cfg(
@@ -206,9 +207,11 @@ class RunConfig:
 
         ``None`` selects the deterministic ``"default"`` stream — the
         same streams the pre-RunConfig CLI produced, so existing z-score
-        artifacts stay byte-identical.
+        artifacts stay byte-identical. Naming the paper seed
+        (:data:`DEFAULT_SEED`) is the same run as naming no seed, so it
+        selects that stream too.
         """
-        return self.seed
+        return None if self.seed == DEFAULT_SEED else self.seed
 
     def parallel(self, cap: int | None = None) -> ParallelConfig | None:
         """The Monte Carlo fan-out this config requests, or ``None``.

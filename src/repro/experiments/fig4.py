@@ -16,7 +16,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..datamodel import REGIONS, PairingKind
-from ..pairing import CuisinePairingResult, NullModel, analyze_cuisine
+from ..pairing import (
+    PAPER_SAMPLE_COUNT,
+    CuisinePairingResult,
+    NullModel,
+    analyze_regions,
+)
 from ..reporting.tables import render_table
 from .workspace import ExperimentWorkspace
 
@@ -155,7 +160,7 @@ class Fig4Result:
 
 def run_fig4(
     workspace: ExperimentWorkspace,
-    n_samples: int = 100_000,
+    n_samples: int = PAPER_SAMPLE_COUNT,
     models: tuple[NullModel, ...] = tuple(NullModel),
     parallel: "ParallelConfig | None" = None,
     seed: int | None = None,
@@ -168,31 +173,26 @@ def run_fig4(
         models: null models to evaluate.
         parallel: when set, every (region, model) sampling shard fans out
             through one shared process pool; results are bit-identical
-            for any worker count (see :mod:`repro.parallel`).
+            for any worker count (see :mod:`repro.parallel`). ``None``
+            draws one unsharded stream per (region, model) in this
+            process.
         seed: extra seed mixed into the sampling generators on either
-            path; ``None`` selects the deterministic default streams.
+            plan; ``None`` selects the deterministic default streams.
     """
-    cuisines = workspace.regional_cuisines()
-    views = workspace.views()  # the engine's pairing_views artifact
+    # One sweep over every region's view (the engine's pairing_views
+    # artifact): slow regions' shards interleave with fast ones.
+    results = analyze_regions(
+        workspace.regional_cuisines(),
+        workspace.views(),
+        models,
+        n_samples,
+        parallel,
+        seed,
+    )
     rows: list[Fig4Row] = []
     details: dict[str, CuisinePairingResult] = {}
-    if parallel is not None:
-        details = _analyze_parallel(
-            views, cuisines, models, n_samples, parallel, seed
-        )
     for region in REGIONS:
-        if parallel is not None:
-            result = details[region.code]
-        else:
-            result = analyze_cuisine(
-                cuisines[region.code],
-                workspace.catalog,
-                models=models,
-                n_samples=n_samples,
-                seed=seed,
-                view=views[region.code],
-            )
-            details[region.code] = result
+        result = details[region.code] = results[region.code]
 
         def z_of(model: NullModel) -> float:
             comparison = result.comparisons.get(model)
@@ -210,43 +210,3 @@ def run_fig4(
             )
         )
     return Fig4Result(rows=tuple(rows), n_samples=n_samples, details=details)
-
-
-def _analyze_parallel(
-    views,
-    cuisines,
-    models: tuple[NullModel, ...],
-    n_samples: int,
-    parallel: "ParallelConfig",
-    seed: int | None,
-) -> dict[str, CuisinePairingResult]:
-    """All 22 regions' pairing analyses through one shared worker pool.
-
-    Publishing every region's view (the ``pairing_views`` stage
-    artifact) up front lets slow regions' shards interleave with fast
-    ones — one pool, one sweep, no per-region barrier.
-    """
-    from ..pairing import comparison_from_moments, cuisine_mean_score
-    from ..parallel import sweep_pairing_moments
-
-    moments_map = sweep_pairing_moments(
-        views, models, n_samples, parallel, seed
-    )
-    details: dict[str, CuisinePairingResult] = {}
-    for region in REGIONS:
-        cuisine = cuisines[region.code]
-        cuisine_mean = cuisine_mean_score(views[region.code])
-        comparisons = {
-            model: comparison_from_moments(
-                cuisine_mean, model, moments_map[(region.code, model)]
-            )
-            for model in models
-        }
-        details[region.code] = CuisinePairingResult(
-            region_code=region.code,
-            cuisine_mean=cuisine_mean,
-            recipe_count=len(cuisine),
-            ingredient_count=len(cuisine.ingredient_ids),
-            comparisons=comparisons,
-        )
-    return details

@@ -15,7 +15,11 @@ import dataclasses
 from typing import TYPE_CHECKING
 
 from ..datamodel import REGIONS, PairingKind
-from ..pairing import IngredientContribution, top_contributors
+from ..pairing import (
+    IngredientContribution,
+    contributions_from_chi,
+    top_contributors,
+)
 from ..reporting.tables import render_table
 from .workspace import ExperimentWorkspace
 
@@ -76,31 +80,23 @@ def run_fig5(
 ) -> Fig5Result:
     """Top contributing ingredients for every region.
 
-    With ``parallel`` set, each region's leave-one-out chi sweep runs as
-    one worker task over the shared-memory view; the computation is exact,
-    so results are identical to the serial path.
+    Each region's leave-one-out chi sweep is one task over its view: a
+    worker task over shared memory with ``parallel`` set, in this process
+    without it. The computation is exact, so every worker count gives
+    the same rows.
     """
-    views = workspace.views()  # the engine's pairing_views artifact
-    chi_map = None
-    if parallel is not None:
-        from ..parallel import sweep_contributions
+    from ..parallel import sweep_contributions
 
-        chi_map = sweep_contributions(views, parallel)
+    views = workspace.views()  # the engine's pairing_views artifact
+    chi_map = sweep_contributions(views, parallel)
     rows: list[Fig5Row] = []
     for region in REGIONS:
         view = views[region.code]
-        contributions = None
-        if chi_map is not None:
-            from ..pairing import contributions_from_chi
-
-            contributions = contributions_from_chi(
-                view, chi_map[region.code]
-            )
         contributors = top_contributors(
             view,
             count=top,
             positive_pairing=region.pairing is PairingKind.UNIFORM,
-            contributions=contributions,
+            contributions=contributions_from_chi(view, chi_map[region.code]),
         )
         rows.append(
             Fig5Row(

@@ -17,7 +17,6 @@ from .models import (
     NullModel,
     sample_model_moments,
     sample_model_recipes,
-    sample_model_scores,
 )
 from .moments import StreamingMoments
 from .score import (
@@ -35,6 +34,7 @@ from .zscore import (
     CuisinePairingResult,
     ModelComparison,
     analyze_cuisine,
+    analyze_regions,
     compare_to_model,
     comparison_from_moments,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "NullModel",
     "sample_model_moments",
     "sample_model_recipes",
-    "sample_model_scores",
     "StreamingMoments",
     "BATCH_BLOCK_ELEMENTS",
     "batch_scores",
@@ -64,6 +63,7 @@ __all__ = [
     "CuisinePairingResult",
     "ModelComparison",
     "analyze_cuisine",
+    "analyze_regions",
     "compare_to_model",
     "comparison_from_moments",
 ]

@@ -19,6 +19,10 @@ of ``log w + Gumbel noise``, which turns per-recipe rejection loops into
 dense numpy operations. The naive per-recipe ``rng.choice`` loop it
 replaced is kept as a test oracle (``tests/oracles.py``); its recorded
 cost is in DESIGN.md §5.
+
+:func:`sample_model_recipes` draws one batch of recipes, and
+:func:`sample_model_moments` folds batches into the score moments the Z
+statistic needs.
 """
 
 from __future__ import annotations
@@ -60,52 +64,6 @@ class NullModel(enum.Enum):
         return self in (NullModel.CATEGORY, NullModel.FREQUENCY_CATEGORY)
 
 
-def sample_model_scores(
-    view: CuisineView,
-    model: NullModel,
-    n_samples: int,
-    rng: np.random.Generator,
-    chunk: int = DEFAULT_CHUNK,
-) -> np.ndarray:
-    """N_s scores of ``n_samples`` random recipes under ``model``.
-
-    Args:
-        view: the cuisine being randomised.
-        model: which null model to draw from.
-        n_samples: number of random recipes (the paper uses 100,000).
-        rng: random generator (callers own seeding).
-        chunk: batch size for the vectorised sampler.
-
-    Returns:
-        ``(n_samples,)`` array of food-pairing scores.
-    """
-    if n_samples <= 0:
-        raise ConfigurationError("n_samples must be positive")
-    with span(
-        "pairing.sample_model",
-        model=model.value,
-        region=view.region_code,
-        n_samples=n_samples,
-    ) as trace:
-        started = time.perf_counter()
-        heartbeat = _Heartbeat(view, model, n_samples, started)
-        scores = np.empty(n_samples, dtype=np.float64)
-        position = 0
-        while position < n_samples:
-            take = min(chunk, n_samples - position)
-            batch = sample_model_recipes(view, model, take, rng)
-            scores[position : position + take] = scores_for_recipes(
-                view.overlap, batch
-            )
-            position += take
-            heartbeat.tick(position)
-        elapsed = time.perf_counter() - started
-        trace.incr("samples", n_samples)
-        if elapsed > 0:
-            trace.set("samples_per_sec", round(n_samples / elapsed))
-        return scores
-
-
 def sample_model_moments(
     view: CuisineView,
     model: NullModel,
@@ -115,10 +73,10 @@ def sample_model_moments(
 ) -> StreamingMoments:
     """Streaming moments of ``n_samples`` random-recipe scores.
 
-    Identical sampling to :func:`sample_model_scores`, but each chunk of
-    scores is folded into a :class:`StreamingMoments` and discarded, so
-    peak memory is one chunk of floats rather than the full score
-    vector. The parallel engine's workers run this per shard.
+    Draws ``chunk`` recipes at a time with :func:`sample_model_recipes`,
+    folds their scores into a :class:`StreamingMoments` and discards
+    them, so peak memory is one chunk of floats, never the score vector.
+    Every Monte Carlo shard runs this (see :mod:`repro.parallel`).
     """
     if n_samples <= 0:
         raise ConfigurationError("n_samples must be positive")

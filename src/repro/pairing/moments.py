@@ -1,9 +1,9 @@
 """Streaming moment reduction for the Monte Carlo score distributions.
 
 The null-model analyses only ever need four summary statistics of the
-sampled score vector — count, mean, standard deviation, and the range —
-so the parallel engine never materializes the 100,000-float array the
-serial path used to build. Each worker folds its shard of samples into a
+sampled scores — count, mean, standard deviation, and the range — so no
+sampling run materializes the 100,000-float score vector. Each shard,
+sharded or the one shard of an unsharded run, folds its samples into a
 :class:`StreamingMoments` (count, sum, sum of squares, min/max) and the
 parent merges the shards. Merging is a plain sum of the accumulators, so
 for a fixed shard decomposition the result is bit-identical regardless of

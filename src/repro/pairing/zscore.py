@@ -11,21 +11,27 @@ Positive Z = uniform food pairing (similar-flavor blending), negative Z =
 contrasting food pairing. The effect size in plain sigma units
 (``(mean - rand_mean) / sigma``) is reported alongside, since Z scales
 with ``sqrt(N)`` by construction.
+
+The statistic needs only streaming moments of the random scores, so
+every comparison is :func:`comparison_from_moments` over moments drawn by
+:mod:`repro.parallel.montecarlo` — sharded under a ``ParallelConfig``,
+one shard per (region, model) without one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
 from typing import TYPE_CHECKING
 
 from ..datamodel import Cuisine
-from ..flavordb import IngredientCatalog, stable_seed
+from ..flavordb import IngredientCatalog
 from ..obs import span
-from .models import NullModel, sample_model_scores
+from .models import NullModel, sample_model_moments
 from .moments import StreamingMoments
 from .score import cuisine_mean_score
 from .views import CuisineView, build_cuisine_view
@@ -86,8 +92,8 @@ def comparison_from_moments(
     """Build a :class:`ModelComparison` from streaming score moments.
 
     The paper's Z statistic needs only the random-score mean and standard
-    deviation, so the full score vector never has to exist — this is the
-    reduction the parallel engine feeds.
+    deviation, so the full score vector never has to exist. This is the
+    one place a Z-score is computed.
     """
     random_mean = moments.mean
     random_std = moments.std(ddof=1)
@@ -121,48 +127,56 @@ def compare_to_model(
 ) -> ModelComparison:
     """Compare one cuisine view against one null model.
 
-    With ``parallel`` set, sampling runs through the sharded Monte Carlo
-    engine (:mod:`repro.parallel`): deterministic per-shard RNGs replace
-    ``rng``, and the score distribution is reduced to streaming moments.
-    Results are then bit-identical for any ``parallel.workers`` value,
-    though not to the serial ``rng``-stream path below.
+    The samples come from :func:`repro.parallel.model_moments`: the
+    sharded streams under ``parallel`` (bit-identical for any
+    ``parallel.workers``), or the unsharded stream without it — the
+    same stream :func:`analyze_cuisine` draws. ``seed`` selects the
+    streams on both plans. A caller-owned ``rng`` replaces both plan and
+    seed: the samples are drawn from it directly.
     """
-    if parallel is not None:
+    if rng is None:
         from ..parallel.montecarlo import model_moments
 
-        cuisine_mean = cuisine_mean_score(view)
-        moments = model_moments(view, model, n_samples, parallel, seed=seed)
-        return comparison_from_moments(cuisine_mean, model, moments)
-    if rng is None:
-        rng = np.random.Generator(
-            np.random.PCG64(
-                stable_seed("null-model", view.region_code, model.value)
-            )
-        )
-    with span(
-        "pairing.zscore", region=view.region_code, model=model.value
-    ):
-        cuisine_mean = cuisine_mean_score(view)
-        random_scores = sample_model_scores(view, model, n_samples, rng)
-        random_mean = float(random_scores.mean())
-        random_std = float(random_scores.std(ddof=1))
-    if random_std == 0.0:
-        z_score = 0.0
-        effect = 0.0
+        moments = model_moments(view, model, n_samples, parallel, seed)
     else:
-        z_score = (cuisine_mean - random_mean) / (
-            random_std / math.sqrt(n_samples)
+        moments = sample_model_moments(view, model, n_samples, rng)
+    return comparison_from_moments(cuisine_mean_score(view), model, moments)
+
+
+def analyze_regions(
+    cuisines: Mapping[str, Cuisine],
+    views: Mapping[str, CuisineView],
+    models: tuple[NullModel, ...],
+    n_samples: int,
+    parallel: "ParallelConfig | None" = None,
+    seed: int | None = None,
+) -> dict[str, CuisinePairingResult]:
+    """Every view's pairing analysis from one Monte Carlo sweep.
+
+    All regions' shards go through one sweep (one pool when
+    ``parallel`` fans out), so slow regions overlap with fast ones.
+    ``cuisines`` supplies the recipe and ingredient counts; results are
+    keyed and ordered like ``views``.
+    """
+    from ..parallel.montecarlo import sweep_pairing_moments
+
+    moments = sweep_pairing_moments(views, models, n_samples, parallel, seed)
+    results: dict[str, CuisinePairingResult] = {}
+    for code, view in views.items():
+        cuisine_mean = cuisine_mean_score(view)
+        results[code] = CuisinePairingResult(
+            region_code=code,
+            cuisine_mean=cuisine_mean,
+            recipe_count=len(cuisines[code]),
+            ingredient_count=len(cuisines[code].ingredient_ids),
+            comparisons={
+                model: comparison_from_moments(
+                    cuisine_mean, model, moments[(code, model)]
+                )
+                for model in models
+            },
         )
-        effect = (cuisine_mean - random_mean) / random_std
-    return ModelComparison(
-        model=model,
-        cuisine_mean=cuisine_mean,
-        random_mean=random_mean,
-        random_std=random_std,
-        n_samples=n_samples,
-        z_score=z_score,
-        effect_size=effect,
-    )
+    return results
 
 
 def analyze_cuisine(
@@ -184,7 +198,8 @@ def analyze_cuisine(
         seed: extra seed mixed into the per-model generators; ``None``
             uses the deterministic default.
         parallel: when set, all models' sampling fans out through the
-            sharded Monte Carlo engine in one sweep.
+            sharded Monte Carlo engine in one sweep; ``None`` draws one
+            unsharded stream per model in this process.
         view: a prebuilt numeric view of the cuisine (the engine's
             ``pairing_views`` stage artifact); built here when omitted.
     """
@@ -193,41 +208,9 @@ def analyze_cuisine(
     ) as trace:
         if view is None:
             view = build_cuisine_view(cuisine, catalog)
-        comparisons: dict[NullModel, ModelComparison] = {}
-        if parallel is not None:
-            from ..parallel.montecarlo import sweep_pairing_moments
-
-            cuisine_mean = cuisine_mean_score(view)
-            moments_map = sweep_pairing_moments(
-                {view.region_code: view}, models, n_samples, parallel, seed
-            )
-            for model in models:
-                comparisons[model] = comparison_from_moments(
-                    cuisine_mean,
-                    model,
-                    moments_map[(view.region_code, model)],
-                )
-        else:
-            for model in models:
-                rng = np.random.Generator(
-                    np.random.PCG64(
-                        stable_seed(
-                            "null-model",
-                            view.region_code,
-                            model.value,
-                            str(seed) if seed is not None else "default",
-                        )
-                    )
-                )
-                comparisons[model] = compare_to_model(
-                    view, model, n_samples, rng
-                )
-        trace.incr("models", len(comparisons))
-    any_comparison = next(iter(comparisons.values()))
-    return CuisinePairingResult(
-        region_code=cuisine.region_code,
-        cuisine_mean=any_comparison.cuisine_mean,
-        recipe_count=len(cuisine),
-        ingredient_count=len(cuisine.ingredient_ids),
-        comparisons=comparisons,
-    )
+        code = cuisine.region_code
+        result = analyze_regions(
+            {code: cuisine}, {code: view}, models, n_samples, parallel, seed
+        )[code]
+        trace.incr("models", len(result.comparisons))
+    return result

@@ -14,7 +14,10 @@ Three layers, bottom-up:
 * :mod:`repro.parallel.montecarlo` — the sampling drivers: shard
   decomposition with ``SeedSequence.spawn`` determinism, streaming
   :class:`~repro.pairing.moments.StreamingMoments` reduction, and the
-  fig4/fig5 sweeps.
+  fig4/fig5 sweeps. They are the only code that draws a null-model
+  sample: without a :class:`ParallelConfig` they run the unsharded
+  plan, one in-process shard per (region, model) on the root seed
+  sequence.
 
 Results are **bit-identical across worker counts** for a fixed
 ``(seed, n_samples, shard_size)``: shard RNG streams depend only on the

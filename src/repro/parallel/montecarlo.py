@@ -16,6 +16,14 @@ Determinism is by construction: per-shard generators derive from
 seed)).spawn(n_shards)``, so for a fixed ``(seed, n_samples,
 shard_size)`` the shard streams — and the shard-index-ordered moment
 merge — are identical regardless of worker count or scheduling order.
+
+Without a :class:`ParallelConfig` (``config=None``, what ``repro fig4``
+runs without ``--workers``) each (region, model) is one shard drawn in
+this process from the root sequence itself, not from a spawned child.
+That is the unsharded stream: the same draws as
+``PCG64(stable_seed("null-model", region, model, seed))``, so its
+Z-scores differ from every sharded run's. This module is the only place
+that maps ``(region, model, seed, plan)`` to generators.
 """
 
 from __future__ import annotations
@@ -123,31 +131,47 @@ def run_shard(task: ShardTask) -> ShardResult:
     )
 
 
+def _plan(n_samples: int, config: ParallelConfig | None) -> tuple[int, int]:
+    """``(workers, shard_size)`` under ``config``.
+
+    ``None`` is the unsharded plan: one in-process shard of every sample.
+    """
+    if config is None:
+        return 1, n_samples
+    return config.workers, config.shard_size
+
+
 def shard_tasks(
     spec: SharedViewSpec | CuisineView,
     model: NullModel,
     n_samples: int,
-    config: ParallelConfig,
+    config: ParallelConfig | None = None,
     seed: int | None = None,
     chunk: int = DEFAULT_CHUNK,
 ) -> list[ShardTask]:
-    """The deterministic shard decomposition of one (region, model)."""
+    """The deterministic shard decomposition of one (region, model).
+
+    Shards draw from children spawned off the root sequence; the one
+    shard of the unsharded plan (``config=None``) draws from the root.
+    """
     seed_label = "default" if seed is None else str(seed)
     root = np.random.SeedSequence(
         stable_seed(
             "null-model", spec.region_code, model.value, seed_label
         )
     )
-    sizes = shard_sizes(n_samples, config.shard_size)
+    _, shard_size = _plan(n_samples, config)
+    sizes = shard_sizes(n_samples, shard_size)
+    seeds = [root] if config is None else root.spawn(len(sizes))
     return [
         ShardTask(
             spec=spec,
             model_value=model.value,
-            seed_seq=child,
+            seed_seq=seed_seq,
             n_samples=size,
             chunk=chunk,
         )
-        for child, size in zip(root.spawn(len(sizes)), sizes)
+        for seed_seq, size in zip(seeds, sizes)
     ]
 
 
@@ -155,7 +179,7 @@ def sweep_pairing_moments(
     views: Mapping[str, CuisineView],
     models: Sequence[NullModel],
     n_samples: int,
-    config: ParallelConfig,
+    config: ParallelConfig | None = None,
     seed: int | None = None,
     chunk: int = DEFAULT_CHUNK,
 ) -> dict[tuple[str, NullModel], StreamingMoments]:
@@ -165,20 +189,22 @@ def sweep_pairing_moments(
     with fast ones. Shard moments merge in shard-index order per key —
     results are independent of completion order and worker count. The
     views go to shared memory only when the shards leave this process.
+    ``config=None`` runs the unsharded plan (see :func:`shard_tasks`).
     """
+    workers, shard_size = _plan(n_samples, config)
     with span(
         "parallel.sweep",
         regions=len(views),
         models=len(models),
         n_samples=n_samples,
-        workers=config.workers,
-        shard_size=config.shard_size,
+        workers=workers,
+        shard_size=shard_size,
     ) as trace:
         pooled = runs_pooled(
-            config.workers,
+            workers,
             len(views)
             * len(models)
-            * len(shard_sizes(n_samples, config.shard_size)),
+            * len(shard_sizes(n_samples, shard_size)),
         )
         with SharedViewStore() as store:
             tasks: list[ShardTask] = []
@@ -194,7 +220,7 @@ def sweep_pairing_moments(
             results = run_tasks(
                 run_shard,
                 tasks,
-                workers=config.workers,
+                workers=workers,
                 label="parallel.montecarlo",
             )
         merged: dict[tuple[str, NullModel], StreamingMoments] = {}
@@ -213,11 +239,11 @@ def model_moments(
     view: CuisineView,
     model: NullModel,
     n_samples: int,
-    config: ParallelConfig,
+    config: ParallelConfig | None = None,
     seed: int | None = None,
     chunk: int = DEFAULT_CHUNK,
 ) -> StreamingMoments:
-    """Moments for a single (region, model) request (service batch path)."""
+    """Moments for a single (region, model) request."""
     sweep = sweep_pairing_moments(
         {view.region_code: view}, (model,), n_samples, config, seed, chunk
     )
@@ -246,18 +272,18 @@ def run_contribution_task(task: ContributionTask) -> np.ndarray:
 
 
 def sweep_contributions(
-    views: Mapping[str, CuisineView], config: ParallelConfig
+    views: Mapping[str, CuisineView], config: ParallelConfig | None = None
 ) -> dict[str, np.ndarray]:
     """Per-region chi vectors, one worker task per region.
 
-    The computation is exact (no sampling), so the parallel result is
-    identical to the serial one; workers return bare ``float64`` vectors
-    and the parent re-attaches ingredient names.
+    The computation is exact (no sampling), so every worker count, and
+    ``config=None`` (in this process), gives the same vectors; workers
+    return bare ``float64`` vectors and the parent re-attaches
+    ingredient names.
     """
-    with span(
-        "parallel.contributions", regions=len(views), workers=config.workers
-    ):
-        pooled = runs_pooled(config.workers, len(views))
+    workers = 1 if config is None else config.workers
+    with span("parallel.contributions", regions=len(views), workers=workers):
+        pooled = runs_pooled(workers, len(views))
         with SharedViewStore() as store:
             codes = list(views)
             tasks = [
@@ -269,7 +295,7 @@ def sweep_contributions(
             results = run_tasks(
                 run_contribution_task,
                 tasks,
-                workers=config.workers,
+                workers=workers,
                 label="parallel.chi",
             )
         return dict(zip(codes, results))

@@ -9,7 +9,7 @@ each of them.
   the spec of :class:`repro.aliasing.TrieMatcher`.
 * :func:`naive_sample_model_scores` — one ``rng.choice`` loop per random
   recipe, the spec of the Gumbel top-k sampler
-  :func:`repro.pairing.sample_model_scores`.
+  :func:`repro.pairing.sample_model_recipes`.
 * :func:`whole_phrase_clean`, :func:`whole_phrase_tokenize` and
   :func:`whole_phrase_normalize` — each pass over the whole phrase at
   once, the spec of the per-chunk :func:`repro.aliasing.basic_clean`,
@@ -113,7 +113,7 @@ def naive_sample_model_scores(
     """N_s of ``n_samples`` random recipes, drawn one by one.
 
     Draws from the same distributions as
-    :func:`repro.pairing.sample_model_scores` (not the same stream): a
+    :func:`repro.pairing.sample_model_recipes` (not the same stream): a
     uniformly chosen template recipe fixes the size, or the category
     composition, and ``rng.choice`` without replacement fills it.
     """

@@ -215,6 +215,25 @@ class TestRunConfigFlow:
         assert args.recipe_scale == pytest.approx(0.5)
         assert args.n_samples == 900
 
+    def test_paper_seed_samples_the_default_streams(self, tmp_path, capsys):
+        # Naming the documented default seed is the same run as naming
+        # none: same corpus, and the same Monte Carlo streams.
+        import json
+
+        from repro.corpus import DEFAULT_SEED
+
+        base = ["fig4", "--scale", "0.25", "--samples", "200"]
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "seed.json"
+        assert main([*base, "--z-out", str(implicit)]) == 0
+        assert (
+            main(
+                [*base, "--seed", str(DEFAULT_SEED), "--z-out", str(explicit)]
+            )
+            == 0
+        )
+        assert explicit.read_bytes() == implicit.read_bytes()
+        assert len(json.loads(implicit.read_text())["regions"]) == 22
+
 
 class TestCacheCommand:
     def test_cache_parser(self):
@@ -338,7 +357,7 @@ class TestObservabilityFlags:
         err = capsys.readouterr().err
         assert "# trace" in err
         assert "cli.run" in err
-        assert "pairing.sample_model" in err
+        assert "pairing.sample_moments" in err
         assert "ms" in err
 
     def test_trace_out_chrome_format(self, tmp_path, capsys):
@@ -356,7 +375,7 @@ class TestObservabilityFlags:
         assert all(event["ph"] == "X" for event in events)
         names = {event["name"] for event in events}
         assert "cli.run" in names
-        assert "pairing.sample_model" in names
+        assert "pairing.sample_moments" in names
 
     def test_trace_covers_pipeline_stages(self, tmp_path, capsys):
         """Acceptance: a fresh build traces every major pipeline stage."""
@@ -380,8 +399,9 @@ class TestObservabilityFlags:
             "corpus.generate",
             "aliasing.resolve_corpus",
             "workspace.build",
-            "pairing.sample_model",
-            "pairing.zscore",
+            "parallel.sweep",
+            "montecarlo.shard",
+            "pairing.sample_moments",
         } <= names
         # --log-json: every structured-log line on stderr is valid JSON.
         err = capsys.readouterr().err

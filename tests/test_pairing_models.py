@@ -9,10 +9,18 @@ from repro.datamodel import ConfigurationError, Cuisine, Recipe
 from repro.pairing import (
     NullModel,
     build_cuisine_view,
+    sample_model_moments,
     sample_model_recipes,
-    sample_model_scores,
+    scores_for_recipes,
 )
 from tests.oracles import naive_sample_model_scores
+
+
+def sampled_scores(view, model, n_samples, rng):
+    """N_s of ``n_samples`` recipes drawn in one vectorised batch."""
+    return scores_for_recipes(
+        view.overlap, sample_model_recipes(view, model, n_samples, rng)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -111,31 +119,31 @@ class TestModelInvariants:
 class TestScores:
     @pytest.mark.parametrize("model", list(NullModel))
     def test_score_count_and_range(self, view, model, rng):
-        scores = sample_model_scores(view, model, 300, rng)
+        scores = sampled_scores(view, model, 300, rng)
         assert scores.shape == (300,)
         assert np.all(scores >= 0)
 
     def test_chunking_equivalent(self, view):
-        big = sample_model_scores(
+        big = sample_model_moments(
             view, NullModel.RANDOM, 500,
             np.random.default_rng(4), chunk=500,
         )
-        small = sample_model_scores(
+        small = sample_model_moments(
             view, NullModel.RANDOM, 500,
             np.random.default_rng(4), chunk=64,
         )
         # Same generator sequence split differently: the means agree.
-        assert abs(big.mean() - small.mean()) < 0.3
+        assert abs(big.mean - small.mean) < 0.3
 
     def test_positive_sample_count_required(self, view, rng):
         with pytest.raises(ConfigurationError):
-            sample_model_scores(view, NullModel.RANDOM, 0, rng)
+            sample_model_moments(view, NullModel.RANDOM, 0, rng)
 
     @pytest.mark.parametrize("model", list(NullModel))
     def test_vectorised_matches_naive_distribution(self, view, model):
         """Gumbel top-k sampler and the rng.choice loop draw from the same
         distribution (means within noise)."""
-        fast = sample_model_scores(
+        fast = sampled_scores(
             view, model, 4000, np.random.default_rng(1)
         )
         slow = naive_sample_model_scores(
@@ -163,10 +171,10 @@ class TestScores:
             Cuisine("TST", recipes), catalog_module
         )
         rng = np.random.default_rng(0)
-        random_scores = sample_model_scores(
+        random_scores = sampled_scores(
             cohesive_view, NullModel.RANDOM, 4000, rng
         )
-        frequency_scores = sample_model_scores(
+        frequency_scores = sampled_scores(
             cohesive_view, NullModel.FREQUENCY, 4000, rng
         )
         assert frequency_scores.mean() > random_scores.mean()

@@ -13,9 +13,17 @@ from repro.pairing import (
     StreamingMoments,
     build_cuisine_view,
     sample_model_moments,
-    sample_model_scores,
+    sample_model_recipes,
+    scores_for_recipes,
 )
 from tests.oracles import naive_sample_model_scores
+
+
+def sampled_scores(view, model, n_samples, rng):
+    """N_s of ``n_samples`` recipes drawn in one vectorised batch."""
+    return scores_for_recipes(
+        view.overlap, sample_model_recipes(view, model, n_samples, rng)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +159,12 @@ class TestSampleModelMoments:
     @pytest.mark.parametrize("model", list(NullModel))
     def test_matches_score_vector_exactly(self, view, model):
         """Same rng stream: the streaming reduction must reproduce the
-        score vector's moments (it folds the identical chunks)."""
-        scores = sample_model_scores(
+        score vector's moments (600 samples are one chunk, one batch)."""
+        scores = sampled_scores(
             view, model, 600, np.random.default_rng(99)
         )
         moments = sample_model_moments(
-            view, model, 600, np.random.default_rng(99)
+            view, model, 600, np.random.default_rng(99), chunk=600
         )
         assert moments.count == 600
         assert moments.mean == pytest.approx(scores.mean(), rel=1e-12)
@@ -191,7 +199,7 @@ class TestFastVsNaiveMoments:
 
     @pytest.mark.parametrize("model", list(NullModel))
     def test_means_agree_within_combined_error(self, view, model):
-        fast = sample_model_scores(
+        fast = sampled_scores(
             view, model, self.N_SAMPLES, np.random.default_rng(11)
         )
         naive = naive_sample_model_scores(
@@ -207,7 +215,7 @@ class TestFastVsNaiveMoments:
 
     @pytest.mark.parametrize("model", list(NullModel))
     def test_spreads_agree(self, view, model):
-        fast = sample_model_scores(
+        fast = sampled_scores(
             view, model, self.N_SAMPLES, np.random.default_rng(33)
         )
         naive = naive_sample_model_scores(
@@ -222,7 +230,7 @@ class TestFastVsNaiveMoments:
         """Two-sample chi-square over quantile bins of the pooled scores."""
         from scipy import stats as scipy_stats
 
-        fast = sample_model_scores(
+        fast = sampled_scores(
             view, model, self.N_SAMPLES, np.random.default_rng(55)
         )
         naive = naive_sample_model_scores(

@@ -88,6 +88,39 @@ class TestCompareToModel:
         second = compare_to_model(view, NullModel.RANDOM, n_samples=400)
         assert first.z_score == second.z_score
 
+    def test_seed_selects_the_unsharded_stream(self, catalog_module):
+        view = build_cuisine_view(
+            cohesive_cuisine(catalog_module), catalog_module
+        )
+        default = compare_to_model(view, NullModel.RANDOM, n_samples=400)
+        seeded = compare_to_model(
+            view, NullModel.RANDOM, n_samples=400, seed=5
+        )
+        assert seeded.random_mean != default.random_mean
+
+    @pytest.mark.parametrize("model", list(NullModel))
+    def test_same_stream_as_analyze_cuisine(self, catalog_module, model):
+        cuisine = cohesive_cuisine(catalog_module)
+        view = build_cuisine_view(cuisine, catalog_module)
+        single = compare_to_model(view, model, n_samples=500)
+        analysed = analyze_cuisine(
+            cuisine,
+            catalog_module,
+            models=(model,),
+            n_samples=500,
+            view=view,
+        )
+        assert analysed.comparisons[model] == single
+
+    def test_single_sample_has_zero_spread(self, catalog_module):
+        view = build_cuisine_view(
+            cohesive_cuisine(catalog_module), catalog_module
+        )
+        comparison = compare_to_model(view, NullModel.RANDOM, n_samples=1)
+        assert comparison.random_std == 0.0
+        assert comparison.z_score == 0.0
+        assert comparison.effect_size == 0.0
+
 
 class TestAnalyzeCuisine:
     def test_all_models_present(self, catalog_module):

@@ -120,6 +120,27 @@ class TestWorkerCountInvariance:
         assert fine.total != coarse.total
 
 
+class TestUnshardedPlan:
+    """``config=None``: one in-process shard drawn from the root stream."""
+
+    @pytest.mark.parametrize("model", list(NullModel))
+    def test_one_shard_on_the_root_stream(self, view, model):
+        from repro.flavordb import stable_seed
+        from repro.pairing import sample_model_moments
+
+        seed = stable_seed(
+            "null-model", view.region_code, model.value, "default"
+        )
+        rng = np.random.Generator(np.random.PCG64(seed))
+        expected = sample_model_moments(view, model, 700, rng)
+        assert model_moments(view, model, 700, None) == expected
+
+    def test_one_task_per_region_and_model(self, view):
+        [task] = shard_tasks(view, NullModel.RANDOM, 30_000)
+        assert task.n_samples == 30_000
+        assert task.spec is view
+
+
 class TestShardDecomposition:
     def test_shard_sample_counts(self, view):
         with SharedViewStore() as store:
@@ -403,3 +424,13 @@ class TestInProcessPath:
             ParallelConfig(workers=1, shard_size=100),
         )
         assert shards.value == before + 3
+
+    def test_unsharded_sweep_keeps_telemetry(self, view, monkeypatch):
+        # Without a ParallelConfig: one shard per (region, model).
+        from repro.obs import get_registry
+
+        shards = get_registry().counter("repro_montecarlo_shards_total")
+        before = shards.value
+        _refuse_segments(monkeypatch)
+        sweep_pairing_moments({"ITA": view}, tuple(NullModel), 300)
+        assert shards.value == before + len(NullModel)

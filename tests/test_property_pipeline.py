@@ -80,7 +80,12 @@ def test_multi_ingredient_phrases_resolve_all(names):
 @given(data=st.data())
 def test_null_model_scores_are_finite_and_nonnegative(data):
     from repro.datamodel import Cuisine, Recipe
-    from repro.pairing import NullModel, build_cuisine_view, sample_model_scores
+    from repro.pairing import (
+        NullModel,
+        build_cuisine_view,
+        sample_model_recipes,
+        scores_for_recipes,
+    )
 
     pool = [
         "tomato", "basil", "garlic", "milk", "butter", "cumin",
@@ -107,8 +112,9 @@ def test_null_model_scores_are_finite_and_nonnegative(data):
         )
     view = build_cuisine_view(Cuisine("TST", recipes), _CATALOG)
     model = data.draw(st.sampled_from(list(NullModel)))
-    scores = sample_model_scores(
-        view, model, 50, np.random.default_rng(0)
+    scores = scores_for_recipes(
+        view.overlap,
+        sample_model_recipes(view, model, 50, np.random.default_rng(0)),
     )
     assert np.all(np.isfinite(scores))
     assert np.all(scores >= 0)
