@@ -2,9 +2,8 @@
 
 Not paper figures — these track the performance of the infrastructure the
 experiments run on (bulk insert, indexed lookup, hash join, SQL group-by,
-phrase aliasing, corpus generation), plus the cold-build scaling bench
-that writes ``BENCH_aliasing.json`` (see
-:func:`test_bench_cold_build_scaling`).
+phrase aliasing, corpus generation), plus the cold-build bench that
+writes ``BENCH_aliasing.json`` (see :func:`test_bench_cold_build_scaling`).
 """
 
 import gc
@@ -24,7 +23,7 @@ from repro.flavordb import default_catalog
 
 ROWS = 20_000
 
-#: Where the cold-build scaling table lands (repo root by default).
+#: Where the cold-build timing lands (repo root by default).
 ALIASING_BENCH_OUT = Path(
     os.environ.get("REPRO_BENCH_ALIASING_OUT", "BENCH_aliasing.json")
 )
@@ -160,32 +159,25 @@ class TestCorpusGeneration:
         assert benchmark.pedantic(run, rounds=2, iterations=1) > 1000
 
 
-def _cold_build(workers: int):
-    """One full cold corpus+aliasing build; returns (result, seconds)."""
-    started = time.perf_counter()
-    corpus = CorpusGenerator(recipe_scale=COLD_BUILD_SCALE).generate(
-        workers=workers
-    )
-    result = AliasingPipeline(default_catalog()).resolve_corpus(
-        corpus.raw_recipes, workers=workers
-    )
-    return result, time.perf_counter() - started
-
-
-def _timed_cold_build(workers: int):
-    """:func:`_cold_build` with benchmark hygiene.
+def _timed_cold_build():
+    """One full cold corpus+aliasing build; returns (result, seconds).
 
     A full cold build allocates millions of small objects; with earlier
     results still alive, collector passes and allocator pressure
     dominate the later runs and skew the timings. Collect before and
-    disable the collector during each timed region — and callers must
+    disable the collector during the timed region — and callers must
     reduce each result to digests (:func:`_result_digests`) rather than
     retain it across the next timed run.
     """
     gc.collect()
     gc.disable()
     try:
-        return _cold_build(workers)
+        started = time.perf_counter()
+        corpus = CorpusGenerator(recipe_scale=COLD_BUILD_SCALE).generate()
+        result = AliasingPipeline(default_catalog()).resolve_corpus(
+            corpus.raw_recipes
+        )
+        return result, time.perf_counter() - started
     finally:
         gc.enable()
 
@@ -223,56 +215,38 @@ def _result_digests(result) -> tuple[str, str, tuple]:
 
 
 def test_bench_cold_build_scaling():
-    """Cold corpus+aliasing build at 1, 2 and 4 workers (up to the cores).
+    """One cold corpus+aliasing build, timed, then a second to compare.
 
-    Writes the scaling table to ``BENCH_aliasing.json``::
+    Writes ``BENCH_aliasing.json``::
 
         {"benchmark": "cold_build_aliasing", "scale": ..., "recipes": ...,
-         "cores": ...,
-         "timings": {"workers_1": {"seconds": ...}, "workers_2": ...}}
+         "cores": ..., "timings": {"cold_build": {"seconds": ...}}}
 
-    ``timings`` is keyed by worker count so that ``repro obs check``
-    gates each rung's ``seconds`` against the committed baseline (the
-    watchdog compares mapping leaves, not list items).
-
-    Every build must be bit-identical to the ``workers=1`` build:
-    identical recipes and identical curation report. No speed floor is
-    asserted here; ``paper_cold`` in ``bench/`` gates the cold build end
-    to end.
+    ``seconds`` is the first build after a small warm-up build, which
+    ``repro obs check`` gates against the committed baseline. The
+    second build must give identical values: identical recipes and an
+    identical curation report. No speed floor is asserted here;
+    ``paper_cold`` in ``bench/`` gates the cold build end to end.
     """
-    cores = os.cpu_count() or 1
-    ladder = [workers for workers in (1, 2, 4) if workers <= cores]
-    if 1 not in ladder:
-        ladder.insert(0, 1)
-
     # Warm process-global caches (singularize lru, interned regexes,
-    # imports) with a tiny build so the first measured run does not pay
-    # them.
+    # imports) with a tiny build so the measured run does not pay them.
     AliasingPipeline(default_catalog(), phrase_cache_size=0).resolve_corpus(
         CorpusGenerator(recipe_scale=0.01).generate().raw_recipes
     )
 
-    timings = {}
-    serial_digests = None
-    recipe_count = 0
-    for workers in ladder:
-        result, elapsed = _timed_cold_build(workers)
-        digests = _result_digests(result)
-        recipe_count = len(result.recipes)
-        del result
-        # Parallelism must be unobservable in the results.
-        if serial_digests is None:
-            serial_digests = digests
-        else:
-            assert digests == serial_digests, workers
-        timings[f"workers_{workers}"] = {"seconds": round(elapsed, 3)}
+    result, elapsed = _timed_cold_build()
+    digests = _result_digests(result)
+    recipe_count = len(result.recipes)
+    del result
+    again, _ = _timed_cold_build()
+    assert _result_digests(again) == digests
 
     payload = {
         "benchmark": "cold_build_aliasing",
         "scale": COLD_BUILD_SCALE,
         "recipes": recipe_count,
-        "cores": cores,
-        "timings": timings,
+        "cores": os.cpu_count() or 1,
+        "timings": {"cold_build": {"seconds": round(elapsed, 3)}},
     }
     ALIASING_BENCH_OUT.write_text(json.dumps(payload, indent=2) + "\n")
     print("\n" + json.dumps(payload, indent=2))

@@ -16,7 +16,6 @@ from .fuzzy import (
 from .matcher import MAX_NGRAM, SOFT_DESCRIPTORS, MatchOutcome, TokenMatch
 from .normalize import basic_clean, normalize_phrase, tokenize
 from .pipeline import (
-    ALIASING_SHARD_SIZE,
     AliasingPipeline,
     AliasingResult,
     MatchKind,
@@ -46,7 +45,6 @@ __all__ = [
     "MatchOutcome",
     "TrieMatcher",
     "TokenMatch",
-    "ALIASING_SHARD_SIZE",
     "basic_clean",
     "normalize_phrase",
     "tokenize",

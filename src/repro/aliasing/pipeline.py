@@ -16,12 +16,11 @@ matching is memoised per content-token tuple: raw lines rarely repeat
 (355k of the full corpus's 413k are distinct), but they reduce to about
 1,000 distinct token tuples. A bounded memo maps each tuple to its match
 (``repro_aliasing_phrase_cache_{hits,misses}_total`` count its traffic;
-:class:`MatchReport` occurrence counting is never cached), and
-:meth:`AliasingPipeline.resolve_corpus` can fan recipe shards across the
-:mod:`repro.parallel` process pool — each worker builds the pipeline
-once, aliases its shard, and returns recipes plus a mergeable
-:class:`MatchReport`; shard-order merging keeps the result bit-identical
-to the serial path for any worker count.
+:class:`MatchReport` occurrence counting is never cached).
+:meth:`AliasingPipeline.resolve_corpus` aliases a corpus in one process,
+in corpus order, so its result depends only on the raw recipes and the
+pipeline's catalog, aliases and options; ``--workers`` fans out Monte
+Carlo sampling only and never reaches it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import functools
 import threading
 import time
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from ..datamodel import Ingredient, RawRecipe, Recipe
 from ..flavordb import IngredientCatalog, default_catalog
@@ -40,13 +39,6 @@ from ..obs import get_registry, span
 from .matcher import MAX_NGRAM, MatchOutcome
 from .normalize import normalize_phrase
 from .trie import TrieMatcher
-
-#: Raw recipes per aliasing shard. Deliberately independent of the
-#: worker count (and of ``RunConfig.shard_size``, which means Monte
-#: Carlo samples): results do not depend on the decomposition at all —
-#: shard-order merging reproduces the serial output exactly — but a
-#: worker-independent constant keeps the task layout predictable.
-ALIASING_SHARD_SIZE = 1024
 
 #: Default bound on the token-tuple memo. About 1,000 distinct content-
 #: token tuples cover the full corpus, so a long-lived server has ample
@@ -116,21 +108,6 @@ class MatchReport:
         self.recipes_total += 1
         if resolved:
             self.recipes_resolved += 1
-
-    def merge(self, other: "MatchReport") -> "MatchReport":
-        """Fold another report into this one (sharded aliasing).
-
-        Counts add; the unmatched-n-gram counter keeps this report's
-        insertion order and appends ``other``'s new keys in its order,
-        so merging shard reports *in shard order* reproduces the serial
-        report exactly — including ``top_unmatched`` tie-breaking, which
-        follows first-occurrence order.
-        """
-        self.phrase_counts.update(other.phrase_counts)
-        self.recipes_total += other.recipes_total
-        self.recipes_resolved += other.recipes_resolved
-        self._unmatched_ngrams.update(other._unmatched_ngrams)
-        return self
 
     @property
     def phrases_total(self) -> int:
@@ -216,13 +193,6 @@ class AliasingPipeline:
             else None
         )
         self._memo_lookup = threading.local()
-        # Shard workers rebuild the pipeline from defaults, so the
-        # parallel corpus path is only taken when this pipeline is
-        # exactly reproducible from them.
-        self._default_spec = (
-            self._catalog is default_catalog() and self._corrector is None
-        )
-        self._curated = False
         registry = get_registry()
         self._cache_hits = registry.counter(
             "repro_aliasing_phrase_cache_hits_total"
@@ -258,7 +228,6 @@ class AliasingPipeline:
             self._matcher.add_name(normalized_key)
             if self._memo is not None:
                 self._memo.cache_clear()
-            self._curated = True
 
     def resolve_phrase(self, phrase: str) -> PhraseResolution:
         """Alias one raw ingredient line.
@@ -365,55 +334,16 @@ class AliasingPipeline:
             source=raw.source,
         )
 
-    def _resolve_shard(
-        self, raws: Sequence[RawRecipe]
-    ) -> tuple[list[Recipe], MatchReport]:
-        """Alias one shard of raw recipes: resolved recipes + report."""
-        report = MatchReport()
-        recipes = []
-        for raw in raws:
-            recipe = self.resolve_recipe(raw, report)
-            if recipe is not None:
-                recipes.append(recipe)
-        return recipes, report
-
-    def resolve_corpus(
-        self,
-        raws: Iterable[RawRecipe],
-        workers: int = 1,
-        shard_size: int = ALIASING_SHARD_SIZE,
-    ) -> AliasingResult:
-        """Alias a whole corpus, collecting the curation report.
-
-        Args:
-            raws: the raw recipes, in corpus order.
-            workers: alias shards across this many processes (``1`` =
-                serial in-process). The result is bit-identical for any
-                worker count: shards are merged in corpus order.
-            shard_size: raw recipes per shard in the parallel path.
-        """
-        raw_list: Sequence[RawRecipe] = (
-            raws if isinstance(raws, (list, tuple)) else list(raws)
-        )
-        parallel = (
-            workers > 1
-            and len(raw_list) > shard_size
-            # Workers rebuild the pipeline from defaults; a custom
-            # catalog, the fuzzy corrector or curated aliases must stay
-            # on the serial path to produce identical results.
-            and self._default_spec
-            and not self._curated
-        )
-        with span(
-            "aliasing.resolve_corpus", workers=workers if parallel else 1
-        ) as trace:
+    def resolve_corpus(self, raws: Iterable[RawRecipe]) -> AliasingResult:
+        """Alias a whole corpus in order, collecting the curation report."""
+        with span("aliasing.resolve_corpus") as trace:
             started = time.perf_counter()
-            if parallel:
-                recipes, report = self._resolve_corpus_sharded(
-                    raw_list, workers, shard_size
-                )
-            else:
-                recipes, report = self._resolve_shard(raw_list)
+            report = MatchReport()
+            recipes = []
+            for raw in raws:
+                recipe = self.resolve_recipe(raw, report)
+                if recipe is not None:
+                    recipes.append(recipe)
             elapsed = time.perf_counter() - started
             registry = get_registry()
             for kind in MatchKind:
@@ -433,41 +363,3 @@ class AliasingPipeline:
                 report.recipes_total
             )
             return AliasingResult(tuple(recipes), report)
-
-    def _resolve_corpus_sharded(
-        self, raws: Sequence[RawRecipe], workers: int, shard_size: int
-    ) -> tuple[list[Recipe], MatchReport]:
-        """Fan shards over the process pool; merge in shard order."""
-        from ..parallel.executor import run_tasks
-
-        shards = [
-            tuple(raws[start : start + shard_size])
-            for start in range(0, len(raws), shard_size)
-        ]
-        results = run_tasks(
-            _alias_shard_worker,
-            shards,
-            workers=workers,
-            label="aliasing.shards",
-        )
-        recipes: list[Recipe] = []
-        report = MatchReport()
-        for shard_recipes, shard_report in results:
-            recipes.extend(shard_recipes)
-            report.merge(shard_report)
-        return recipes, report
-
-
-#: Per-process pipeline for shard workers: built on the first shard a
-#: worker sees, reused (with its warm token memo) for every later one.
-_WORKER_PIPELINE: AliasingPipeline | None = None
-
-
-def _alias_shard_worker(
-    raws: tuple[RawRecipe, ...],
-) -> tuple[list[Recipe], MatchReport]:
-    """Alias one shard in a pool worker (or inline on serial retry)."""
-    global _WORKER_PIPELINE
-    if _WORKER_PIPELINE is None:
-        _WORKER_PIPELINE = AliasingPipeline(default_catalog())
-    return _WORKER_PIPELINE._resolve_shard(raws)

@@ -31,19 +31,21 @@ Every run parameter flows through one :class:`repro.engine.RunConfig`:
 the ``--seed``/``--scale``/``--samples``/``--workers``/``--shard-size``/
 ``--cache-dir`` flags are *generated* from its field metadata
 (:func:`repro.engine.config_parent_parser`), so each flag has a single
-definition shared by all subcommands. Passing ``--cache-dir`` (or
+definition shared by all subcommands. ``build-db``, ``similar``,
+``recommend`` and ``serve`` take only the flags that select their
+workspace: ``--seed``, ``--scale``, ``--cache-dir`` and
+``--no-disk-cache``. Passing ``--cache-dir`` (or
 setting ``$REPRO_CACHE_DIR``) enables the on-disk stage-artifact cache:
 a second run warm-loads the corpus/aliasing/cuisines/pairing-view
 artifacts instead of rebuilding them, and prints a cache summary line to
 stderr (``engine cache: hits=... builds=...``).
 
-``--workers N`` fans work across a process pool (``0`` = one per CPU
-core): Monte Carlo shards for the sampling commands
+``--workers N`` fans Monte Carlo shards across a process pool (``0`` =
+one per CPU core) for the sampling commands
 (``run``/``fig4``/``fig5``/``report``, with ``--shard-size`` setting
-the shard decomposition; see :mod:`repro.parallel`) and the cold
-corpus-generation/aliasing stage builds for every command that builds a
-workspace (including ``build-db``). Stage artifacts are byte-identical
-with or without ``--workers`` and for any ``N``. With ``--workers N``,
+the shard decomposition; see :mod:`repro.parallel`). Stage builds
+always run in one process, so stage artifacts are byte-identical with
+or without ``--workers``. With ``--workers N``,
 ``fig4 --z-out PATH`` writes full-precision Z-scores that depend only
 on ``(seed, samples, shard-size)``, never on ``N`` — which is what the
 CI determinism checks diff. Without ``--workers``, fig4 runs the same
@@ -150,18 +152,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # One generated parent per flag set; every subcommand below reuses
     # these, so flag names/validators/help live only on RunConfig.
     run_flags = config_parent_parser()
-    corpus_flags = config_parent_parser(
-        fields=("seed", "recipe_scale", "workers", "cache_dir", "no_disk_cache")
-    )
-    serve_flags = config_parent_parser(
-        fields=(
-            "seed",
-            "recipe_scale",
-            "workers",
-            "shard_size",
-            "cache_dir",
-            "no_disk_cache",
-        )
+    # build-db, similar, recommend and serve sample nothing from the
+    # config: a served /montecarlo carries its own workers and shards.
+    workspace_flags = config_parent_parser(
+        fields=("seed", "recipe_scale", "cache_dir", "no_disk_cache")
     )
     cache_flags = config_parent_parser(fields=("cache_dir",))
 
@@ -209,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser(
         "build-db",
         help="generate corpus and persist CulinaryDB as CSV",
-        parents=[obs_flags, corpus_flags],
+        parents=[obs_flags, workspace_flags],
     )
     build.add_argument("--out", required=True, help="output directory")
 
@@ -244,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="serve the workspace over an HTTP JSON API",
-        parents=[obs_flags, serve_flags],
+        parents=[obs_flags, workspace_flags],
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -374,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     similar = sub.add_parser(
         "similar",
         help="top-k similar ingredients (or cuisines, with --cuisine)",
-        parents=[obs_flags, corpus_flags],
+        parents=[obs_flags, workspace_flags],
     )
     similar.add_argument(
         "target",
@@ -399,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     recommend = sub.add_parser(
         "recommend",
         help="index-backed novel recipe proposals for one region",
-        parents=[obs_flags, corpus_flags],
+        parents=[obs_flags, workspace_flags],
     )
     recommend.add_argument(
         "--region", required=True, help="region code (e.g. ITA)"

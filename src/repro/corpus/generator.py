@@ -9,7 +9,9 @@ exact unique-ingredient counts, renders noisy raw phrases
 sources with their exact published totals.
 
 Everything is deterministic given ``seed``; the default seed is the one
-all experiments and benchmarks use.
+all experiments and benchmarks use. Generation runs in the calling
+process (``--workers`` fans out Monte Carlo sampling only), so the
+pickled corpus artifact is byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -67,39 +69,6 @@ _REGION_ADJECTIVES = {
 
 
 @dataclasses.dataclass(frozen=True)
-class RegionPlan:
-    """One region's deterministic share of the corpus.
-
-    Region recipe counts are pure arithmetic on the profile and scale,
-    so the global recipe-id layout and source-label assignment can be
-    computed *before* any region is generated — which is what lets
-    regions build independently (and in parallel) while the merged
-    corpus stays bit-identical to the serial one.
-
-    Attributes:
-        profile: the region's generator profile.
-        start_recipe_id: id of the region's first recipe (1-based,
-            contiguous in profile order).
-        source_labels: source attribution for each recipe, region-local
-            order.
-    """
-
-    profile: RegionGeneratorProfile
-    start_recipe_id: int
-    source_labels: tuple[str, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class RegionOutput:
-    """Everything one region's generation produces (mergeable shard)."""
-
-    code: str
-    raw_recipes: tuple[RawRecipe, ...]
-    intended: dict[int, frozenset[int]]
-    pantry: RegionPantry
-
-
-@dataclasses.dataclass(frozen=True)
 class GeneratedCorpus:
     """Everything one generation run produces.
 
@@ -150,6 +119,7 @@ class CorpusGenerator:
         self._seed = seed
         self._include_world_only = include_world_only
         self._recipe_scale = recipe_scale
+        self._titles: dict[tuple[str, str, str], str] = {}
 
     @property
     def catalog(self) -> IngredientCatalog:
@@ -162,37 +132,49 @@ class CorpusGenerator:
             profiles += WORLD_ONLY_PROFILES
         return profiles
 
-    def region_plans(self) -> list[RegionPlan]:
-        """The deterministic per-region layout of the full corpus.
+    def generate(self) -> GeneratedCorpus:
+        """Generate the full corpus, one region after another.
 
-        Recipe counts, id ranges and source labels involve no sampling,
-        so the plan is computed up front; each plan then generates its
-        region independently (every RNG stream is keyed by region code).
+        Recipe ids run from 1 in profile order, and every RNG stream is
+        keyed by region code, so the corpus depends only on ``seed``,
+        ``recipe_scale`` and ``include_world_only``.
         """
-        profiles = self.profiles()
-        counts = [
-            (profile.code, self._region_recipe_count(profile))
-            for profile in profiles
-        ]
-        labels = self._source_labels(counts)
-        plans: list[RegionPlan] = []
-        cursor = 0
-        next_id = 1
-        for profile, (_code, count) in zip(profiles, counts):
-            plans.append(
-                RegionPlan(
-                    profile=profile,
-                    start_recipe_id=next_id,
-                    source_labels=tuple(labels[cursor : cursor + count]),
-                )
+        with span(
+            "corpus.generate", seed=self._seed, scale=self._recipe_scale
+        ) as trace:
+            profiles = self.profiles()
+            # Counts involve no sampling, so every recipe's source is
+            # known before any region is drawn.
+            labels = self._source_labels(
+                [
+                    (profile.code, self._region_recipe_count(profile))
+                    for profile in profiles
+                ]
             )
-            cursor += count
-            next_id += count
-        return plans
+            raw_recipes: list[RawRecipe] = []
+            intended: dict[int, frozenset[int]] = {}
+            pantries: dict[str, RegionPantry] = {}
+            for profile in profiles:
+                pantries[profile.code] = self._generate_region(
+                    profile, labels, raw_recipes, intended
+                )
+            trace.incr("recipes", len(raw_recipes))
+            trace.incr("regions", len(pantries))
+            return GeneratedCorpus(
+                raw_recipes=tuple(raw_recipes),
+                intended_ingredients=intended,
+                pantries=pantries,
+                seed=self._seed,
+            )
 
-    def generate_region(self, plan: RegionPlan) -> RegionOutput:
-        """Assemble and render one region of the corpus."""
-        profile = plan.profile
+    def _generate_region(
+        self,
+        profile: RegionGeneratorProfile,
+        labels: list[str],
+        raw_recipes: list[RawRecipe],
+        intended: dict[int, frozenset[int]],
+    ) -> RegionPantry:
+        """Assemble and render one region, appending its recipes."""
         code = profile.code
         with span("corpus.region", region=code) as trace:
             pantry = build_pantry(profile, self._catalog)
@@ -200,10 +182,8 @@ class CorpusGenerator:
             render_rng = np.random.Generator(
                 np.random.PCG64(stable_seed("render", code, str(self._seed)))
             )
-            raw_recipes: list[RawRecipe] = []
-            intended: dict[int, frozenset[int]] = {}
-            for offset, indices in enumerate(recipes):
-                recipe_id = plan.start_recipe_id + offset
+            for indices in recipes:
+                recipe_id = len(raw_recipes) + 1
                 ingredients = [pantry.ingredients[int(i)] for i in indices]
                 phrases = tuple(
                     self._renderer.render(ingredient, render_rng)
@@ -214,7 +194,7 @@ class CorpusGenerator:
                     RawRecipe(
                         recipe_id=recipe_id,
                         title=title,
-                        source=plan.source_labels[offset],
+                        source=labels[recipe_id - 1],
                         region_code=code,
                         ingredient_phrases=phrases,
                         instructions=self._instructions(ingredients),
@@ -224,70 +204,8 @@ class CorpusGenerator:
                     ingredient.ingredient_id for ingredient in ingredients
                 )
                 trace.incr("phrases", len(phrases))
-            trace.incr("recipes", len(raw_recipes))
-            return RegionOutput(
-                code=code,
-                raw_recipes=tuple(raw_recipes),
-                intended=intended,
-                pantry=pantry,
-            )
-
-    def generate(self, workers: int = 1) -> GeneratedCorpus:
-        """Generate the full corpus.
-
-        Args:
-            workers: generate regions across this many processes (``1``
-                = serial in-process). Region RNG streams are keyed by
-                region code and the merge follows profile order, so the
-                corpus is bit-identical for any worker count.
-        """
-        with span(
-            "corpus.generate",
-            seed=self._seed,
-            scale=self._recipe_scale,
-            workers=workers,
-        ) as trace:
-            plans = self.region_plans()
-            # Workers rebuild the generator from (seed, scale,
-            # include_world_only) alone, so only a default-catalog
-            # generator may fan out.
-            if workers > 1 and self._catalog is default_catalog():
-                from ..parallel.executor import run_tasks
-
-                payloads = [
-                    (
-                        self._seed,
-                        self._recipe_scale,
-                        self._include_world_only,
-                        plan,
-                    )
-                    for plan in plans
-                ]
-                outputs = run_tasks(
-                    _generate_region_worker,
-                    payloads,
-                    workers=workers,
-                    label="corpus.regions",
-                )
-            else:
-                outputs = [self.generate_region(plan) for plan in plans]
-
-            raw_recipes: list[RawRecipe] = []
-            intended: dict[int, frozenset[int]] = {}
-            pantries: dict[str, RegionPantry] = {}
-            for output in outputs:
-                raw_recipes.extend(output.raw_recipes)
-                intended.update(output.intended)
-                pantries[output.code] = output.pantry
-
-            trace.incr("recipes", len(raw_recipes))
-            trace.incr("regions", len(pantries))
-            return GeneratedCorpus(
-                raw_recipes=tuple(raw_recipes),
-                intended_ingredients=intended,
-                pantries=pantries,
-                seed=self._seed,
-            )
+            trace.incr("recipes", len(recipes))
+            return pantry
 
     # ------------------------------------------------------------------
     # per-region assembly
@@ -409,9 +327,19 @@ class CorpusGenerator:
     def _title(
         self, code: str, main_ingredient: str, rng: np.random.Generator
     ) -> str:
-        adjective = _REGION_ADJECTIVES.get(code, code.title())
+        """A recipe title; equal titles share one string.
+
+        The corpus repeats about half of its titles, and a served
+        workspace holds every one of them.
+        """
         dish = _DISH_TYPES[int(rng.integers(len(_DISH_TYPES)))]
-        return f"{adjective} {main_ingredient} {dish}".title()
+        key = (code, main_ingredient, dish)
+        title = self._titles.get(key)
+        if title is None:
+            adjective = _REGION_ADJECTIVES.get(code, code.title())
+            title = f"{adjective} {main_ingredient} {dish}".title()
+            self._titles[key] = title
+        return title
 
     def _instructions(self, ingredients) -> str:
         head = ", ".join(
@@ -421,34 +349,6 @@ class CorpusGenerator:
             f"Prepare the {head}. Combine all ingredients and cook until "
             "done. Season, rest briefly and serve."
         )
-
-
-# Per-process generator singleton for pool workers: building the pantry
-# renderer stack is much more expensive than generating one region, so a
-# worker reuses its generator across every region it is handed (keyed by
-# the generation parameters in case a pool is reused across builds).
-_WORKER_GENERATOR: tuple[tuple[int, float, bool], CorpusGenerator] | None = (
-    None
-)
-
-
-def _generate_region_worker(
-    payload: tuple[int, float, bool, RegionPlan],
-) -> RegionOutput:
-    """Pool entry point: generate one region in a worker process."""
-    global _WORKER_GENERATOR
-    seed, recipe_scale, include_world_only, plan = payload
-    key = (seed, recipe_scale, include_world_only)
-    if _WORKER_GENERATOR is None or _WORKER_GENERATOR[0] != key:
-        _WORKER_GENERATOR = (
-            key,
-            CorpusGenerator(
-                seed=seed,
-                include_world_only=include_world_only,
-                recipe_scale=recipe_scale,
-            ),
-        )
-    return _WORKER_GENERATOR[1].generate_region(plan)
 
 
 def generate_default_corpus(

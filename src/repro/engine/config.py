@@ -109,10 +109,10 @@ class RunConfig:
             corpus seed *and* the legacy ``"default"`` sampling stream.
         recipe_scale: recipe-count scale factor (1.0 = 45,772 recipes).
         include_world_only: also generate the WORLD-only mini-regions.
-        workers: worker processes for Monte Carlo sampling and for the
-            cold corpus/aliasing stage builds (``None`` = everything
-            serial, ``0`` = one per CPU core). Never part of any stage
-            fingerprint: artifacts are byte-identical for any value.
+        workers: worker processes for Monte Carlo sampling (``None`` =
+            the unsharded in-process plan, ``0`` = one per CPU core).
+            Stage builds run in one process whatever its value, so it
+            is never part of any stage fingerprint.
         shard_size: Monte Carlo samples per shard (results depend on
             this, never on ``workers``).
         n_samples: random recipes per null model (fig4).
@@ -141,11 +141,10 @@ class RunConfig:
         type=nonnegative_int,
         metavar="N",
         help=(
-            "fan null-model sampling and cold corpus/aliasing builds "
-            "across N worker processes (0 = one per CPU core). Omit it "
-            "to build serially and sample fig4 as one unsharded shard "
-            "per region and model, whose Z-scores differ from any "
-            "--workers N run"
+            "fan null-model sampling across N worker processes (0 = one "
+            "per CPU core). Omit it to sample fig4 as one unsharded "
+            "shard per region and model, whose Z-scores differ from any "
+            "--workers N run. Stage builds always run in one process"
         ),
     )
     shard_size: int = _cfg(

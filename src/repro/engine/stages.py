@@ -27,7 +27,6 @@ from ..datamodel import Cuisine, Recipe, build_cuisines, region_codes
 from ..flavordb import default_catalog
 from ..obs import span
 from ..pairing.views import CuisineView, build_cuisine_view
-from ..parallel import canonicalize, resolve_workers
 from ..retrieval.index import RetrievalIndex, build_retrieval_index
 from .config import RunConfig
 
@@ -69,43 +68,24 @@ class AliasingArtifact:
     report: MatchReport
 
 
-def _stage_workers(config: RunConfig) -> int:
-    """Worker processes available to a cold stage build.
-
-    ``workers`` deliberately stays out of every stage's
-    ``config_fields``: outputs are bit-identical for any worker count
-    (see :func:`repro.parallel.canonicalize`), so parallelism must never
-    re-address an artifact.
-    """
-    if config.workers is None:
-        return 1
-    return resolve_workers(config.workers)
-
-
 def _build_corpus(
     config: RunConfig, inputs: Mapping[str, Any]
 ) -> GeneratedCorpus:
-    generator = CorpusGenerator(
+    return CorpusGenerator(
         seed=config.corpus_seed,
         recipe_scale=config.recipe_scale,
         include_world_only=config.include_world_only,
-    )
-    # Canonicalise so the pickled .art bytes depend only on the corpus
-    # *values*, not on which processes assembled them.
-    return canonicalize(generator.generate(workers=_stage_workers(config)))
+    ).generate()
 
 
 def _build_aliasing(
     config: RunConfig, inputs: Mapping[str, Any]
 ) -> AliasingArtifact:
     corpus: GeneratedCorpus = inputs["corpus"]
-    pipeline = AliasingPipeline(default_catalog())
-    result = pipeline.resolve_corpus(
-        corpus.raw_recipes, workers=_stage_workers(config)
+    result = AliasingPipeline(default_catalog()).resolve_corpus(
+        corpus.raw_recipes
     )
-    return canonicalize(
-        AliasingArtifact(recipes=result.recipes, report=result.report)
-    )
+    return AliasingArtifact(recipes=result.recipes, report=result.report)
 
 
 def _build_cuisines(
@@ -152,9 +132,6 @@ def _build_retrieval_index(
 
     Depends on ``pairing_views`` (which regions are view-ready defines
     the cuisine-vector coverage) and ``cuisines`` (prevalence counts).
-    Built in-process from the catalog and canonical inputs — no
-    sharding — so the artifact is byte-identical at any worker count by
-    construction.
     """
     cuisines: Mapping[str, Cuisine] = inputs["cuisines"]
     views: Mapping[str, CuisineView] = inputs["pairing_views"]

@@ -1,5 +1,10 @@
 """``repro.parallel`` — the process-pool Monte Carlo execution engine.
 
+The pool runs null-model sampling only (``--workers`` on ``run``,
+``fig4``, ``fig5`` and ``report``, and a served ``/montecarlo``'s
+``workers``). The cold corpus and aliasing stage builds run in one
+process, so their artifacts are byte-stable by construction.
+
 Three layers, bottom-up:
 
 * :mod:`repro.parallel.executor` — generic fan-out: map a worker function
@@ -24,7 +29,6 @@ Results are **bit-identical across worker counts** for a fixed
 decomposition, and shard moments merge in shard-index order.
 """
 
-from .canonical import canonicalize
 from .executor import (
     DEFAULT_SHARD_SIZE,
     ParallelConfig,
@@ -52,7 +56,6 @@ from .sharedmem import (
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
-    "canonicalize",
     "ParallelConfig",
     "resolve_workers",
     "run_tasks",

@@ -116,6 +116,18 @@ class TestResolveCorpus:
         assert result.report.recipes_total == 3
         assert result.report.recipes_resolved == 2
 
+    def test_fuzzy_pipeline_resolves_a_corpus(self, catalog):
+        fuzzy = AliasingPipeline(catalog, fuzzy=True)
+        raws = _corpus_raws()
+        result = fuzzy.resolve_corpus(raws)
+        assert result.report.recipes_total == len(raws)
+
+    def test_curated_alias_honoured(self, catalog):
+        curated = AliasingPipeline(catalog)
+        curated.register_alias("moon dust", catalog.get("tomato"))
+        result = curated.resolve_corpus(_corpus_raws())
+        assert result.report.phrase_counts[MatchKind.UNRECOGNIZED] == 0
+
 
 class TestMatchReport:
     def test_exact_rate(self):
@@ -164,35 +176,6 @@ def _corpus_raws():
         RawRecipe(i + 1, f"R{i + 1}", "AllRecipes", "ITA", lines)
         for i, lines in enumerate(phrases)
     ]
-
-
-class TestMatchReportMerge:
-    def _serial_and_sharded(self, pipeline, raws, cut):
-        serial = MatchReport()
-        for raw in raws:
-            pipeline.resolve_recipe(raw, serial)
-        left, right = MatchReport(), MatchReport()
-        for raw in raws[:cut]:
-            pipeline.resolve_recipe(raw, left)
-        for raw in raws[cut:]:
-            pipeline.resolve_recipe(raw, right)
-        return serial, left.merge(right)
-
-    @pytest.mark.parametrize("cut", [0, 2, 3, 6])
-    def test_merge_equals_serial(self, pipeline, cut):
-        serial, merged = self._serial_and_sharded(
-            pipeline, _corpus_raws(), cut
-        )
-        assert merged.phrase_counts == serial.phrase_counts
-        assert merged.recipes_total == serial.recipes_total
-        assert merged.recipes_resolved == serial.recipes_resolved
-        assert merged.exact_rate() == serial.exact_rate()
-        # Full ranking including tie-breaks (first-occurrence order).
-        assert merged.top_unmatched(1000) == serial.top_unmatched(1000)
-
-    def test_merge_returns_self(self):
-        left, right = MatchReport(), MatchReport()
-        assert left.merge(right) is left
 
 
 class TestPhraseMemo:
@@ -361,37 +344,3 @@ class TestConcurrentResolve:
         assert mismatches == []
         assert shared.phrase_cache_info() == (2, 2)
 
-
-class TestShardedResolveCorpus:
-    def test_sharded_equals_serial(self, pipeline, catalog):
-        raws = _corpus_raws()
-        serial = pipeline.resolve_corpus(raws)
-        fresh = AliasingPipeline(catalog)
-        sharded = fresh.resolve_corpus(raws, workers=2, shard_size=2)
-        assert sharded.recipes == serial.recipes
-        assert sharded.report.phrase_counts == serial.report.phrase_counts
-        assert sharded.report.recipes_total == serial.report.recipes_total
-        assert (
-            sharded.report.recipes_resolved
-            == serial.report.recipes_resolved
-        )
-        assert sharded.report.top_unmatched(1000) == serial.report.top_unmatched(
-            1000
-        )
-
-    def test_non_default_pipeline_stays_serial(self, catalog):
-        fuzzy = AliasingPipeline(catalog, fuzzy=True)
-        assert not fuzzy._default_spec
-        raws = _corpus_raws()
-        result = fuzzy.resolve_corpus(raws, workers=4, shard_size=1)
-        assert result.report.recipes_total == len(raws)
-
-    def test_curated_pipeline_stays_serial(self, catalog):
-        curated = AliasingPipeline(catalog)
-        curated.register_alias("moon dust", catalog.get("tomato"))
-        assert curated._curated
-        raws = _corpus_raws()
-        result = curated.resolve_corpus(raws, workers=4, shard_size=1)
-        # The curated alias must be honoured (a default-spec worker
-        # rebuild would miss it).
-        assert result.report.phrase_counts[MatchKind.UNRECOGNIZED] == 0

@@ -150,6 +150,26 @@ class TestServeParser:
         assert args.cache_dir == "/tmp/artifacts"
 
 
+class TestWorkspaceCommandFlags:
+    """build-db, similar, recommend and serve take no sampling flags."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-db", "--out", "x", "--workers", "2"],
+            ["similar", "garlic", "--workers", "2"],
+            ["recommend", "--region", "ITA", "--workers", "2"],
+            ["serve", "--workers", "2"],
+            ["serve", "--shard-size", "123"],
+        ],
+    )
+    def test_removed_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestServeStartup:
     def test_heap_frozen_after_preload_before_bind(
         self, monkeypatch, workspace
