@@ -6,7 +6,9 @@ builds the pantry (:mod:`repro.corpus.pantry`), samples recipe sizes
 flavor-affinity bias (:mod:`repro.corpus.assembler`), enforces Table 1's
 exact unique-ingredient counts, renders noisy raw phrases
 (:mod:`repro.corpus.renderer`), and attributes recipes to the paper's four
-sources with their exact published totals.
+sources with their exact published totals. Phrases and titles draw from
+a per-region :class:`~repro.corpus.draws.DrawStream`, which gives the
+values a numpy ``Generator`` on the same PCG64 stream would.
 
 Everything is deterministic given ``seed``; the default seed is the one
 all experiments and benchmarks use. Generation runs in the calling
@@ -27,6 +29,7 @@ from ..datamodel import ConfigurationError, RawRecipe
 from ..flavordb import IngredientCatalog, default_catalog, stable_seed
 from ..obs import span
 from .assembler import RecipeAssembler
+from .draws import DrawStream
 from .pantry import RegionPantry, build_pantry
 from .profiles import (
     REGION_GENERATOR_PROFILES,
@@ -179,7 +182,7 @@ class CorpusGenerator:
         with span("corpus.region", region=code) as trace:
             pantry = build_pantry(profile, self._catalog)
             recipes = self._assemble_region(profile, pantry)
-            render_rng = np.random.Generator(
+            render_rng = DrawStream(
                 np.random.PCG64(stable_seed("render", code, str(self._seed)))
             )
             for indices in recipes:
@@ -325,7 +328,10 @@ class CorpusGenerator:
         return labels
 
     def _title(
-        self, code: str, main_ingredient: str, rng: np.random.Generator
+        self,
+        code: str,
+        main_ingredient: str,
+        rng: np.random.Generator | DrawStream,
     ) -> str:
         """A recipe title; equal titles share one string.
 

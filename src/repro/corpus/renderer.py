@@ -11,6 +11,11 @@ ingredient it was rendered from. The renderer guarantees this by
 validating each candidate surface form (canonical name, synonyms, plural)
 through the actual :class:`~repro.aliasing.AliasingPipeline` once, and
 only decorating with vocabulary the normaliser is known to strip.
+
+A line takes six to seven scalar draws. The generator passes a
+:class:`~repro.corpus.draws.DrawStream`, which decodes them in bulk from
+the region's PCG64 words; a numpy ``Generator`` over the same bit
+generator gives the same lines, one numpy call per draw.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 
 from ..aliasing import AliasingPipeline, MatchKind
 from ..datamodel import Ingredient
+from .draws import DrawStream
 
 #: Quantity spellings, mixed numbers and vulgar fractions included.
 QUANTITIES: tuple[str, ...] = (
@@ -92,9 +98,13 @@ class PhraseRenderer:
         return forms
 
     def render(
-        self, ingredient: Ingredient, rng: np.random.Generator
+        self, ingredient: Ingredient, rng: np.random.Generator | DrawStream
     ) -> str:
-        """Render one noisy ingredient line."""
+        """Render one noisy ingredient line.
+
+        ``rng`` is a numpy ``Generator`` or a :class:`DrawStream` over the
+        same bit generator; both give the same line.
+        """
         forms = self.surface_forms(ingredient)
         surface = forms[int(rng.integers(len(forms)))]
         style = rng.random()

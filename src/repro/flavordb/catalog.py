@@ -144,6 +144,7 @@ class IngredientCatalog:
             ingredient.ingredient_id: ingredient
             for ingredient in self._ingredients
         }
+        self._families: dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # collection protocol
@@ -220,8 +221,19 @@ class IngredientCatalog:
         return frozenset(self._by_name)
 
     def family_of(self, ingredient: Ingredient) -> str:
-        """Primary flavor family of an ingredient (compounds inherit the
-        family of their first constituent)."""
+        """Primary flavor family of one of this catalog's ingredients
+        (compounds inherit the family of their first constituent).
+
+        Computed once per ingredient id: every region's pantry build asks
+        again for the same ingredients.
+        """
+        family = self._families.get(ingredient.ingredient_id)
+        if family is None:
+            family = self._primary_family(ingredient)
+            self._families[ingredient.ingredient_id] = family
+        return family
+
+    def _primary_family(self, ingredient: Ingredient) -> str:
         if ingredient.is_compound and ingredient.constituents:
             constituent = self.resolve(ingredient.constituents[0])
             if constituent is not None and not constituent.is_compound:

@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from .score import scores_from_view
+from .score import member_pair_sums, scores_from_view
 from .views import CuisineView
 
 
@@ -40,54 +40,91 @@ def chi_values(view: CuisineView) -> np.ndarray:
     process; the fig5 sweep fans one call per region across the pool and
     re-attaches names in the parent.
 
-    Complexity is O(total pair updates): per recipe, removing member ``i``
-    reuses the recipe's pair-sum, so the full sweep costs about as much as
-    scoring the cuisine once per average recipe size.
+    Complexity: every (recipe, member) removal is scored with array
+    operations, one recipe-size group at a time, in O(sum of n**2) over
+    the recipes. Removed pair sums add up integer overlap counts, so they
+    are exact in any order. Only each ingredient's running sum keeps a
+    loop order: take out a recipe's old score, put in its new one, over
+    the recipes in index order. That loop runs once per *rank*, the k-th
+    recipe of every ingredient at once, so it makes as many passes as the
+    most used ingredient has recipes. ``tests.oracles.loop_chi_values``
+    walks the pairs one at a time, and every chi equals it bit for bit.
     """
     base_scores = scores_from_view(view)
     base_mean = float(base_scores.mean())
+    members, recipes, new_scores = _removal_scores(view, base_scores)
 
-    # Per recipe: pair sum and size, for O(n) removal updates.
-    pair_sums = np.empty(view.recipe_count, dtype=np.float64)
-    sizes = view.recipe_sizes()
-    for index, recipe in enumerate(view.recipes):
-        n = len(recipe)
-        pair_sums[index] = base_scores[index] * (n * (n - 1))  # = 2*sum_pairs
+    # Each ingredient's pairs in recipe index order, and their ranks.
+    order = np.lexsort((recipes, members))
+    members, recipes, new_scores = (
+        members[order], recipes[order], new_scores[order]
+    )
+    uses = np.bincount(members, minlength=view.ingredient_count)
+    rank = np.arange(len(members)) - (np.cumsum(uses) - uses)[members]
 
-    # score_sum / count over all recipes, updated per removal candidate.
-    total_score = float(base_scores.sum())
-    recipe_total = view.recipe_count
+    # Slot ingredients by falling use: rank r then covers the first
+    # widths[r] slots, so each pass updates one contiguous slice.
+    by_use = np.argsort(-uses, kind="stable")
+    slot = np.empty_like(by_use)
+    slot[by_use] = np.arange(len(by_use))
+    layout = np.argsort(rank * view.ingredient_count + slot[members])
+    old_scores = base_scores[recipes[layout]]
+    new_scores = new_scores[layout]
+    widths = np.bincount(rank)
 
-    # For each ingredient, which recipes contain it.
-    containing: dict[int, list[int]] = {}
-    for recipe_index, recipe in enumerate(view.recipes):
-        for local in recipe:
-            containing.setdefault(int(local), []).append(recipe_index)
+    sums = np.full(view.ingredient_count, float(base_scores.sum()))
+    start = 0
+    for width in widths.tolist():
+        stop = start + width
+        sums[:width] -= old_scores[start:stop]
+        sums[:width] += new_scores[start:stop]
+        start = stop
+    score_sum = sums[slot]
 
+    # A recipe of two drops out of the mean when a member goes.
+    dropped = view.recipe_sizes()[recipes] == 2
+    count = view.recipe_count - np.bincount(
+        members[dropped], minlength=view.ingredient_count
+    )
     chi = np.zeros(view.ingredient_count, dtype=np.float64)
-    for local in range(view.ingredient_count):
-        recipes_with = containing.get(local, [])
-        score_sum = total_score
-        count = recipe_total
-        for recipe_index in recipes_with:
-            recipe = view.recipes[recipe_index]
-            n = len(recipe)
-            old_score = base_scores[recipe_index]
-            score_sum -= old_score
-            count -= 1
-            if n <= 2:
-                continue  # recipe drops below pairability
-            others = recipe[recipe != local]
-            removed_pairs = 2.0 * float(view.overlap[local, others].sum())
-            new_sum = pair_sums[recipe_index] - removed_pairs
-            new_score = new_sum / ((n - 1) * (n - 2))
-            score_sum += new_score
-            count += 1
-        if count == 0 or base_mean == 0.0:
-            chi[local] = 0.0
-        else:
-            chi[local] = 100.0 * (score_sum / count - base_mean) / base_mean
+    if base_mean != 0.0:
+        kept = count > 0
+        chi[kept] = (
+            100.0 * (score_sum[kept] / count[kept] - base_mean) / base_mean
+        )
     return chi
+
+
+def _removal_scores(
+    view: CuisineView, base_scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (recipe, member) pair: member, recipe index, and the recipe's
+    score without that member.
+
+    A recipe of two has no score left, so its pairs carry ``+0.0``. Adding
+    that leaves a running sum unchanged unless the sum is ``-0.0``, and it
+    never is: it starts as a sum of non-negative scores, and ``x + y`` or
+    ``x - y`` rounds to ``-0.0`` only when ``x`` already is ``-0.0``.
+    """
+    sizes = view.recipe_sizes()
+    members, recipes, scores = [], [], []
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        batch = np.stack([view.recipes[row] for row in rows.tolist()])
+        members.append(batch.ravel())
+        recipes.append(np.repeat(rows, size))
+        if size == 2:
+            scores.append(np.zeros(batch.size, dtype=np.float64))
+            continue
+        pair_sums = base_scores[rows] * (size * (size - 1))
+        removed = 2.0 * member_pair_sums(view.overlap, batch)
+        new_sums = pair_sums[:, None] - removed
+        scores.append((new_sums / ((size - 1) * (size - 2))).ravel())
+    return (
+        np.concatenate(members),
+        np.concatenate(recipes),
+        np.concatenate(scores),
+    )
 
 
 def contributions_from_chi(

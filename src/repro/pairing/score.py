@@ -132,3 +132,27 @@ def batch_scores(
         blocks = overlap[chunk[:, :, None], chunk[:, None, :]]
         sums[start:stop] = blocks.sum(axis=(1, 2))
     return sums / (n * (n - 1))
+
+
+def member_pair_sums(overlap: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Per member of each same-size recipe: its overlap with the others.
+
+    Gathered in the same row chunks as :func:`batch_scores`. The overlap
+    diagonal is zero, so a member's own entry adds nothing.
+
+    Args:
+        overlap: cuisine overlap matrix.
+        batch: ``(k, n)`` array of local indices, one recipe per row.
+
+    Returns:
+        ``(k, n)`` array of sums.
+    """
+    k, n = batch.shape
+    sums = np.empty((k, n), dtype=np.float64)
+    rows_per_chunk = max(1, BATCH_BLOCK_ELEMENTS // (n * n))
+    for start in range(0, k, rows_per_chunk):
+        stop = min(start + rows_per_chunk, k)
+        chunk = batch[start:stop]
+        blocks = overlap[chunk[:, :, None], chunk[:, None, :]]
+        sums[start:stop] = blocks.sum(axis=2)
+    return sums

@@ -10,6 +10,9 @@ each of them.
 * :func:`naive_sample_model_scores` — one ``rng.choice`` loop per random
   recipe, the spec of the Gumbel top-k sampler
   :func:`repro.pairing.sample_model_recipes`.
+* :func:`loop_chi_values` — one (ingredient, recipe) removal at a time,
+  the spec of the array sweep :func:`repro.pairing.chi_values`, which
+  must equal it bit for bit.
 * :func:`whole_phrase_clean`, :func:`whole_phrase_tokenize` and
   :func:`whole_phrase_normalize` — each pass over the whole phrase at
   once, the spec of the per-chunk :func:`repro.aliasing.basic_clean`,
@@ -56,7 +59,7 @@ from repro.datamodel import (
     WORLD_ONLY_REGION_NAMES,
     Ingredient,
 )
-from repro.pairing import CuisineView, NullModel
+from repro.pairing import CuisineView, NullModel, scores_from_view
 from repro.retrieval import (
     SIMILARITY_DECIMALS,
     Completion,
@@ -153,6 +156,59 @@ def naive_sample_model_scores(
         block = view.overlap[np.ix_(indices, indices)]
         scores[sample] = block.sum() / (n * (n - 1))
     return scores
+
+
+def loop_chi_values(view: CuisineView) -> np.ndarray:
+    """``chi_i`` per local ingredient, one (ingredient, recipe) pair at a time.
+
+    For each ingredient, walk the recipes containing it in index order:
+    take the recipe's score out of the running sum and, unless the recipe
+    drops below two ingredients, put its score without the ingredient
+    back in.
+    """
+    base_scores = scores_from_view(view)
+    base_mean = float(base_scores.mean())
+
+    # Per recipe: pair sum and size, for O(n) removal updates.
+    pair_sums = np.empty(view.recipe_count, dtype=np.float64)
+    for index, recipe in enumerate(view.recipes):
+        n = len(recipe)
+        pair_sums[index] = base_scores[index] * (n * (n - 1))  # = 2*sum_pairs
+
+    # score_sum / count over all recipes, updated per removal candidate.
+    total_score = float(base_scores.sum())
+    recipe_total = view.recipe_count
+
+    # For each ingredient, which recipes contain it.
+    containing: dict[int, list[int]] = {}
+    for recipe_index, recipe in enumerate(view.recipes):
+        for local in recipe:
+            containing.setdefault(int(local), []).append(recipe_index)
+
+    chi = np.zeros(view.ingredient_count, dtype=np.float64)
+    for local in range(view.ingredient_count):
+        recipes_with = containing.get(local, [])
+        score_sum = total_score
+        count = recipe_total
+        for recipe_index in recipes_with:
+            recipe = view.recipes[recipe_index]
+            n = len(recipe)
+            old_score = base_scores[recipe_index]
+            score_sum -= old_score
+            count -= 1
+            if n <= 2:
+                continue  # recipe drops below pairability
+            others = recipe[recipe != local]
+            removed_pairs = 2.0 * float(view.overlap[local, others].sum())
+            new_sum = pair_sums[recipe_index] - removed_pairs
+            new_score = new_sum / ((n - 1) * (n - 2))
+            score_sum += new_score
+            count += 1
+        if count == 0 or base_mean == 0.0:
+            chi[local] = 0.0
+        else:
+            chi[local] = 100.0 * (score_sum / count - base_mean) / base_mean
+    return chi
 
 
 def whole_phrase_clean(phrase: str) -> str:

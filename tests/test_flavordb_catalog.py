@@ -124,6 +124,24 @@ class TestFamilyOf:
         milk = catalog.get("milk")
         assert catalog.family_of(half_half) == catalog.family_of(milk)
 
+    def test_computed_once_per_ingredient(self, monkeypatch):
+        from repro.flavordb import IngredientCatalog
+        from repro.flavordb import catalog as catalog_module
+
+        fresh = IngredientCatalog()
+        original = catalog_module.primary_family
+        calls = []
+
+        def counting(name, category):
+            calls.append(name)
+            return original(name, category)
+
+        monkeypatch.setattr(catalog_module, "primary_family", counting)
+        garlic = fresh.get("garlic")
+        families = {fresh.family_of(garlic) for _ in range(3)}
+        assert families == {"allium-sulfur"}
+        assert calls == ["garlic"]
+
     def test_deterministic_rebuild(self):
         from repro.flavordb import IngredientCatalog
 

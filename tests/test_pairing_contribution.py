@@ -1,14 +1,29 @@
 """Tests for ingredient contributions (leave-one-out chi)."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.datamodel import Cuisine, Recipe
+from repro.datamodel import Cuisine, Recipe, region_codes
 from repro.pairing import (
+    CuisineView,
     build_cuisine_view,
+    chi_values,
     ingredient_contributions,
     recipe_score_from_matrix,
     top_contributors,
+)
+from tests.oracles import loop_chi_values
+
+#: SHA-256 of the 22 chi vectors of the session workspace (scale 0.25),
+#: float64 little-endian bytes in Table 1 region order. Recorded when
+#: ``chi_values`` was the per-pair loop now kept as
+#: ``tests.oracles.loop_chi_values``.
+CHI_DIGEST = (
+    "605a107cbfc548da912f529173517b4e87060a1c1bc90b1dc67583e4c7401e21"
 )
 
 
@@ -155,3 +170,86 @@ class TestEdgeCases:
         }
         reference = verify_contribution(view, by_index["basil"])
         assert contributions["basil"] == pytest.approx(reference)
+
+
+def kernel_view(overlap, recipes) -> CuisineView:
+    """A view from bare arrays, the way a worker process sees one."""
+    count = len(overlap)
+    frequencies = np.zeros(count, dtype=np.float64)
+    for recipe in recipes:
+        frequencies[recipe] += 1
+    return CuisineView(
+        region_code="TST",
+        ingredients=(),
+        overlap=np.asarray(overlap, dtype=np.float64),
+        recipes=tuple(np.asarray(row, dtype=np.int64) for row in recipes),
+        frequencies=frequencies,
+        categories=("herb",) * count,
+    )
+
+
+@st.composite
+def small_cuisines(draw):
+    """Integer overlaps with a zero diagonal (sometimes all zero), and
+    recipes of two and up (sometimes all sharing one ingredient)."""
+    count = draw(st.integers(2, 7))
+    cells = draw(
+        st.lists(
+            st.integers(0, 9), min_size=count * count, max_size=count * count
+        )
+    )
+    square = np.asarray(cells, dtype=np.float64).reshape(count, count)
+    upper = np.triu(square, 1)
+    if draw(st.booleans()):  # base mean 0
+        upper[:] = 0.0
+    recipes = draw(
+        st.lists(
+            st.lists(
+                st.integers(0, count - 1),
+                min_size=2,
+                max_size=count,
+                unique=True,
+            ).map(sorted),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    if draw(st.booleans()):  # one ingredient in every recipe
+        recipes = [sorted(set(recipe) | {0}) for recipe in recipes]
+    return kernel_view(upper + upper.T, recipes)
+
+
+class TestArrayChiMatchesLoop:
+    def test_every_workspace_view(self, workspace):
+        views = workspace.views()
+        assert sorted(views) == sorted(region_codes())
+        for code, view in views.items():
+            chi = chi_values(view)
+            assert np.array_equal(chi, loop_chi_values(view)), code
+
+    def test_chi_vectors_pinned_across_commits(self, workspace):
+        views = workspace.views()
+        digest = hashlib.sha256()
+        for code in region_codes():
+            digest.update(chi_values(views[code]).astype("<f8").tobytes())
+        assert digest.hexdigest() == CHI_DIGEST
+
+    @settings(max_examples=200, deadline=None)
+    @given(view=small_cuisines())
+    def test_small_cuisines(self, view):
+        assert np.array_equal(chi_values(view), loop_chi_values(view))
+
+    def test_zero_overlap_gives_zero_chi(self):
+        view = kernel_view(np.zeros((4, 4)), [[0, 1], [1, 2, 3], [0, 2, 3]])
+        assert view.mean_score() == 0.0
+        assert np.array_equal(chi_values(view), np.zeros(4))
+        assert np.array_equal(chi_values(view), loop_chi_values(view))
+
+    def test_every_recipe_drops_out(self):
+        # Ingredient 0 is in every recipe and every recipe has two
+        # members, so removing it leaves no recipe to average.
+        overlap = np.array([[0, 3, 1], [3, 0, 2], [1, 2, 0]])
+        view = kernel_view(overlap, [[0, 1], [0, 2]])
+        chi = chi_values(view)
+        assert chi[0] == 0.0
+        assert np.array_equal(chi, loop_chi_values(view))

@@ -23,6 +23,7 @@ from repro.parallel import (
     sweep_pairing_moments,
 )
 from repro.parallel.sharedmem import SharedViewStore
+from tests.oracles import loop_chi_values
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +202,8 @@ class TestSweeps:
         sweep = sweep_contributions(
             {"ITA": view}, ParallelConfig(workers=2)
         )
-        assert np.allclose(sweep["ITA"], chi_values(view))
+        assert np.array_equal(sweep["ITA"], chi_values(view))
+        assert np.array_equal(sweep["ITA"], loop_chi_values(view))
 
     def test_analyze_cuisine_parallel_path(self, cuisine, catalog):
         result = analyze_cuisine(
@@ -271,9 +273,9 @@ class TestExperimentIntegration:
             assert [item.ingredient_name for item in mine.top] == [
                 item.ingredient_name for item in theirs.top
             ]
-            assert [item.chi_percent for item in mine.top] == pytest.approx(
-                [item.chi_percent for item in theirs.top]
-            )
+            assert [item.chi_percent for item in mine.top] == [
+                item.chi_percent for item in theirs.top
+            ]
 
     def test_fig4_row_directions_still_populated(self, workspace):
         from repro.experiments.fig4 import run_fig4
