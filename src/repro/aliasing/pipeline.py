@@ -1,7 +1,8 @@
 """The end-to-end ingredient aliasing pipeline.
 
-Maps raw recipe records onto resolved :class:`~repro.datamodel.Recipe`
-objects: each ingredient phrase is normalised
+Maps raw recipe records onto resolved recipes (one
+:class:`~repro.datamodel.Recipe`, or a whole corpus as a
+:class:`~repro.datamodel.RecipeTable`): each ingredient phrase is normalised
 (:mod:`repro.aliasing.normalize`), matched against the catalog by greedy
 longest-first token matching (:mod:`repro.aliasing.trie`), and
 classified as exact / partial / unrecognised. Partial and unrecognised
@@ -33,7 +34,7 @@ import time
 from collections import Counter
 from collections.abc import Iterable
 
-from ..datamodel import Ingredient, RawRecipe, Recipe
+from ..datamodel import Ingredient, RawRecipe, Recipe, RecipeTable
 from ..flavordb import IngredientCatalog, default_catalog
 from ..obs import get_registry, span
 from .matcher import MAX_NGRAM, MatchOutcome
@@ -136,9 +137,14 @@ class MatchReport:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class AliasingResult:
-    """Output of aliasing a corpus: resolved recipes plus the report."""
+    """Output of aliasing a corpus: resolved recipes plus the report.
 
-    recipes: tuple[Recipe, ...]
+    It is also the ``aliasing`` stage's artifact. ``recipes`` is a
+    :class:`~repro.datamodel.RecipeTable`; iterating it yields
+    :class:`~repro.datamodel.Recipe` objects built on access.
+    """
+
+    recipes: RecipeTable
     report: MatchReport
 
 
@@ -313,6 +319,21 @@ class AliasingPipeline:
         maximises information retrieval while labelling partial matches for
         curation); duplicate ingredient mentions collapse.
         """
+        ingredient_ids = self._resolve_ids(raw, report)
+        if not ingredient_ids:
+            return None
+        return Recipe(
+            recipe_id=raw.recipe_id,
+            region_code=raw.region_code,
+            ingredient_ids=ingredient_ids,
+            title=raw.title,
+            source=raw.source,
+        )
+
+    def _resolve_ids(
+        self, raw: RawRecipe, report: MatchReport | None
+    ) -> frozenset[int]:
+        """The ingredient ids one raw recipe resolves to (maybe none)."""
         ingredient_ids: set[int] = set()
         for phrase in raw.ingredient_phrases:
             _tokens, ingredients, leftovers, kind = self._match(phrase)
@@ -321,29 +342,27 @@ class AliasingPipeline:
             ingredient_ids.update(
                 ingredient.ingredient_id for ingredient in ingredients
             )
-        resolved = bool(ingredient_ids)
         if report is not None:
-            report.record_recipe(resolved)
-        if not resolved:
-            return None
-        return Recipe(
-            recipe_id=raw.recipe_id,
-            region_code=raw.region_code,
-            ingredient_ids=frozenset(ingredient_ids),
-            title=raw.title,
-            source=raw.source,
-        )
+            report.record_recipe(bool(ingredient_ids))
+        return frozenset(ingredient_ids)
 
     def resolve_corpus(self, raws: Iterable[RawRecipe]) -> AliasingResult:
         """Alias a whole corpus in order, collecting the curation report."""
         with span("aliasing.resolve_corpus") as trace:
             started = time.perf_counter()
             report = MatchReport()
-            recipes = []
+            resolved: list[tuple[RawRecipe, frozenset[int]]] = []
             for raw in raws:
-                recipe = self.resolve_recipe(raw, report)
-                if recipe is not None:
-                    recipes.append(recipe)
+                ingredient_ids = self._resolve_ids(raw, report)
+                if ingredient_ids:
+                    resolved.append((raw, ingredient_ids))
+            recipes = RecipeTable.from_columns(
+                [raw.recipe_id for raw, _ids in resolved],
+                [ingredient_ids for _raw, ingredient_ids in resolved],
+                [raw.region_code for raw, _ids in resolved],
+                [raw.title for raw, _ids in resolved],
+                [raw.source for raw, _ids in resolved],
+            )
             elapsed = time.perf_counter() - started
             registry = get_registry()
             for kind in MatchKind:
@@ -362,4 +381,4 @@ class AliasingPipeline:
             registry.counter("repro_aliasing_recipes_total").incr(
                 report.recipes_total
             )
-            return AliasingResult(tuple(recipes), report)
+            return AliasingResult(recipes, report)

@@ -22,13 +22,14 @@ import dataclasses
 import numpy as np
 
 from ..datamodel import ConfigurationError, Cuisine
+from ..datamodel.entities import take_rows
 from ..flavordb import (
     IngredientCatalog,
     membership_matrix,
     shared_molecule_counts,
 )
 from ..pairing import NullModel, compare_to_model
-from ..pairing.views import CuisineView, build_cuisine_view
+from ..pairing.views import CuisineView, assemble_view, build_cuisine_view
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,20 +55,23 @@ def _resample_view(
 ) -> CuisineView:
     """Bootstrap-resample the view's recipes (ingredients unchanged)."""
     picks = rng.integers(0, view.recipe_count, size=view.recipe_count)
-    recipes = tuple(view.recipes[int(pick)] for pick in picks)
-    frequencies = np.zeros_like(view.frequencies)
-    for recipe in recipes:
-        frequencies[recipe] += 1
+    offsets, flat = take_rows(view.recipe_offsets, view.flat_recipes, picks)
     # Ingredients that vanished from the resample keep a floor frequency
     # so the frequency-null stays well-defined.
-    frequencies = np.maximum(frequencies, 1e-9)
-    return CuisineView(
+    frequencies = np.maximum(
+        np.bincount(flat, minlength=view.ingredient_count).astype(
+            view.frequencies.dtype
+        ),
+        1e-9,
+    )
+    return assemble_view(
         region_code=view.region_code,
-        ingredients=view.ingredients,
+        ingredient_ids=view.ingredient_ids,
         overlap=view.overlap,
-        recipes=recipes,
         frequencies=frequencies,
         categories=view.categories,
+        recipe_offsets=offsets,
+        flat_recipes=flat,
     )
 
 
@@ -168,13 +172,8 @@ def perturb_flavor_profiles(
         if fraction == 0.0:
             thinned = view
         else:
-            thinned = CuisineView(
-                region_code=view.region_code,
-                ingredients=view.ingredients,
-                overlap=_thin_overlap(view, fraction, rng),
-                recipes=view.recipes,
-                frequencies=view.frequencies,
-                categories=view.categories,
+            thinned = dataclasses.replace(
+                view, overlap=_thin_overlap(view, fraction, rng)
             )
         comparison = compare_to_model(
             thinned, NullModel.RANDOM, n_samples=n_samples, rng=rng

@@ -1,7 +1,7 @@
 """Populate CulinaryDB from a catalog and a resolved recipe collection.
 
-One pass over the catalog and one over the recipes build every table's
-columns; each table is then filled by one
+One pass over the catalog and array operations over the recipe table
+build every table's columns; each table is then filled by one
 :meth:`~repro.db.table.Table.load_columns` call, parents before children,
 so foreign keys resolve. The load makes the checks per-row inserts make,
 and the database equals the one per-row inserts build, index for index.
@@ -9,13 +9,17 @@ and the database equals the one per-row inserts build, index for index.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
+
+import numpy as np
 
 from ..datamodel import (
     RECIPE_SOURCES,
     REGIONS,
     WORLD_ONLY_REGION_NAMES,
     Recipe,
+    RecipeTable,
+    recipe_table,
 )
 from ..db import Database
 from ..flavordb import IngredientCatalog, default_catalog
@@ -23,7 +27,7 @@ from .schema import create_culinarydb_schema
 
 
 def build_culinarydb(
-    recipes: Sequence[Recipe],
+    recipes: RecipeTable | Iterable[Recipe],
     catalog: IngredientCatalog | None = None,
     raw_recipes: Iterable | None = None,
     name: str = "culinarydb",
@@ -31,7 +35,8 @@ def build_culinarydb(
     """Build a fully-populated CulinaryDB database.
 
     Args:
-        recipes: resolved recipes (any regions, including WORLD-only ones).
+        recipes: resolved recipes (any regions, including WORLD-only
+            ones), as the aliasing stage's table or as objects.
         catalog: ingredient catalog; defaults to the shared instance.
         raw_recipes: optional matching :class:`~repro.datamodel.RawRecipe`
             records; when given, titles/sources/instructions come from them.
@@ -105,33 +110,53 @@ def build_culinarydb(
         {"synonym": synonyms, "ingredient_id": synonym_ingredients}
     )
 
+    table = recipe_table(recipes)
+    recipe_ids = table.recipe_ids.tolist()
+    sizes = table.sizes()
     raw_by_id = {}
     if raw_recipes is not None:
         raw_by_id = {raw.recipe_id: raw for raw in raw_recipes}
-    columns: dict[str, list] = {
-        "recipe_id": [],
-        "title": [],
-        "source": [],
-        "region_code": [],
-        "n_ingredients": [],
-        "instructions": [],
+    raws = [raw_by_id.get(recipe_id) for recipe_id in recipe_ids]
+    sources = [
+        raw.source if raw is not None else table.sources[code]
+        for raw, code in zip(raws, table.source_idx.tolist())
+    ]
+    columns = {
+        "recipe_id": recipe_ids,
+        "title": [
+            raw.title if raw is not None else table.titles[code]
+            for raw, code in zip(raws, table.title_idx.tolist())
+        ],
+        "source": [
+            source if source in RECIPE_SOURCES else None for source in sources
+        ],
+        "region_code": [
+            table.regions[code] for code in table.region_idx.tolist()
+        ],
+        "n_ingredients": sizes.tolist(),
+        "instructions": [
+            raw.instructions if raw is not None else None for raw in raws
+        ],
     }
-    link_recipes: list[int] = []
-    recipe_ingredients: list[int] = []
-    for recipe in recipes:
-        raw = raw_by_id.get(recipe.recipe_id)
-        source = raw.source if raw is not None else recipe.source
-        columns["recipe_id"].append(recipe.recipe_id)
-        columns["title"].append(raw.title if raw is not None else recipe.title)
-        columns["source"].append(source if source in RECIPE_SOURCES else None)
-        columns["region_code"].append(recipe.region_code)
-        columns["n_ingredients"].append(recipe.size)
-        columns["instructions"].append(
-            raw.instructions if raw is not None else None
-        )
-        ids = sorted(recipe.ingredient_ids)
-        recipe_ingredients.extend(ids)
-        link_recipes.extend([recipe.recipe_id] * len(ids))
+    # Each recipe's ingredient links in ascending id order. The tables
+    # keep every cell, so each cell refers to the one int object of its
+    # recipe id or catalog ingredient id, not to a new one per link.
+    owners = np.repeat(np.arange(len(table)), sizes)
+    shared_id = {
+        ingredient.ingredient_id: ingredient.ingredient_id
+        for ingredient in ingredients
+    }
+    recipe_ingredients = [
+        shared_id[ingredient_id]
+        for ingredient_id in table.ingredient_ids[
+            np.lexsort((table.ingredient_ids, owners))
+        ].tolist()
+    ]
+    link_recipes = [
+        recipe_id
+        for recipe_id, size in zip(recipe_ids, sizes.tolist())
+        for _ in range(size)
+    ]
     db.table("recipes").load_columns(columns)
     db.table("recipe_ingredients").load_columns(
         {

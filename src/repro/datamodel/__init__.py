@@ -13,7 +13,9 @@ from .entities import (
     Ingredient,
     RawRecipe,
     Recipe,
+    RecipeTable,
     build_cuisines,
+    recipe_table,
 )
 from .errors import ConfigurationError, LookupFailure, ReproError, ValidationError
 from .regions import (
@@ -43,7 +45,9 @@ __all__ = [
     "Ingredient",
     "RawRecipe",
     "Recipe",
+    "RecipeTable",
     "build_cuisines",
+    "recipe_table",
     "ConfigurationError",
     "LookupFailure",
     "ReproError",

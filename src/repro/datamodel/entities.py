@@ -13,10 +13,13 @@ here mirror those levels:
 * :class:`Recipe` — a resolved recipe: an unordered set of canonical
   ingredient ids (the paper treats recipes as unordered ingredient lists for
   pairing analysis).
-* :class:`Cuisine` — the set of resolved recipes attributed to one region.
+* :class:`RecipeTable` — many resolved recipes as arrays, the form every
+  stage from aliasing onward stores.
+* :class:`Cuisine` — the resolved recipes attributed to one region.
 
-All entities are immutable; collections they hold are stored as tuples or
-frozensets so instances are hashable and safe to share.
+All entities are immutable; the objects hold tuples or frozensets so
+instances are hashable and safe to share, and the table holds arrays
+nobody writes to.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .categories import Category
 from .errors import ValidationError
@@ -179,63 +184,259 @@ class Recipe:
         return self.size >= MIN_PAIRABLE_RECIPE_SIZE
 
 
-class Cuisine:
-    """The recipes of one region, with cached aggregate views.
+@dataclasses.dataclass(frozen=True, eq=False)
+class RecipeTable:
+    """Resolved recipes as columns: the paper's ``recipes`` /
+    ``recipe_ingredients`` pair.
 
-    A :class:`Cuisine` is an immutable collection of :class:`Recipe` objects
-    sharing a region code. It exposes the aggregate quantities the analyses
-    need: the ingredient usage counter (popularity), the set of ingredients
-    used, and the recipe-size distribution.
+    Row ``r`` is recipe ``recipe_ids[r]``. Its ingredient ids are
+    ``ingredient_ids[offsets[r]:offsets[r + 1]]`` (compressed sparse
+    rows), listed in the order the recipe's resolved frozenset iterates,
+    which is the order :attr:`Cuisine.ingredient_usage` has always first
+    seen them in; a consumer that wants ascending ids sorts a row itself.
+    Region, title and source are codes into sorted string tables.
+
+    Iterating or indexing the table builds :class:`Recipe` objects on
+    access, for the callers that still want objects; nothing on the
+    serving or report paths does.
     """
 
-    def __init__(self, region_code: str, recipes: Iterable[Recipe]) -> None:
+    recipe_ids: np.ndarray  # int64, one per row
+    offsets: np.ndarray  # int64, rows + 1
+    ingredient_ids: np.ndarray  # int32, flat
+    region_idx: np.ndarray  # int32 codes into ``regions``
+    regions: tuple[str, ...]
+    title_idx: np.ndarray  # int32 codes into ``titles``
+    titles: tuple[str, ...]
+    source_idx: np.ndarray  # int32 codes into ``sources``
+    sources: tuple[str, ...]
+
+    @classmethod
+    def from_columns(
+        cls,
+        recipe_ids: Sequence[int],
+        ingredient_rows: Sequence[Iterable[int]],
+        regions: Sequence[str],
+        titles: Sequence[str],
+        sources: Sequence[str],
+    ) -> "RecipeTable":
+        """A table from one value per recipe in each column."""
+        rows = [tuple(row) for row in ingredient_rows]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=offsets[1:])
+        region_table, region_idx = _encode(regions)
+        title_table, title_idx = _encode(titles)
+        source_table, source_idx = _encode(sources)
+        return cls(
+            recipe_ids=np.asarray(recipe_ids, dtype=np.int64).reshape(-1),
+            offsets=offsets,
+            ingredient_ids=np.fromiter(
+                (ingredient for row in rows for ingredient in row),
+                dtype=np.int32,
+                count=int(offsets[-1]),
+            ),
+            region_idx=region_idx,
+            regions=region_table,
+            title_idx=title_idx,
+            titles=title_table,
+            source_idx=source_idx,
+            sources=source_table,
+        )
+
+    @classmethod
+    def from_recipes(cls, recipes: Iterable[Recipe]) -> "RecipeTable":
+        """A table of :class:`Recipe` objects, in their order."""
+        recipes = list(recipes)
+        return cls.from_columns(
+            [recipe.recipe_id for recipe in recipes],
+            [recipe.ingredient_ids for recipe in recipes],
+            [recipe.region_code for recipe in recipes],
+            [recipe.title for recipe in recipes],
+            [recipe.source for recipe in recipes],
+        )
+
+    def __len__(self) -> int:
+        return len(self.recipe_ids)
+
+    def __getitem__(self, row: int) -> Recipe:
+        row = range(len(self))[row]  # negative rows; IndexError past the end
+        start, stop = self.offsets[row : row + 2].tolist()
+        return Recipe(
+            recipe_id=int(self.recipe_ids[row]),
+            region_code=self.regions[self.region_idx[row]],
+            ingredient_ids=frozenset(self.ingredient_ids[start:stop].tolist()),
+            title=self.titles[self.title_idx[row]],
+            source=self.sources[self.source_idx[row]],
+        )
+
+    def __iter__(self) -> Iterator[Recipe]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecipeTable):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs)
+            if isinstance(mine, np.ndarray)
+            else mine == theirs
+            for mine, theirs in zip(
+                dataclasses.astuple(self), dataclasses.astuple(other)
+            )
+        )
+
+    def sizes(self) -> np.ndarray:
+        """Recipe sizes ``n``, in row order."""
+        return np.diff(self.offsets)
+
+    def take(self, rows: np.ndarray) -> "RecipeTable":
+        """The given rows, in the given order, as a table of their own
+        (string tables shrink to the strings those rows use)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        offsets, flat = take_rows(self.offsets, self.ingredient_ids, rows)
+        regions, region_idx = _compact(self.regions, self.region_idx[rows])
+        titles, title_idx = _compact(self.titles, self.title_idx[rows])
+        sources, source_idx = _compact(self.sources, self.source_idx[rows])
+        return RecipeTable(
+            recipe_ids=self.recipe_ids[rows],
+            offsets=offsets,
+            ingredient_ids=flat,
+            region_idx=region_idx,
+            regions=regions,
+            title_idx=title_idx,
+            titles=titles,
+            source_idx=source_idx,
+            sources=sources,
+        )
+
+    def by_region(self) -> dict[str, "RecipeTable"]:
+        """Region code -> that region's rows, in table order; codes sorted."""
+        return {
+            code: self.take(np.flatnonzero(self.region_idx == index))
+            for index, code in enumerate(self.regions)
+        }
+
+
+def take_rows(
+    offsets: np.ndarray, flat: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed sparse rows ``rows`` of ``(offsets, flat)``, in order."""
+    sizes = np.diff(offsets)[rows]
+    taken = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=taken[1:])
+    shift = np.repeat(offsets[:-1][rows] - taken[:-1], sizes)
+    return taken, flat[shift + np.arange(taken[-1], dtype=np.int64)]
+
+
+def recipe_table(recipes: RecipeTable | Iterable[Recipe]) -> RecipeTable:
+    """``recipes`` as a :class:`RecipeTable` (a table passes through)."""
+    if isinstance(recipes, RecipeTable):
+        return recipes
+    return RecipeTable.from_recipes(recipes)
+
+
+def _encode(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """A sorted table of the distinct values, and each value's code."""
+    table = tuple(sorted(set(values)))
+    code = {value: index for index, value in enumerate(table)}
+    return table, np.fromiter(
+        (code[value] for value in values), dtype=np.int32, count=len(values)
+    )
+
+
+def _compact(
+    table: tuple[str, ...], codes: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The strings ``codes`` use, still sorted, and codes into them."""
+    used, inverse = np.unique(codes, return_inverse=True)
+    return (
+        tuple(table[index] for index in used.tolist()),
+        inverse.astype(np.int32).reshape(-1),
+    )
+
+
+class Cuisine:
+    """The recipes of one region, with their aggregate views.
+
+    A :class:`Cuisine` holds its region's rows of a :class:`RecipeTable`
+    and answers the aggregate quantities the analyses need from those
+    arrays: the ingredient usage counter (popularity), the set of
+    ingredients used, and the recipe-size distribution. Its recipes as
+    :class:`Recipe` objects are built on access.
+    """
+
+    def __init__(
+        self, region_code: str, recipes: RecipeTable | Iterable[Recipe]
+    ) -> None:
+        table = recipe_table(recipes)
+        foreign = [
+            index
+            for index, code in enumerate(table.regions)
+            if code != region_code
+        ]
+        if foreign:
+            row = int(np.flatnonzero(np.isin(table.region_idx, foreign))[0])
+            raise ValidationError(
+                f"recipe {int(table.recipe_ids[row])} belongs to region "
+                f"{table.regions[table.region_idx[row]]!r}, "
+                f"not {region_code!r}"
+            )
         self._region_code = region_code
-        self._recipes = tuple(recipes)
-        for recipe in self._recipes:
-            if recipe.region_code != region_code:
-                raise ValidationError(
-                    f"recipe {recipe.recipe_id} belongs to region "
-                    f"{recipe.region_code!r}, not {region_code!r}"
-                )
-        counter: Counter[int] = Counter()
-        for recipe in self._recipes:
-            counter.update(recipe.ingredient_ids)
-        self._usage = counter
+        self._table = table
+        # Usage in order of first use, as a Counter fed recipe by recipe
+        # would hold it.
+        ids, first, counts = np.unique(
+            table.ingredient_ids, return_index=True, return_counts=True
+        )
+        order = np.argsort(first, kind="stable")
+        self._usage_ids = ids[order].astype(np.int64)
+        self._usage_counts = counts[order].astype(np.int64)
 
     @property
     def region_code(self) -> str:
         return self._region_code
 
     @property
+    def table(self) -> RecipeTable:
+        """The region's recipes as arrays."""
+        return self._table
+
+    @property
     def recipes(self) -> tuple[Recipe, ...]:
-        return self._recipes
+        """The region's recipes as objects, built on each access."""
+        return tuple(self._table)
 
     def __len__(self) -> int:
-        return len(self._recipes)
+        return len(self._table)
 
     def __iter__(self) -> Iterator[Recipe]:
-        return iter(self._recipes)
+        return iter(self._table)
 
     def __repr__(self) -> str:
         return (
-            f"Cuisine({self._region_code!r}, {len(self._recipes)} recipes, "
-            f"{len(self._usage)} ingredients)"
+            f"Cuisine({self._region_code!r}, {len(self._table)} recipes, "
+            f"{len(self._usage_ids)} ingredients)"
         )
+
+    def usage_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ingredient ids in order of first use, recipes using each)."""
+        return self._usage_ids, self._usage_counts
 
     @property
     def ingredient_usage(self) -> Counter[int]:
         """Counter mapping ingredient id -> number of recipes using it."""
-        return Counter(self._usage)
+        return Counter(
+            dict(zip(self._usage_ids.tolist(), self._usage_counts.tolist()))
+        )
 
     @property
     def ingredient_ids(self) -> frozenset[int]:
         """Set of unique ingredient ids used anywhere in the cuisine."""
-        return frozenset(self._usage)
+        return frozenset(self._usage_ids.tolist())
 
     @property
     def recipe_sizes(self) -> tuple[int, ...]:
         """Sizes of all recipes, in recipe order."""
-        return tuple(recipe.size for recipe in self._recipes)
+        return tuple(self._table.sizes().tolist())
 
     def mean_recipe_size(self) -> float:
         """Average number of ingredients per recipe."""
@@ -245,11 +446,11 @@ class Cuisine:
         return sum(sizes) / len(sizes)
 
 
-def build_cuisines(recipes: Sequence[Recipe]) -> dict[str, Cuisine]:
+def build_cuisines(
+    recipes: RecipeTable | Iterable[Recipe],
+) -> dict[str, Cuisine]:
     """Group recipes by region code into :class:`Cuisine` objects."""
-    by_region: dict[str, list[Recipe]] = {}
-    for recipe in recipes:
-        by_region.setdefault(recipe.region_code, []).append(recipe)
     return {
-        code: Cuisine(code, group) for code, group in sorted(by_region.items())
+        code: Cuisine(code, rows)
+        for code, rows in recipe_table(recipes).by_region().items()
     }

@@ -38,7 +38,6 @@ from .fingerprint import stage_fingerprint
 from .stages import (
     STAGE_ORDER,
     STAGES,
-    AliasingArtifact,
     Stage,
     get_stage,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ENV_CACHE_DIR",
     "MAX_MEMORY_ARTIFACTS",
     "MISSING",
-    "AliasingArtifact",
     "ArtifactStore",
     "Engine",
     "RunConfig",

@@ -21,9 +21,9 @@ import dataclasses
 from collections.abc import Callable, Mapping
 from typing import Any
 
-from ..aliasing import AliasingPipeline, MatchReport
+from ..aliasing import AliasingPipeline, AliasingResult
 from ..corpus import CorpusGenerator, GeneratedCorpus
-from ..datamodel import Cuisine, Recipe, build_cuisines, region_codes
+from ..datamodel import Cuisine, build_cuisines, region_codes
 from ..flavordb import default_catalog
 from ..obs import span
 from ..pairing.views import CuisineView, build_cuisine_view
@@ -33,7 +33,6 @@ from .config import RunConfig
 __all__ = [
     "STAGE_ORDER",
     "STAGES",
-    "AliasingArtifact",
     "Stage",
     "get_stage",
 ]
@@ -60,14 +59,6 @@ class Stage:
     build: Callable[[RunConfig, Mapping[str, Any]], Any]
 
 
-@dataclasses.dataclass(frozen=True)
-class AliasingArtifact:
-    """Output of the ``aliasing`` stage: resolved recipes + curation report."""
-
-    recipes: tuple[Recipe, ...]
-    report: MatchReport
-
-
 def _build_corpus(
     config: RunConfig, inputs: Mapping[str, Any]
 ) -> GeneratedCorpus:
@@ -80,18 +71,17 @@ def _build_corpus(
 
 def _build_aliasing(
     config: RunConfig, inputs: Mapping[str, Any]
-) -> AliasingArtifact:
+) -> AliasingResult:
     corpus: GeneratedCorpus = inputs["corpus"]
-    result = AliasingPipeline(default_catalog()).resolve_corpus(
+    return AliasingPipeline(default_catalog()).resolve_corpus(
         corpus.raw_recipes
     )
-    return AliasingArtifact(recipes=result.recipes, report=result.report)
 
 
 def _build_cuisines(
     config: RunConfig, inputs: Mapping[str, Any]
 ) -> dict[str, Cuisine]:
-    aliasing: AliasingArtifact = inputs["aliasing"]
+    aliasing: AliasingResult = inputs["aliasing"]
     with span("workspace.cuisines"):
         return build_cuisines(aliasing.recipes)
 
@@ -101,10 +91,11 @@ def _build_pairing_views(
 ) -> dict[str, CuisineView]:
     """Numeric pairing views for the 22 Table 1 regions.
 
-    Precomputing the derived sampler structures and each cuisine's mean
-    score here means a warm load hands fig4/fig5 (and the service) views
-    that are ready to sample and to compare against their null models:
-    a served ``/montecarlo`` request re-scores no recipe of the cuisine.
+    Each view carries its recipe rows and template specs as arrays and
+    its cuisine's mean score, so a warm load hands fig4/fig5 (and the
+    service) views that are ready to sample and to compare against
+    their null models: a served ``/montecarlo`` request re-scores no
+    recipe of the cuisine.
     """
     cuisines: Mapping[str, Cuisine] = inputs["cuisines"]
     catalog = default_catalog()
@@ -115,11 +106,7 @@ def _build_pairing_views(
             if code not in regional:
                 continue
             view = build_cuisine_view(cuisine, catalog)
-            # Materialise the cached sampler structures so they ride
-            # along in the persisted artifact.
-            view.recipe_sizes()
-            view.category_pools()
-            view.template_specs()
+            # Cache the mean score so it rides along in the artifact.
             view.mean_score()
             views[code] = view
         return views
@@ -163,21 +150,21 @@ STAGES: dict[str, Stage] = {
         ),
         Stage(
             name="aliasing",
-            version="1",
+            version="2",
             deps=("corpus",),
             config_fields=(),
             build=_build_aliasing,
         ),
         Stage(
             name="cuisines",
-            version="1",
+            version="2",
             deps=("aliasing",),
             config_fields=(),
             build=_build_cuisines,
         ),
         Stage(
             name="pairing_views",
-            version="2",
+            version="3",
             deps=("cuisines",),
             config_fields=(),
             build=_build_pairing_views,

@@ -21,7 +21,6 @@ import json
 import os
 import pickle
 import tempfile
-import time
 from pathlib import Path
 from typing import Any
 
@@ -181,7 +180,6 @@ class ArtifactStore:
                     "fingerprint": fingerprint,
                     "sha256": hashlib.sha256(payload).hexdigest(),
                     "size": len(payload),
-                    "created": round(time.time(), 3),
                 },
                 sort_keys=True,
             ).encode("utf-8")

@@ -23,7 +23,7 @@ import time
 
 from ..aliasing import MatchReport
 from ..corpus import DEFAULT_SEED, GeneratedCorpus
-from ..datamodel import Cuisine, Recipe, region_codes
+from ..datamodel import Cuisine, RecipeTable, region_codes
 from ..engine import Engine, RunConfig
 from ..flavordb import IngredientCatalog, default_catalog
 from ..obs import get_logger, span
@@ -39,7 +39,9 @@ class ExperimentWorkspace:
 
     Attributes:
         corpus: the generated raw corpus.
-        recipes: aliased (resolved) recipes.
+        recipes: aliased (resolved) recipes, as the aliasing stage's
+            table; iterating it builds :class:`~repro.datamodel.Recipe`
+            objects on access.
         report: the aliasing curation report.
         cuisines: region code -> cuisine (includes WORLD-only mini-regions
             when generated).
@@ -53,7 +55,7 @@ class ExperimentWorkspace:
     """
 
     corpus: GeneratedCorpus
-    recipes: tuple[Recipe, ...]
+    recipes: RecipeTable
     report: MatchReport
     cuisines: dict[str, Cuisine]
     catalog: IngredientCatalog

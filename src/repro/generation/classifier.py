@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 from collections.abc import Iterable, Mapping
+
+import numpy as np
 
 from ..datamodel import ConfigurationError, Cuisine, LookupFailure, Recipe
 
@@ -65,14 +66,14 @@ class CuisineClassifier:
         self._log_default: dict[str, float] = {}
         total_recipes = sum(len(cuisine) for cuisine in cuisines.values())
         for code, cuisine in cuisines.items():
-            usage: Counter[int] = cuisine.ingredient_usage
-            total = sum(usage.values()) + SMOOTHING * vocabulary_size
+            ids, counts = cuisine.usage_arrays()
+            total = int(counts.sum()) + SMOOTHING * vocabulary_size
             self._log_priors[code] = math.log(
                 len(cuisine) / total_recipes
             )
             self._log_probs[code] = {
                 ingredient_id: math.log((count + SMOOTHING) / total)
-                for ingredient_id, count in usage.items()
+                for ingredient_id, count in zip(ids.tolist(), counts.tolist())
             }
             self._log_default[code] = math.log(SMOOTHING / total)
 
@@ -135,8 +136,8 @@ def train_test_split(
     training: dict[str, Cuisine] = {}
     held_out: list[Recipe] = []
     for code, cuisine in cuisines.items():
-        recipes = list(cuisine.recipes)
-        cut = max(1, int(len(recipes) * (1 - holdout_fraction)))
-        training[code] = Cuisine(code, recipes[:cut])
-        held_out.extend(recipes[cut:])
+        rows = np.arange(len(cuisine))
+        cut = max(1, int(len(rows) * (1 - holdout_fraction)))
+        training[code] = Cuisine(code, cuisine.table.take(rows[:cut]))
+        held_out.extend(cuisine.table.take(rows[cut:]))
     return training, held_out

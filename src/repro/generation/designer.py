@@ -82,6 +82,7 @@ class RecipeDesigner:
         neighbors: int = DESIGNER_NEIGHBORS,
     ) -> None:
         self._view = view
+        self._names = tuple(ingredient.name for ingredient in view.ingredients)
         scores = scores_from_view(view)
         self._target_score = float(scores.mean())
         self._score_spread = float(scores.std(ddof=0)) or 1.0
@@ -185,7 +186,7 @@ class RecipeDesigner:
         score = recipe_score_from_matrix(view.overlap, indices)
         return RecipeProposal(
             ingredient_names=tuple(
-                view.ingredients[index].name for index in indices
+                self._names[index] for index in indices.tolist()
             ),
             local_indices=indices,
             pairing_score=score,
@@ -273,7 +274,7 @@ class RecipeDesigner:
 def _recipe_postings(view: CuisineView) -> tuple[np.ndarray, ...]:
     """Per local ingredient, the indices of the recipes that use it."""
     sizes = view.recipe_sizes()
-    flat = np.concatenate(view.recipes)
+    flat = view.flat_recipes
     owners = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     order = np.argsort(flat, kind="stable")
     bounds = np.searchsorted(
@@ -294,13 +295,14 @@ def _local_neighbor_pools(
     at most ``neighbors`` entries in the index's ``(-shared, name)``
     order.
     """
+    ingredient_ids = view.ingredient_ids.tolist()
     local_of = {
-        ingredient.ingredient_id: local
-        for local, ingredient in enumerate(view.ingredients)
+        ingredient_id: local
+        for local, ingredient_id in enumerate(ingredient_ids)
     }
     pools: list[np.ndarray] = []
-    for ingredient in view.ingredients:
-        row = index.row_by_id.get(ingredient.ingredient_id)
+    for ingredient_id in ingredient_ids:
+        row = index.row_by_id.get(ingredient_id)
         found: list[int] = []
         if row is not None:
             for partner in index.neighbor_rows[row]:

@@ -73,6 +73,7 @@ class RecipeTweaker:
         old_score = recipe_score_from_matrix(view.overlap, recipe)
         old_gap = abs(old_score - self._target)
         members = set(int(index) for index in recipe)
+        ingredients = view.ingredients
         suggestions: list[SwapSuggestion] = []
         for position, member in enumerate(recipe):
             for candidate in self._candidates:
@@ -87,8 +88,8 @@ class RecipeTweaker:
                     continue
                 suggestions.append(
                     SwapSuggestion(
-                        remove_name=view.ingredients[int(member)].name,
-                        add_name=view.ingredients[candidate].name,
+                        remove_name=ingredients[int(member)].name,
+                        add_name=ingredients[candidate].name,
                         old_score=old_score,
                         new_score=new_score,
                         style_gain=gain,

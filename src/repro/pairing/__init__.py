@@ -28,7 +28,7 @@ from .score import (
     scores_for_recipes,
     scores_from_view,
 )
-from .views import CuisineView, build_cuisine_view
+from .views import CuisineView, assemble_view, build_cuisine_view
 from .zscore import (
     PAPER_SAMPLE_COUNT,
     CuisinePairingResult,
@@ -58,6 +58,7 @@ __all__ = [
     "scores_for_recipes",
     "scores_from_view",
     "CuisineView",
+    "assemble_view",
     "build_cuisine_view",
     "PAPER_SAMPLE_COUNT",
     "CuisinePairingResult",

@@ -35,10 +35,10 @@ class IngredientContribution:
 def chi_values(view: CuisineView) -> np.ndarray:
     """``chi_i`` per local ingredient index — the numeric core.
 
-    Touches only the view's numeric arrays (never ingredient objects), so
-    it runs unchanged on a shared-memory kernel view inside a worker
-    process; the fig5 sweep fans one call per region across the pool and
-    re-attaches names in the parent.
+    Touches only the view's numeric arrays, so it runs unchanged on a
+    view attached from shared memory inside a worker process; the fig5
+    sweep fans one call per region across the pool and attaches names in
+    the parent.
 
     Complexity: every (recipe, member) removal is scored with array
     operations, one recipe-size group at a time, in O(sum of n**2) over
@@ -110,7 +110,7 @@ def _removal_scores(
     members, recipes, scores = [], [], []
     for size in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == size)
-        batch = np.stack([view.recipes[row] for row in rows.tolist()])
+        batch = view.recipe_batch(rows, size)
         members.append(batch.ravel())
         recipes.append(np.repeat(rows, size))
         if size == 2:
@@ -132,13 +132,13 @@ def contributions_from_chi(
 ) -> list[IngredientContribution]:
     """Attach names/usage to a chi vector, most used first.
 
-    ``view`` must be a full view (with ingredient objects); ``chi`` may
-    come from :func:`chi_values` run anywhere — including a worker that
-    only ever saw the kernel view.
+    ``chi`` may come from :func:`chi_values` run anywhere, including a
+    worker that attached the view from shared memory.
     """
+    ingredients = view.ingredients
     results = [
         IngredientContribution(
-            ingredient_name=view.ingredients[local].name,
+            ingredient_name=ingredients[local].name,
             local_index=local,
             usage=int(view.frequencies[local]),
             chi_percent=float(chi[local]),

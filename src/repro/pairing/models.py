@@ -20,7 +20,8 @@ dense numpy operations. The naive per-recipe ``rng.choice`` loop it
 replaced is kept as a test oracle (``tests/oracles.py``); its recorded
 cost is in DESIGN.md §5.
 
-:func:`sample_model_recipes` draws one batch of recipes, and
+:func:`sample_model_batches` draws one batch of recipes grouped by
+size, :func:`sample_model_scores` scores it in sample order, and
 :func:`sample_model_moments` folds batches into the score moments the Z
 statistic needs.
 """
@@ -33,9 +34,10 @@ import time
 import numpy as np
 
 from ..datamodel import ConfigurationError
+from ..datamodel.entities import take_rows
 from ..obs import get_logger, span
 from .moments import StreamingMoments
-from .score import scores_for_recipes
+from .score import batch_scores
 from .views import CuisineView
 
 #: Samples per chunk; bounds peak memory at ~chunk * ingredient_count floats.
@@ -73,7 +75,7 @@ def sample_model_moments(
 ) -> StreamingMoments:
     """Streaming moments of ``n_samples`` random-recipe scores.
 
-    Draws ``chunk`` recipes at a time with :func:`sample_model_recipes`,
+    Draws ``chunk`` recipes at a time with :func:`sample_model_scores`,
     folds their scores into a :class:`StreamingMoments` and discards
     them, so peak memory is one chunk of floats, never the score vector.
     Every Monte Carlo shard runs this (see :mod:`repro.parallel`).
@@ -92,8 +94,7 @@ def sample_model_moments(
         position = 0
         while position < n_samples:
             take = min(chunk, n_samples - position)
-            batch = sample_model_recipes(view, model, take, rng)
-            moments.update(scores_for_recipes(view.overlap, batch))
+            moments.update(sample_model_scores(view, model, take, rng))
             position += take
             heartbeat.tick(position)
         elapsed = time.perf_counter() - started
@@ -142,10 +143,57 @@ def sample_model_recipes(
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Draw ``n_samples`` random recipes (local-index arrays)."""
+    recipes: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n_samples
+    for rows, batch in sample_model_batches(view, model, n_samples, rng):
+        for row, recipe in zip(rows.tolist(), batch):
+            recipes[row] = recipe
+    return recipes
+
+
+def sample_model_scores(
+    view: CuisineView,
+    model: NullModel,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """N_s of ``n_samples`` random recipes, in sample order."""
+    scores = np.empty(n_samples, dtype=np.float64)
+    for rows, batch in sample_model_batches(view, model, n_samples, rng):
+        scores[rows] = batch_scores(view.overlap, batch)
+    return scores
+
+
+def sample_model_batches(
+    view: CuisineView,
+    model: NullModel,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Draw ``n_samples`` random recipes, grouped by size.
+
+    Returns one ``(samples, recipes)`` pair per size, sizes ascending:
+    the sample positions of that size, in order, and their recipes as a
+    ``(len(samples), size)`` array of local indices.
+    """
     templates = rng.integers(0, view.recipe_count, size=n_samples)
+    sizes = view.recipe_sizes()[templates]
     if model.preserves_category:
-        return _sample_category_preserving(view, model, templates, rng)
-    return _sample_size_preserving(view, model, templates, rng)
+        recipes = _sample_category_preserving(
+            view, model, templates, sizes, rng
+        )
+        return [
+            (rows, recipes[rows, :size])
+            for rows, size in _size_groups(sizes)
+        ]
+    return _sample_size_preserving(view, model, sizes, rng)
+
+
+def _size_groups(sizes: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """Per distinct size, ascending: the positions holding it, in order."""
+    return [
+        (np.flatnonzero(sizes == size), size)
+        for size in np.unique(sizes).tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +204,17 @@ def sample_model_recipes(
 def _sample_size_preserving(
     view: CuisineView,
     model: NullModel,
-    templates: np.ndarray,
+    sizes: np.ndarray,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    sizes = view.recipe_sizes()[templates]
+) -> list[tuple[np.ndarray, np.ndarray]]:
     weights = (
         view.frequencies if model.preserves_frequency else None
     )
     log_weights = _log_weights(weights, view.ingredient_count)
-    out: list[np.ndarray | None] = [None] * len(templates)
-    for size in np.unique(sizes):
-        rows = np.flatnonzero(sizes == size)
-        picks = _gumbel_top_m(
-            log_weights[None, :], len(rows), int(size), rng
-        )
-        for row, pick in zip(rows, picks):
-            out[int(row)] = pick
-    return [recipe for recipe in out if recipe is not None]
+    return [
+        (rows, _gumbel_top_m(log_weights[None, :], len(rows), size, rng))
+        for rows, size in _size_groups(sizes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -184,39 +226,46 @@ def _sample_category_preserving(
     view: CuisineView,
     model: NullModel,
     templates: np.ndarray,
+    sizes: np.ndarray,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    # Category pools and per-template specs (category counts + in-recipe
-    # offsets, canonical order) are cached on the view: computed once per
-    # cuisine, not once per sampling chunk.
+) -> np.ndarray:
+    """``(samples, largest size)`` local indices, ``-1`` past each size.
+
+    Every (category, count) pair among the templates' specs is one
+    vectorised Gumbel draw over that category's pool. Pairs are drawn in
+    order of first appearance, walking the samples in order and each
+    template's spec in category order, and each draw's rows are the
+    samples holding the pair, in sample order.
+    """
     pools = view.category_pools()
-    category_order = view.category_order
-    template_specs = view.template_specs()
+    out = np.full((len(templates), int(sizes.max())), -1, dtype=np.int64)
 
-    sizes = view.recipe_sizes()[templates]
-    max_size = int(sizes.max())
-    out = np.full((len(templates), max_size), -1, dtype=np.int64)
+    # Every spec entry of every sample, samples in order.
+    offsets, entries = take_rows(
+        view.spec_offsets, np.arange(len(view.spec_counts)), templates
+    )
+    samples = np.repeat(np.arange(len(templates)), np.diff(offsets))
+    categories = view.spec_categories[entries]
+    counts = view.spec_counts[entries]
+    starts = view.spec_starts[entries]
 
-    # Group (sample, category, count, offset) tuples by (category, count):
-    # each group is one vectorised Gumbel draw.
-    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    for sample, template in enumerate(templates):
-        for cat_id, count, offset in template_specs[int(template)]:
-            rows, offsets = groups.setdefault((cat_id, count), ([], []))
-            rows.append(sample)
-            offsets.append(offset)
+    # Group entries by (category, count); a stable sort keeps each
+    # group's entries in sample order, and its first entry dates it.
+    keys = categories * (int(counts.max(initial=0)) + 1) + counts
+    order = np.argsort(keys, kind="stable")
+    bounds = np.flatnonzero(np.diff(keys[order])) + 1
+    groups = sorted(np.split(order, bounds), key=lambda group: group[0])
 
     weights = view.frequencies if model.preserves_frequency else None
-    for (cat_id, count), (rows, offsets) in groups.items():
-        pool = pools[category_order[cat_id]]
+    for group in groups:
+        count = int(counts[group[0]])
+        pool = pools[view.category_order[int(categories[group[0]])]]
         pool_weights = None if weights is None else weights[pool]
         log_weights = _log_weights(pool_weights, len(pool))
-        picks = _gumbel_top_m(log_weights[None, :], len(rows), count, rng)
-        rows_arr = np.asarray(rows)[:, None]
-        cols = np.asarray(offsets)[:, None] + np.arange(count)[None, :]
-        out[rows_arr, cols] = pool[picks]
-
-    return [out[sample, : sizes[sample]] for sample in range(len(templates))]
+        picks = _gumbel_top_m(log_weights[None, :], len(group), count, rng)
+        cols = starts[group][:, None] + np.arange(count)[None, :]
+        out[samples[group][:, None], cols] = pool[picks]
+    return out
 
 
 # ---------------------------------------------------------------------------

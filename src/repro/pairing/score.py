@@ -19,7 +19,7 @@ recipes. Three implementations are provided:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -73,21 +73,37 @@ def scores_for_recipes(
     tests check it against :func:`recipe_score_from_matrix` per recipe.
     """
     sizes = np.asarray([len(recipe) for recipe in recipes], dtype=np.int64)
-    scores = np.empty(len(recipes), dtype=np.float64)
-    for size in np.unique(sizes):
+    return _scores_by_size(
+        overlap,
+        sizes,
+        lambda rows, _size: np.stack(
+            [recipes[row] for row in rows.tolist()]
+        ),
+    )
+
+
+def scores_from_view(view: CuisineView) -> np.ndarray:
+    """N_s for every recipe of a cuisine view (vectorised by size group)."""
+    return _scores_by_size(
+        view.overlap, view.recipe_sizes(), view.recipe_batch
+    )
+
+
+def _scores_by_size(
+    overlap: np.ndarray,
+    sizes: np.ndarray,
+    batch_of: Callable[[np.ndarray, int], np.ndarray],
+) -> np.ndarray:
+    """Scores in recipe order; ``batch_of(rows, size)`` stacks a group."""
+    scores = np.empty(len(sizes), dtype=np.float64)
+    for size in np.unique(sizes).tolist():
         if size < 2:
             raise ValidationError(
                 "recipe has fewer than two pairable ingredients"
             )
         rows = np.flatnonzero(sizes == size)
-        stacked = np.stack([recipes[int(row)] for row in rows])
-        scores[rows] = batch_scores(overlap, stacked)
+        scores[rows] = batch_scores(overlap, batch_of(rows, size))
     return scores
-
-
-def scores_from_view(view: CuisineView) -> np.ndarray:
-    """N_s for every recipe of a cuisine view (vectorised by size group)."""
-    return scores_for_recipes(view.overlap, view.recipes)
 
 
 def cuisine_mean_score(view: CuisineView) -> float:

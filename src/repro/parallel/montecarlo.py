@@ -8,8 +8,7 @@ spawned RNG, and returns a :class:`~repro.pairing.moments.StreamingMoments`
 — never the raw score vector. Only a pooled sweep
 (:func:`~repro.parallel.executor.runs_pooled`) publishes shared memory;
 shards that run in the calling process sample the caller's own
-:class:`~repro.pairing.views.CuisineView`, cached sampler structures
-included.
+:class:`~repro.pairing.views.CuisineView`.
 
 Determinism is by construction: per-shard generators derive from
 ``np.random.SeedSequence(stable_seed("null-model", region, model,

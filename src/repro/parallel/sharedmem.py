@@ -5,16 +5,15 @@ arrays — the O(ingredients²) overlap matrix above all. Pickling those
 into every task payload would copy the matrix once per shard; instead the
 parent publishes each cuisine's numeric arrays into named shared-memory
 blocks once (:class:`SharedViewStore`) and task payloads carry only a
-:class:`SharedViewSpec` — block names, shapes and dtypes plus two small
-string tuples — which is a few hundred bytes however large the cuisine.
+:class:`SharedViewSpec` — block names, shapes and dtypes plus the region
+code and category names — which is about a kilobyte however large the
+cuisine.
 
 Workers attach with :class:`AttachedView`, which maps the blocks and
-rebuilds a *kernel* :class:`~repro.pairing.views.CuisineView`: the
-``overlap``/``frequencies`` arrays and every recipe index array are numpy
-views directly over the shared buffers (zero copy), while ``ingredients``
-is empty — ingredient objects never cross the process boundary (see the
-``CuisineView`` docstring). The kernel view supports everything the
-samplers and the contribution sweep touch.
+rebuilds the :class:`~repro.pairing.views.CuisineView`: every array of
+the view, the recipe rows and template specs included, is a numpy view
+directly over the shared buffers (zero copy), so a worker rebuilds
+nothing per task.
 
 Only pooled sweeps publish (:func:`repro.parallel.executor.runs_pooled`):
 shards that run in the calling process — ``workers=1`` or a single
@@ -59,9 +58,8 @@ class BlockSpec:
 class SharedViewSpec:
     """Everything a worker needs to attach one cuisine view.
 
-    Deliberately tiny: block descriptors plus the region code and the
-    canonical category-name order (category *membership* travels as an
-    ``int64`` array in shared memory, not as strings).
+    Deliberately tiny: one block descriptor per array field of the view,
+    plus the region code and the category-name order.
     """
 
     region_code: str
@@ -78,33 +76,15 @@ class SharedViewStore:
         self._segments: list[shared_memory.SharedMemory] = []
 
     def publish(self, view: CuisineView) -> SharedViewSpec:
-        """Copy a view's numeric arrays into shared memory once."""
-        sizes = view.recipe_sizes()
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        flat_recipes = (
-            np.concatenate(view.recipes)
-            if view.recipes
-            else np.zeros(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
-        category_order = view.category_order
-        category_index = {
-            name: i for i, name in enumerate(category_order)
-        }
-        category_ids = np.asarray(
-            [category_index[name] for name in view.categories],
-            dtype=np.int64,
-        )
+        """Copy a view's arrays into shared memory once."""
         blocks = {
-            "overlap": self._create_block(view.overlap),
-            "flat_recipes": self._create_block(flat_recipes),
-            "recipe_offsets": self._create_block(offsets),
-            "frequencies": self._create_block(view.frequencies),
-            "category_ids": self._create_block(category_ids),
+            field.name: self._create_block(getattr(view, field.name))
+            for field in dataclasses.fields(view)
+            if isinstance(getattr(view, field.name), np.ndarray)
         }
         return SharedViewSpec(
             region_code=view.region_code,
-            category_order=category_order,
+            category_order=view.category_order,
             blocks=blocks,
             owner_pid=os.getpid(),
         )
@@ -147,7 +127,7 @@ class SharedViewStore:
 
 
 class AttachedView:
-    """Worker-side attachment: a kernel ``CuisineView`` over shared blocks.
+    """Worker-side attachment: a ``CuisineView`` over shared blocks.
 
     The arrays of :attr:`view` alias the shared buffers — drop every
     reference to the view before (or via) :meth:`close`.
@@ -167,23 +147,10 @@ class AttachedView:
             arrays[key] = np.ndarray(
                 block.shape, dtype=np.dtype(block.dtype), buffer=segment.buf
             )
-        offsets = arrays["recipe_offsets"]
-        flat = arrays["flat_recipes"]
-        recipes = tuple(
-            flat[offsets[index] : offsets[index + 1]]
-            for index in range(len(offsets) - 1)
-        )
-        categories = tuple(
-            spec.category_order[int(cat_id)]
-            for cat_id in arrays["category_ids"]
-        )
         self.view = CuisineView(
             region_code=spec.region_code,
-            ingredients=(),
-            overlap=arrays["overlap"],
-            recipes=recipes,
-            frequencies=arrays["frequencies"],
-            categories=categories,
+            category_order=spec.category_order,
+            **arrays,
         )
 
     def close(self) -> None:

@@ -158,8 +158,8 @@ def build_retrieval_index(
             total = len(cuisine)
             if total == 0:
                 continue
-            for ingredient_id, count in cuisine.ingredient_usage.items():
-                vectors[position, ingredient_id] = count / total
+            ids, counts = cuisine.usage_arrays()
+            vectors[position, ids] = counts / total
             norm = float(np.linalg.norm(vectors[position]))
             if norm > 0:
                 vectors[position] /= norm

@@ -510,13 +510,13 @@ class QueryService:
         payload_dict(payload)
         workspace = self._workspace
         report = workspace.report
-        sizes = [recipe.size for recipe in workspace.recipes]
+        sizes = workspace.recipes.sizes()
         return {
             "recipes": len(workspace.recipes),
             "regions": len(workspace.regional_cuisines()),
             "catalog_ingredients": len(workspace.catalog),
             "mean_recipe_size": (
-                round(sum(sizes) / len(sizes), 3) if sizes else 0.0
+                round(int(sizes.sum()) / len(sizes), 3) if len(sizes) else 0.0
             ),
             "aliasing": {
                 "phrases": report.phrases_total,

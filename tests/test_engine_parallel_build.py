@@ -31,7 +31,7 @@ from tests.oracles import NGramMatcher
 SCALE = 0.02
 
 #: The stages whose payloads the cross-process check hashes.
-HASHED_STAGES = ("corpus", "aliasing", "cuisines")
+HASHED_STAGES = ("corpus", "aliasing", "cuisines", "pairing_views")
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -47,6 +47,13 @@ class TestRoundTrip:
         store.put("corpus", FP, None)
         assert store.get("corpus", FP) is None
 
+    def test_identical_values_write_identical_files(self, tmp_path):
+        value = {"rows": list(range(50)), "label": "corpus"}
+        first = ArtifactStore(tmp_path / "one").put("corpus", FP, value)
+        time.sleep(0.01)  # a wall-clock header field would now differ
+        second = ArtifactStore(tmp_path / "two").put("corpus", FP, value)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_no_tmp_files_left_behind(self, store):
         store.put("corpus", FP, list(range(100)))
         strays = list(store.root.glob(".tmp-*"))

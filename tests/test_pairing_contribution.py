@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.datamodel import Cuisine, Recipe, region_codes
 from repro.pairing import (
     CuisineView,
+    assemble_view,
     build_cuisine_view,
     chi_values,
     ingredient_contributions,
@@ -178,13 +179,15 @@ def kernel_view(overlap, recipes) -> CuisineView:
     frequencies = np.zeros(count, dtype=np.float64)
     for recipe in recipes:
         frequencies[recipe] += 1
-    return CuisineView(
+    offsets = np.cumsum([0] + [len(row) for row in recipes])
+    return assemble_view(
         region_code="TST",
-        ingredients=(),
+        ingredient_ids=np.arange(count),
         overlap=np.asarray(overlap, dtype=np.float64),
-        recipes=tuple(np.asarray(row, dtype=np.int64) for row in recipes),
         frequencies=frequencies,
         categories=("herb",) * count,
+        recipe_offsets=offsets,
+        flat_recipes=np.concatenate(recipes),
     )
 
 

@@ -1,11 +1,12 @@
 """Tests for the sharded Monte Carlo engine: determinism and payloads."""
 
+import hashlib
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.datamodel import Cuisine, PairingKind, Recipe
+from repro.datamodel import Cuisine, PairingKind, Recipe, region_codes
 from repro.pairing import (
     NullModel,
     analyze_cuisine,
@@ -24,6 +25,17 @@ from repro.parallel import (
 )
 from repro.parallel.sharedmem import SharedViewStore
 from tests.oracles import loop_chi_values
+
+#: SHA-256 of every (region, model) cell's moments on the scale-0.25
+#: `workspace` fixture, 2,000 samples per cell, per sampling plan.
+SAMPLER_DIGESTS = {
+    "unsharded": (
+        "a9690727e3551ba4d89605c1231609eca113993d9efa86c743ddba80fbdbadab"
+    ),
+    "shards_of_1000": (
+        "ebe15cd874cbd5044f574eb128ff8e039aec37b2b20e717e25f38d530c12fed4"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +236,47 @@ class TestSweeps:
                 result.comparisons[model].z_score
                 == serial.comparisons[model].z_score
             )
+
+
+class TestSamplerPinned:
+    """The null-model samplers' draws, pinned across commits.
+
+    Any change to which Gumbel blocks are drawn, or in which order,
+    moves these digests: groups in order of first appearance, rows in
+    sample order.
+    """
+
+    @pytest.mark.parametrize(
+        ("plan", "config"),
+        [
+            ("unsharded", None),
+            ("shards_of_1000", ParallelConfig(workers=1, shard_size=1000)),
+        ],
+    )
+    def test_sweep_moments_pinned_across_commits(
+        self, workspace, plan, config
+    ):
+        views = workspace.views()
+        moments = sweep_pairing_moments(
+            views, tuple(NullModel), 2000, config
+        )
+        digest = hashlib.sha256()
+        for code in region_codes():
+            for model in NullModel:
+                cell = moments[(code, model)]
+                digest.update(
+                    np.asarray(
+                        [
+                            cell.count,
+                            cell.total,
+                            cell.sum_squares,
+                            cell.minimum,
+                            cell.maximum,
+                        ],
+                        dtype="<f8",
+                    ).tobytes()
+                )
+        assert digest.hexdigest() == SAMPLER_DIGESTS[plan]
 
 
 class TestExperimentIntegration:

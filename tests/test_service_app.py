@@ -521,7 +521,7 @@ class TestMonteCarlo:
             raise AssertionError("a served request created a segment")
 
         view = service.cuisine_view("ITA")
-        specs = view.template_specs()
+        specs = view.spec_counts
         monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
         for seed in (1, 2):
             status, body = app.dispatch(
@@ -531,7 +531,7 @@ class TestMonteCarlo:
                  "seed": seed},
             )
             assert status == 200, body
-        assert service.cuisine_view("ITA").template_specs() is specs
+        assert service.cuisine_view("ITA").spec_counts is specs
 
     def test_worker_bounds_enforced(self, app):
         status, body = app.dispatch(
