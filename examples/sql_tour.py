@@ -24,7 +24,7 @@ def main() -> None:
     database = build_culinarydb(
         workspace.recipes,
         workspace.catalog,
-        raw_recipes=workspace.corpus.raw_recipes,
+        instructions=workspace.corpus.raw_recipes.instructions,
     )
     culinary = CulinaryDB(database)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Iterable
 
-from ..datamodel import LookupFailure, RawRecipe
+from ..datamodel import LookupFailure, RawRecipe, RawRecipeTable
 from .normalize import normalize_phrase
 from .pipeline import AliasingPipeline, AliasingResult, MatchKind
 
@@ -59,9 +59,11 @@ class CurationSession:
     # ------------------------------------------------------------------
     # the loop
     # ------------------------------------------------------------------
-    def resolve(self, raws: Iterable[RawRecipe]) -> AliasingResult:
+    def resolve(
+        self, raws: RawRecipeTable | Iterable[RawRecipe]
+    ) -> AliasingResult:
         """Alias a corpus and remember the report for queue building."""
-        self._raws = tuple(raws)
+        self._raws = _table(raws)
         self._last_result = self._pipeline.resolve_corpus(self._raws)
         return self._last_result
 
@@ -122,13 +124,21 @@ class CurationSession:
             return 0.0
         return self._last_result.report.exact_rate()
 
-    def unresolved_phrases(self, raws: Iterable[RawRecipe] | None = None):
+    def unresolved_phrases(
+        self, raws: RawRecipeTable | Iterable[RawRecipe] | None = None
+    ):
         """Phrases still not exactly matched (for spot checks)."""
-        source = tuple(raws) if raws is not None else self._raws
+        source = _table(raws) if raws is not None else self._raws
         leftovers = []
-        for raw in source:
-            for phrase in raw.ingredient_phrases:
-                resolution = self._pipeline.resolve_phrase(phrase)
-                if resolution.kind is not MatchKind.EXACT:
-                    leftovers.append(resolution)
+        for phrase in source.phrases():
+            resolution = self._pipeline.resolve_phrase(phrase)
+            if resolution.kind is not MatchKind.EXACT:
+                leftovers.append(resolution)
         return leftovers
+
+
+def _table(raws: RawRecipeTable | Iterable[RawRecipe]) -> RawRecipeTable:
+    """``raws`` as a table (a table passes through)."""
+    if isinstance(raws, RawRecipeTable):
+        return raws
+    return RawRecipeTable.from_recipes(raws)

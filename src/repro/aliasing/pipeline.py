@@ -18,10 +18,11 @@ matching is memoised per content-token tuple: raw lines rarely repeat
 1,000 distinct token tuples. A bounded memo maps each tuple to its match
 (``repro_aliasing_phrase_cache_{hits,misses}_total`` count its traffic;
 :class:`MatchReport` occurrence counting is never cached).
-:meth:`AliasingPipeline.resolve_corpus` aliases a corpus in one process,
-in corpus order, so its result depends only on the raw recipes and the
-pipeline's catalog, aliases and options; ``--workers`` fans out Monte
-Carlo sampling only and never reaches it.
+:meth:`AliasingPipeline.resolve_corpus` aliases a corpus (a
+:class:`~repro.datamodel.RawRecipeTable`) in one process, in corpus
+order, so its result depends only on the raw recipes and the pipeline's
+catalog, aliases and options; ``--workers`` fans out Monte Carlo
+sampling only and never reaches it.
 """
 
 from __future__ import annotations
@@ -29,12 +30,19 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import threading
 import time
 from collections import Counter
 from collections.abc import Iterable
 
-from ..datamodel import Ingredient, RawRecipe, Recipe, RecipeTable
+from ..datamodel import (
+    Ingredient,
+    RawRecipe,
+    RawRecipeTable,
+    Recipe,
+    RecipeTable,
+)
 from ..flavordb import IngredientCatalog, default_catalog
 from ..obs import get_registry, span
 from .matcher import MAX_NGRAM, MatchOutcome
@@ -319,7 +327,7 @@ class AliasingPipeline:
         maximises information retrieval while labelling partial matches for
         curation); duplicate ingredient mentions collapse.
         """
-        ingredient_ids = self._resolve_ids(raw, report)
+        ingredient_ids = self._resolve_ids(raw.ingredient_phrases, report)
         if not ingredient_ids:
             return None
         return Recipe(
@@ -331,11 +339,12 @@ class AliasingPipeline:
         )
 
     def _resolve_ids(
-        self, raw: RawRecipe, report: MatchReport | None
+        self, phrases: Iterable[str], report: MatchReport | None
     ) -> frozenset[int]:
-        """The ingredient ids one raw recipe resolves to (maybe none)."""
+        """The ingredient ids one recipe's phrases resolve to (maybe
+        none)."""
         ingredient_ids: set[int] = set()
-        for phrase in raw.ingredient_phrases:
+        for phrase in phrases:
             _tokens, ingredients, leftovers, kind = self._match(phrase)
             if report is not None:
                 report.record_match(kind, leftovers)
@@ -346,22 +355,38 @@ class AliasingPipeline:
             report.record_recipe(bool(ingredient_ids))
         return frozenset(ingredient_ids)
 
-    def resolve_corpus(self, raws: Iterable[RawRecipe]) -> AliasingResult:
-        """Alias a whole corpus in order, collecting the curation report."""
+    def resolve_corpus(self, raws: RawRecipeTable) -> AliasingResult:
+        """Alias a whole corpus in order, collecting the curation report.
+
+        Callers holding :class:`~repro.datamodel.RawRecipe` objects pass
+        ``RawRecipeTable.from_recipes(raws)``.
+        """
         with span("aliasing.resolve_corpus") as trace:
             started = time.perf_counter()
             report = MatchReport()
-            resolved: list[tuple[RawRecipe, frozenset[int]]] = []
-            for raw in raws:
-                ingredient_ids = self._resolve_ids(raw, report)
+            phrases = raws.phrases()
+            kept: list[int] = []
+            rows: list[frozenset[int]] = []
+            for row, (start, stop) in enumerate(
+                itertools.pairwise(raws.phrase_offsets.tolist())
+            ):
+                ingredient_ids = self._resolve_ids(
+                    phrases[start:stop], report
+                )
                 if ingredient_ids:
-                    resolved.append((raw, ingredient_ids))
+                    kept.append(row)
+                    rows.append(ingredient_ids)
             recipes = RecipeTable.from_columns(
-                [raw.recipe_id for raw, _ids in resolved],
-                [ingredient_ids for _raw, ingredient_ids in resolved],
-                [raw.region_code for raw, _ids in resolved],
-                [raw.title for raw, _ids in resolved],
-                [raw.source for raw, _ids in resolved],
+                raws.recipe_ids[kept],
+                rows,
+                *(
+                    [strings[code] for code in codes[kept].tolist()]
+                    for strings, codes in (
+                        (raws.regions, raws.region_idx),
+                        (raws.titles, raws.title_idx),
+                        (raws.sources, raws.source_idx),
+                    )
+                ),
             )
             elapsed = time.perf_counter() - started
             registry = get_registry()

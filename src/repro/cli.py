@@ -572,7 +572,7 @@ def _run_command(args: argparse.Namespace) -> int:
         database = build_culinarydb(
             workspace.recipes,
             workspace.catalog,
-            raw_recipes=workspace.corpus.raw_recipes,
+            instructions=workspace.corpus.raw_recipes.instructions,
         )
         CulinaryDB(database).save(args.out)
         print(f"wrote {database!r} to {args.out}")

@@ -10,6 +10,8 @@ sources with their exact published totals. Phrases and titles draw from
 a per-region :class:`~repro.corpus.draws.DrawStream`, which gives the
 values a numpy ``Generator`` on the same PCG64 stream would.
 
+The generator writes the corpus as columns
+(:class:`~repro.datamodel.RawRecipeTable`) and keeps no per-recipe object.
 Everything is deterministic given ``seed``; the default seed is the one
 all experiments and benchmarks use. Generation runs in the calling
 process (``--workers`` fans out Monte Carlo sampling only), so the
@@ -21,11 +23,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 
 from ..aliasing import AliasingPipeline
-from ..datamodel import ConfigurationError, RawRecipe
+from ..datamodel import ConfigurationError, RawRecipeTable, RowMapping
 from ..flavordb import IngredientCatalog, default_catalog, stable_seed
 from ..obs import span
 from .assembler import RecipeAssembler
@@ -73,24 +76,61 @@ _REGION_ADJECTIVES = {
 
 @dataclasses.dataclass(frozen=True)
 class GeneratedCorpus:
-    """Everything one generation run produces.
+    """Everything one generation run produces: the ``corpus`` stage's
+    artifact.
 
     Attributes:
-        raw_recipes: the noisy scraped-style records, id order.
-        intended_ingredients: recipe id -> the exact canonical ingredient
-            ids the raw phrases were rendered from (ground truth for
-            aliasing fidelity checks).
+        raw_recipes: the noisy scraped-style records as a
+            :class:`~repro.datamodel.RawRecipeTable`, id order; iterating
+            or indexing it builds :class:`~repro.datamodel.RawRecipe`
+            objects on access.
+        intended_ids: int32, the canonical ingredient id each phrase was
+            rendered from, aligned with the table's phrase axis (the
+            generator renders one phrase per intended ingredient).
         pantries: region code -> the pantry used.
         seed: generation seed.
     """
 
-    raw_recipes: tuple[RawRecipe, ...]
-    intended_ingredients: dict[int, frozenset[int]]
+    raw_recipes: RawRecipeTable
+    intended_ids: np.ndarray
     pantries: dict[str, RegionPantry]
     seed: int
 
+    def __post_init__(self) -> None:
+        if len(self.intended_ids) != len(self.raw_recipes.phrase_bounds) - 1:
+            raise ConfigurationError(
+                "intended ingredient ids misaligned with the phrase axis"
+            )
+
+    @property
+    def intended_ingredients(self) -> Mapping[int, frozenset[int]]:
+        """Recipe id -> the exact canonical ingredient ids its phrases
+        were rendered from (ground truth for aliasing fidelity checks),
+        a read-only mapping whose sets are built on access."""
+        offsets = self.raw_recipes.phrase_offsets
+        return RowMapping(
+            self.raw_recipes.recipe_ids,
+            lambda row: frozenset(
+                self.intended_ids[offsets[row] : offsets[row + 1]].tolist()
+            ),
+        )
+
     def region_codes(self) -> tuple[str, ...]:
         return tuple(self.pantries)
+
+
+@dataclasses.dataclass
+class _Columns:
+    """The corpus columns as the generator appends them, recipe by
+    recipe; sources are known up front."""
+
+    regions: list[str] = dataclasses.field(default_factory=list)
+    titles: list[str] = dataclasses.field(default_factory=list)
+    phrase_rows: list[tuple[str, ...]] = dataclasses.field(
+        default_factory=list
+    )
+    instructions: list[str] = dataclasses.field(default_factory=list)
+    intended: list[int] = dataclasses.field(default_factory=list)
 
 
 class CorpusGenerator:
@@ -122,7 +162,6 @@ class CorpusGenerator:
         self._seed = seed
         self._include_world_only = include_world_only
         self._recipe_scale = recipe_scale
-        self._titles: dict[tuple[str, str, str], str] = {}
 
     @property
     def catalog(self) -> IngredientCatalog:
@@ -154,28 +193,31 @@ class CorpusGenerator:
                     for profile in profiles
                 ]
             )
-            raw_recipes: list[RawRecipe] = []
-            intended: dict[int, frozenset[int]] = {}
+            columns = _Columns()
             pantries: dict[str, RegionPantry] = {}
             for profile in profiles:
                 pantries[profile.code] = self._generate_region(
-                    profile, labels, raw_recipes, intended
+                    profile, columns
                 )
+            raw_recipes = RawRecipeTable.from_columns(
+                recipe_ids=range(1, len(labels) + 1),
+                phrase_rows=columns.phrase_rows,
+                regions=columns.regions,
+                titles=columns.titles,
+                sources=labels,
+                instructions=columns.instructions,
+            )
             trace.incr("recipes", len(raw_recipes))
             trace.incr("regions", len(pantries))
             return GeneratedCorpus(
-                raw_recipes=tuple(raw_recipes),
-                intended_ingredients=intended,
+                raw_recipes=raw_recipes,
+                intended_ids=np.asarray(columns.intended, dtype=np.int32),
                 pantries=pantries,
                 seed=self._seed,
             )
 
     def _generate_region(
-        self,
-        profile: RegionGeneratorProfile,
-        labels: list[str],
-        raw_recipes: list[RawRecipe],
-        intended: dict[int, frozenset[int]],
+        self, profile: RegionGeneratorProfile, columns: _Columns
     ) -> RegionPantry:
         """Assemble and render one region, appending its recipes."""
         code = profile.code
@@ -186,27 +228,22 @@ class CorpusGenerator:
                 np.random.PCG64(stable_seed("render", code, str(self._seed)))
             )
             for indices in recipes:
-                recipe_id = len(raw_recipes) + 1
                 ingredients = [pantry.ingredients[int(i)] for i in indices]
-                phrases = tuple(
-                    self._renderer.render(ingredient, render_rng)
-                    for ingredient in ingredients
-                )
-                title = self._title(code, ingredients[0].name, render_rng)
-                raw_recipes.append(
-                    RawRecipe(
-                        recipe_id=recipe_id,
-                        title=title,
-                        source=labels[recipe_id - 1],
-                        region_code=code,
-                        ingredient_phrases=phrases,
-                        instructions=self._instructions(ingredients),
+                columns.phrase_rows.append(
+                    tuple(
+                        self._renderer.render(ingredient, render_rng)
+                        for ingredient in ingredients
                     )
                 )
-                intended[recipe_id] = frozenset(
+                columns.titles.append(
+                    self._title(code, ingredients[0].name, render_rng)
+                )
+                columns.instructions.append(self._instructions(ingredients))
+                columns.intended.extend(
                     ingredient.ingredient_id for ingredient in ingredients
                 )
-                trace.incr("phrases", len(phrases))
+                trace.incr("phrases", len(ingredients))
+            columns.regions.extend([code] * len(recipes))
             trace.incr("recipes", len(recipes))
             return pantry
 
@@ -333,19 +370,10 @@ class CorpusGenerator:
         main_ingredient: str,
         rng: np.random.Generator | DrawStream,
     ) -> str:
-        """A recipe title; equal titles share one string.
-
-        The corpus repeats about half of its titles, and a served
-        workspace holds every one of them.
-        """
+        """A recipe title (the table stores each distinct one once)."""
         dish = _DISH_TYPES[int(rng.integers(len(_DISH_TYPES)))]
-        key = (code, main_ingredient, dish)
-        title = self._titles.get(key)
-        if title is None:
-            adjective = _REGION_ADJECTIVES.get(code, code.title())
-            title = f"{adjective} {main_ingredient} {dish}".title()
-            self._titles[key] = title
-        return title
+        adjective = _REGION_ADJECTIVES.get(code, code.title())
+        return f"{adjective} {main_ingredient} {dish}".title()
 
     def _instructions(self, ingredients) -> str:
         head = ", ".join(

@@ -9,7 +9,7 @@ and the database equals the one per-row inserts build, index for index.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -29,17 +29,19 @@ from .schema import create_culinarydb_schema
 def build_culinarydb(
     recipes: RecipeTable | Iterable[Recipe],
     catalog: IngredientCatalog | None = None,
-    raw_recipes: Iterable | None = None,
+    instructions: Mapping[int, str] | None = None,
     name: str = "culinarydb",
 ) -> Database:
     """Build a fully-populated CulinaryDB database.
 
     Args:
         recipes: resolved recipes (any regions, including WORLD-only
-            ones), as the aliasing stage's table or as objects.
+            ones), as the aliasing stage's table or as objects. Titles
+            and sources come from them.
         catalog: ingredient catalog; defaults to the shared instance.
-        raw_recipes: optional matching :class:`~repro.datamodel.RawRecipe`
-            records; when given, titles/sources/instructions come from them.
+        instructions: the instructions column, recipe id -> text, such
+            as a corpus's ``raw_recipes.instructions``; recipes it lacks,
+            or all when it is ``None``, get NULL instructions.
         name: database name.
     """
     catalog = catalog if catalog is not None else default_catalog()
@@ -113,30 +115,20 @@ def build_culinarydb(
     table = recipe_table(recipes)
     recipe_ids = table.recipe_ids.tolist()
     sizes = table.sizes()
-    raw_by_id = {}
-    if raw_recipes is not None:
-        raw_by_id = {raw.recipe_id: raw for raw in raw_recipes}
-    raws = [raw_by_id.get(recipe_id) for recipe_id in recipe_ids]
-    sources = [
-        raw.source if raw is not None else table.sources[code]
-        for raw, code in zip(raws, table.source_idx.tolist())
+    texts = dict(instructions.items()) if instructions is not None else {}
+    known_sources = [
+        source if source in RECIPE_SOURCES else None
+        for source in table.sources
     ]
     columns = {
         "recipe_id": recipe_ids,
-        "title": [
-            raw.title if raw is not None else table.titles[code]
-            for raw, code in zip(raws, table.title_idx.tolist())
-        ],
-        "source": [
-            source if source in RECIPE_SOURCES else None for source in sources
-        ],
+        "title": [table.titles[code] for code in table.title_idx.tolist()],
+        "source": [known_sources[code] for code in table.source_idx.tolist()],
         "region_code": [
             table.regions[code] for code in table.region_idx.tolist()
         ],
         "n_ingredients": sizes.tolist(),
-        "instructions": [
-            raw.instructions if raw is not None else None for raw in raws
-        ],
+        "instructions": [texts.get(recipe_id) for recipe_id in recipe_ids],
     }
     # Each recipe's ingredient links in ascending id order. The tables
     # keep every cell, so each cell refers to the one int object of its

@@ -12,8 +12,10 @@ from .entities import (
     FlavorMolecule,
     Ingredient,
     RawRecipe,
+    RawRecipeTable,
     Recipe,
     RecipeTable,
+    RowMapping,
     build_cuisines,
     recipe_table,
 )
@@ -44,8 +46,10 @@ __all__ = [
     "FlavorMolecule",
     "Ingredient",
     "RawRecipe",
+    "RawRecipeTable",
     "Recipe",
     "RecipeTable",
+    "RowMapping",
     "build_cuisines",
     "recipe_table",
     "ConfigurationError",

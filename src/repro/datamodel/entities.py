@@ -10,6 +10,8 @@ here mirror those levels:
   :class:`~repro.datamodel.categories.Category`.
 * :class:`RawRecipe` — a recipe as scraped from a source: free-text
   ingredient phrases that still need aliasing.
+* :class:`RawRecipeTable` — many raw recipes as arrays and UTF-8 buffers,
+  the form the ``corpus`` stage stores.
 * :class:`Recipe` — a resolved recipe: an unordered set of canonical
   ingredient ids (the paper treats recipes as unordered ingredient lists for
   pairing analysis).
@@ -25,8 +27,17 @@ nobody writes to.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import (
+    Callable,
+    ItemsView,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
+from typing import Any
 
 import numpy as np
 
@@ -121,6 +132,9 @@ class Ingredient:
 class RawRecipe:
     """A recipe as obtained from a source, before ingredient aliasing.
 
+    The corpus stores raw recipes as a :class:`RawRecipeTable`; these
+    objects are built on access, for tests, curation and examples.
+
     Attributes:
         recipe_id: stable id within the corpus.
         title: recipe name as published.
@@ -145,6 +159,180 @@ class RawRecipe:
             raise ValidationError(
                 f"raw recipe {self.recipe_id} has no ingredient phrases"
             )
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class RawRecipeTable:
+    """Raw recipes as columns: the ``corpus`` stage's artifact.
+
+    Row ``r`` is recipe ``recipe_ids[r]``; region, title and source are
+    codes into sorted string tables, as in :class:`RecipeTable`. The
+    ingredient phrases lie on an axis of their own: row ``r`` owns
+    phrases ``phrase_offsets[r]:phrase_offsets[r + 1]``, and phrase ``p``
+    is ``phrase_utf8[phrase_bounds[p]:phrase_bounds[p + 1]]``, decoded.
+    Row ``r``'s instructions are
+    ``instruction_utf8[instruction_bounds[r]:instruction_bounds[r + 1]]``.
+    Phrases and instructions are UTF-8 buffers, not string tables,
+    because almost none repeat: a table would save little and cost one
+    object per string on every load.
+
+    Indexing, slicing (to a tuple) and iteration build :class:`RawRecipe`
+    objects on access; ``==`` compares values.
+    """
+
+    recipe_ids: np.ndarray  # int64, one per row
+    phrase_offsets: np.ndarray  # int64, rows + 1, into the phrase axis
+    phrase_utf8: bytes
+    phrase_bounds: np.ndarray  # int64, phrases + 1, byte offsets
+    region_idx: np.ndarray  # int32 codes into ``regions``
+    regions: tuple[str, ...]
+    title_idx: np.ndarray  # int32 codes into ``titles``
+    titles: tuple[str, ...]
+    source_idx: np.ndarray  # int32 codes into ``sources``
+    sources: tuple[str, ...]
+    instruction_utf8: bytes
+    instruction_bounds: np.ndarray  # int64, rows + 1, byte offsets
+
+    def __post_init__(self) -> None:
+        empty = np.flatnonzero(np.diff(self.phrase_offsets) == 0)
+        if len(empty):
+            raise ValidationError(
+                f"raw recipe {int(self.recipe_ids[empty[0]])} has no "
+                "ingredient phrases"
+            )
+
+    @classmethod
+    def from_columns(
+        cls,
+        recipe_ids: Sequence[int],
+        phrase_rows: Sequence[Sequence[str]],
+        regions: Sequence[str],
+        titles: Sequence[str],
+        sources: Sequence[str],
+        instructions: Sequence[str],
+    ) -> "RawRecipeTable":
+        """A table from one value per recipe in each column."""
+        phrase_offsets = np.zeros(len(phrase_rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in phrase_rows], out=phrase_offsets[1:])
+        phrase_utf8, phrase_bounds = _pack(
+            [phrase for row in phrase_rows for phrase in row]
+        )
+        instruction_utf8, instruction_bounds = _pack(instructions)
+        region_table, region_idx = _encode(regions)
+        title_table, title_idx = _encode(titles)
+        source_table, source_idx = _encode(sources)
+        return cls(
+            recipe_ids=np.asarray(recipe_ids, dtype=np.int64).reshape(-1),
+            phrase_offsets=phrase_offsets,
+            phrase_utf8=phrase_utf8,
+            phrase_bounds=phrase_bounds,
+            region_idx=region_idx,
+            regions=region_table,
+            title_idx=title_idx,
+            titles=title_table,
+            source_idx=source_idx,
+            sources=source_table,
+            instruction_utf8=instruction_utf8,
+            instruction_bounds=instruction_bounds,
+        )
+
+    @classmethod
+    def from_recipes(cls, raws: Iterable[RawRecipe]) -> "RawRecipeTable":
+        """A table of :class:`RawRecipe` objects, in their order."""
+        raws = list(raws)
+        return cls.from_columns(
+            [raw.recipe_id for raw in raws],
+            [raw.ingredient_phrases for raw in raws],
+            [raw.region_code for raw in raws],
+            [raw.title for raw in raws],
+            [raw.source for raw in raws],
+            [raw.instructions for raw in raws],
+        )
+
+    def __len__(self) -> int:
+        return len(self.recipe_ids)
+
+    def __getitem__(
+        self, index: int | slice
+    ) -> RawRecipe | tuple[RawRecipe, ...]:
+        rows = range(len(self))[index]  # negative rows; IndexError past the end
+        if isinstance(rows, range):
+            return tuple(map(self.__getitem__, rows))
+        start, stop = self.phrase_offsets[rows : rows + 2].tolist()
+        return RawRecipe(
+            recipe_id=int(self.recipe_ids[rows]),
+            title=self.titles[self.title_idx[rows]],
+            source=self.sources[self.source_idx[rows]],
+            region_code=self.regions[self.region_idx[rows]],
+            ingredient_phrases=tuple(
+                _unpack(self.phrase_utf8, self.phrase_bounds[start : stop + 1])
+            ),
+            instructions=self._instruction(rows),
+        )
+
+    def __iter__(self) -> Iterator[RawRecipe]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RawRecipeTable):
+            return NotImplemented
+        return _same_columns(self, other)
+
+    def phrases(self) -> list[str]:
+        """Every ingredient phrase, decoded, in phrase-axis order."""
+        return _unpack(self.phrase_utf8, self.phrase_bounds)
+
+    @property
+    def instructions(self) -> Mapping[int, str]:
+        """Recipe id -> instructions, each decoded on access."""
+        return RowMapping(self.recipe_ids, self._instruction)
+
+    def _instruction(self, row: int) -> str:
+        bounds = self.instruction_bounds
+        return self.instruction_utf8[bounds[row] : bounds[row + 1]].decode(
+            "utf-8"
+        )
+
+
+class RowMapping(Mapping):
+    """A read-only mapping from recipe id to a value of that recipe's
+    row, each value built on access; ids iterate in row order."""
+
+    __slots__ = ("_ids", "_value")
+
+    def __init__(
+        self, recipe_ids: np.ndarray, value: Callable[[int], Any]
+    ) -> None:
+        self._ids = recipe_ids
+        self._value = value
+
+    def __getitem__(self, recipe_id: int) -> Any:
+        ids = self._ids
+        if isinstance(recipe_id, (int, np.integer)):
+            # One probe when ids ascend, as a generated corpus's do.
+            row = int(np.searchsorted(ids, recipe_id))
+            if row < len(ids) and ids[row] == recipe_id:
+                return self._value(row)
+            rows = np.flatnonzero(ids == recipe_id)
+            if len(rows):
+                return self._value(int(rows[0]))
+        raise KeyError(recipe_id)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def items(self) -> ItemsView:
+        """Pairs in row order, without a lookup per id."""
+        return _RowItems(self)
+
+
+class _RowItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[int, Any]]:
+        mapping = self._mapping
+        return zip(mapping, map(mapping._value, range(len(mapping))))
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -275,14 +463,7 @@ class RecipeTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecipeTable):
             return NotImplemented
-        return all(
-            np.array_equal(mine, theirs)
-            if isinstance(mine, np.ndarray)
-            else mine == theirs
-            for mine, theirs in zip(
-                dataclasses.astuple(self), dataclasses.astuple(other)
-            )
-        )
+        return _same_columns(self, other)
 
     def sizes(self) -> np.ndarray:
         """Recipe sizes ``n``, in row order."""
@@ -332,6 +513,36 @@ def recipe_table(recipes: RecipeTable | Iterable[Recipe]) -> RecipeTable:
     if isinstance(recipes, RecipeTable):
         return recipes
     return RecipeTable.from_recipes(recipes)
+
+
+def _same_columns(left: Any, right: Any) -> bool:
+    """Whether two tables of one class hold equal values, column by
+    column."""
+    for field in dataclasses.fields(left):
+        mine, theirs = getattr(left, field.name), getattr(right, field.name)
+        if isinstance(mine, np.ndarray):
+            if not np.array_equal(mine, theirs):
+                return False
+        elif mine != theirs:
+            return False
+    return True
+
+
+def _pack(strings: Sequence[str]) -> tuple[bytes, np.ndarray]:
+    """``strings`` as one UTF-8 buffer, and the byte offsets that
+    delimit them (one more than there are strings)."""
+    encoded = [string.encode("utf-8") for string in strings]
+    bounds = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(item) for item in encoded], out=bounds[1:])
+    return b"".join(encoded), bounds
+
+
+def _unpack(buffer: bytes, bounds: np.ndarray) -> list[str]:
+    """The strings between consecutive byte offsets of ``buffer``."""
+    return [
+        buffer[start:stop].decode("utf-8")
+        for start, stop in itertools.pairwise(bounds.tolist())
+    ]
 
 
 def _encode(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:

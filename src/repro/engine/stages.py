@@ -139,7 +139,7 @@ STAGES: dict[str, Stage] = {
     for stage in (
         Stage(
             name="corpus",
-            version="1",
+            version="2",
             deps=(),
             config_fields=(
                 "corpus_seed",

@@ -133,7 +133,8 @@ class ArtifactStore:
                 raise ValueError("bad magic")
             newline = blob.index(b"\n", len(_MAGIC))
             header = json.loads(blob[len(_MAGIC) : newline])
-            payload = blob[newline + 1 :]
+            # A view, not a copy: artifacts run to tens of megabytes.
+            payload = memoryview(blob)[newline + 1 :]
             if header.get("fingerprint") != fingerprint:
                 raise ValueError("fingerprint mismatch")
             if header.get("size") != len(payload):

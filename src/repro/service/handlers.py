@@ -113,7 +113,9 @@ class QueryService:
                 self._database = build_culinarydb(
                     self._workspace.recipes,
                     self._workspace.catalog,
-                    raw_recipes=self._workspace.corpus.raw_recipes,
+                    instructions=(
+                        self._workspace.corpus.raw_recipes.instructions
+                    ),
                 )
             return self._database
 

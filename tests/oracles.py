@@ -253,7 +253,9 @@ def whole_phrase_normalize(phrase: str) -> list[str]:
     return content
 
 
-def per_row_build_culinarydb(recipes, catalog, raw_recipes=None, name="culinarydb"):
+def per_row_build_culinarydb(
+    recipes, catalog, instructions=None, name="culinarydb"
+):
     """CulinaryDB built with one ``Table.insert`` per row, in table order."""
     db = create_culinarydb_schema(name)
     regions_table = db.table("regions")
@@ -317,19 +319,19 @@ def per_row_build_culinarydb(recipes, catalog, raw_recipes=None, name="culinaryd
             )
     db.table("ingredient_molecules").bulk_insert(link_rows)
     db.table("ingredient_synonyms").bulk_insert(synonym_rows)
-    raw_by_id = {raw.recipe_id: raw for raw in raw_recipes or ()}
+    instructions = instructions if instructions is not None else {}
     recipe_links = []
     for recipe in recipes:
-        raw = raw_by_id.get(recipe.recipe_id)
-        source = raw.source if raw is not None else recipe.source
         db.table("recipes").insert(
             {
                 "recipe_id": recipe.recipe_id,
-                "title": raw.title if raw is not None else recipe.title,
-                "source": source if source in RECIPE_SOURCES else None,
+                "title": recipe.title,
+                "source": (
+                    recipe.source if recipe.source in RECIPE_SOURCES else None
+                ),
                 "region_code": recipe.region_code,
                 "n_ingredients": recipe.size,
-                "instructions": raw.instructions if raw is not None else None,
+                "instructions": instructions.get(recipe.recipe_id),
             }
         )
         for ingredient_id in sorted(recipe.ingredient_ids):

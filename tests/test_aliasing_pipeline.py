@@ -8,7 +8,7 @@ import pytest
 
 from repro.aliasing import AliasingPipeline, MatchKind, MatchReport
 from repro.corpus import CorpusGenerator
-from repro.datamodel import RawRecipe
+from repro.datamodel import RawRecipe, RawRecipeTable
 
 
 class TestResolvePhrase:
@@ -111,7 +111,7 @@ class TestResolveCorpus:
             RawRecipe(2, "B", "Epicurious", "JPN", ("moon dust",)),
             RawRecipe(3, "C", "AllRecipes", "FRA", ("1 cup cream",)),
         ]
-        result = pipeline.resolve_corpus(raws)
+        result = pipeline.resolve_corpus(RawRecipeTable.from_recipes(raws))
         assert len(result.recipes) == 2
         assert result.report.recipes_total == 3
         assert result.report.recipes_resolved == 2
@@ -172,10 +172,10 @@ def _corpus_raws():
         ("3 scoops of moon dust",),
         ("chopped onions", "olive oil"),
     ]
-    return [
+    return RawRecipeTable.from_recipes(
         RawRecipe(i + 1, f"R{i + 1}", "AllRecipes", "ITA", lines)
         for i, lines in enumerate(phrases)
-    ]
+    )
 
 
 class TestPhraseMemo:

@@ -13,7 +13,7 @@ def culinary(request):
     database = build_culinarydb(
         workspace.recipes,
         workspace.catalog,
-        raw_recipes=workspace.corpus.raw_recipes,
+        instructions=workspace.corpus.raw_recipes.instructions,
     )
     return CulinaryDB(database)
 
@@ -65,7 +65,7 @@ class TestBuild:
         oracle = per_row_build_culinarydb(
             workspace.recipes,
             workspace.catalog,
-            raw_recipes=workspace.corpus.raw_recipes,
+            instructions=workspace.corpus.raw_recipes.instructions,
         )
         assert culinary.db.table_names() == oracle.table_names()
         for table in oracle:

@@ -174,7 +174,7 @@ class TestColumnLoads:
         db = build_culinarydb(
             workspace.recipes,
             workspace.catalog,
-            raw_recipes=workspace.corpus.raw_recipes,
+            instructions=workspace.corpus.raw_recipes.instructions,
         )
         save_database(db, tmp_path)
         loaded = load_database(tmp_path)

@@ -62,7 +62,7 @@ class TestCrossModuleConsistency:
         database = build_culinarydb(
             workspace.recipes,
             workspace.catalog,
-            raw_recipes=workspace.corpus.raw_recipes,
+            instructions=workspace.corpus.raw_recipes.instructions,
         )
         culinary = CulinaryDB(database)
         stats = {
