@@ -1,11 +1,12 @@
 """Bench the parallel Monte Carlo engine: scaling across worker counts.
 
-Runs the fig4 sampling sweep (all 22 regions, the uniform-random model)
-through the sharded engine at 1, 2, 4 and 8 workers (clamped to the
-machine's core count), verifies the z-scores are bit-identical at every
-worker count, and writes the scaling table to ``BENCH_parallel.json``::
+Runs the fig4 sampling sweep (all 22 regions, the uniform-random model,
+one task per region) through the pool at 1, 2, 4 and 8 workers (clamped
+to the machine's core count), verifies the z-scores at every worker
+count are bit-identical to the run without a pool, and writes the
+scaling table to ``BENCH_parallel.json``::
 
-    {"n_samples": ..., "shard_size": ..., "cores": ...,
+    {"n_samples": ..., "cores": ...,
      "timings": {"workers_1": {"seconds": ..., "speedup": 1.0}, ...}}
 
 ``timings`` is keyed by worker count so that ``repro obs check`` gates
@@ -46,28 +47,26 @@ def test_bench_parallel_scaling(workspace, bench_samples):
     ladder = [count for count in WORKER_LADDER if count <= cores]
     if 1 not in ladder:
         ladder.insert(0, 1)
-    shard_size = max(1, bench_samples // 8)
 
-    timings: dict[str, dict[str, float]] = {}
-    reference_rows = None
-    for workers in ladder:
-        config = ParallelConfig(workers=workers, shard_size=shard_size)
-        started = time.perf_counter()
+    def z_rows(parallel):
         result = run_fig4(
             workspace,
             n_samples=bench_samples,
             models=(NullModel.RANDOM,),
-            parallel=config,
+            parallel=parallel,
         )
+        return [(row.code, row.z_random) for row in result.rows]
+
+    reference_rows = z_rows(None)
+    timings: dict[str, dict[str, float]] = {}
+    for workers in ladder:
+        started = time.perf_counter()
+        rows = z_rows(ParallelConfig(workers=workers))
         elapsed = time.perf_counter() - started
         timings[f"workers_{workers}"] = {"seconds": round(elapsed, 3)}
-
-        rows = [(row.code, row.z_random) for row in result.rows]
-        if reference_rows is None:
-            reference_rows = rows
-        else:
-            # Bit-identical z-scores at every worker count, every run.
-            assert rows == reference_rows
+        # Bit-identical z-scores at every worker count, and to the run
+        # without a pool.
+        assert rows == reference_rows
 
     serial_seconds = timings["workers_1"]["seconds"]
     for entry in timings.values():
@@ -80,7 +79,6 @@ def test_bench_parallel_scaling(workspace, bench_samples):
     payload = {
         "benchmark": "parallel_montecarlo_fig4",
         "n_samples": bench_samples,
-        "shard_size": shard_size,
         "regions": len(reference_rows),
         "cores": cores,
         "timings": timings,

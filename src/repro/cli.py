@@ -28,8 +28,8 @@ Commands:
   nonzero on a regression (see :mod:`repro.obs.watchdog`).
 
 Every run parameter flows through one :class:`repro.engine.RunConfig`:
-the ``--seed``/``--scale``/``--samples``/``--workers``/``--shard-size``/
-``--cache-dir`` flags are *generated* from its field metadata
+the ``--seed``/``--scale``/``--samples``/``--workers``/``--cache-dir``
+flags are *generated* from its field metadata
 (:func:`repro.engine.config_parent_parser`), so each flag has a single
 definition shared by all subcommands. ``build-db``, ``similar``,
 ``recommend`` and ``serve`` take only the flags that select their
@@ -40,18 +40,15 @@ a second run warm-loads the corpus/aliasing/cuisines/pairing-view
 artifacts instead of rebuilding them, and prints a cache summary line to
 stderr (``engine cache: hits=... builds=...``).
 
-``--workers N`` fans Monte Carlo shards across a process pool (``0`` =
-one per CPU core) for the sampling commands
-(``run``/``fig4``/``fig5``/``report``, with ``--shard-size`` setting
-the shard decomposition; see :mod:`repro.parallel`). Stage builds
-always run in one process, so stage artifacts are byte-identical with
-or without ``--workers``. With ``--workers N``,
-``fig4 --z-out PATH`` writes full-precision Z-scores that depend only
-on ``(seed, samples, shard-size)``, never on ``N`` — which is what the
-CI determinism checks diff. Without ``--workers``, fig4 runs the same
-sweep with one unsharded shard per (region, model), drawn in-process
-from the root seed sequence; it samples the same distributions from
-different draws, so its Z-scores differ from every ``--workers N`` run.
+``--workers N`` fans the Monte Carlo tasks, one per (region, model),
+across a process pool (``0`` = one per CPU core) for the sampling
+commands (``run``/``fig4``/``fig5``/``report``; see
+:mod:`repro.parallel`). Stage builds always run in one process, so
+stage artifacts are byte-identical with or without ``--workers``.
+Each task draws its cell's root seed stream wherever it runs, so
+``fig4 --z-out PATH`` writes full-precision Z-scores that depend only on
+``(seed, samples)``: without ``--workers`` and at every ``N`` the file
+is the same — which is what the CI determinism checks diff.
 ``--seed 20180417`` (the paper seed) samples the same streams as no
 ``--seed``.
 
@@ -153,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # these, so flag names/validators/help live only on RunConfig.
     run_flags = config_parent_parser()
     # build-db, similar, recommend and serve sample nothing from the
-    # config: a served /montecarlo carries its own workers and shards.
+    # config: a served /montecarlo draws its one cell in process.
     workspace_flags = config_parent_parser(
         fields=("seed", "recipe_scale", "cache_dir", "no_disk_cache")
     )

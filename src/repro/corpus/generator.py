@@ -29,6 +29,7 @@ import numpy as np
 
 from ..aliasing import AliasingPipeline
 from ..datamodel import ConfigurationError, RawRecipeTable, RowMapping
+from ..datamodel.entities import same_fields
 from ..flavordb import IngredientCatalog, default_catalog, stable_seed
 from ..obs import span
 from .assembler import RecipeAssembler
@@ -74,10 +75,10 @@ _REGION_ADJECTIVES = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GeneratedCorpus:
     """Everything one generation run produces: the ``corpus`` stage's
-    artifact.
+    artifact; ``==`` compares values.
 
     Attributes:
         raw_recipes: the noisy scraped-style records as a
@@ -101,6 +102,11 @@ class GeneratedCorpus:
             raise ConfigurationError(
                 "intended ingredient ids misaligned with the phrase axis"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneratedCorpus):
+            return NotImplemented
+        return same_fields(self, other)
 
     @property
     def intended_ingredients(self) -> Mapping[int, frozenset[int]]:

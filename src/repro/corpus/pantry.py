@@ -22,6 +22,7 @@ import dataclasses
 import numpy as np
 
 from ..datamodel import ConfigurationError, Ingredient
+from ..datamodel.entities import same_fields
 from ..flavordb import IngredientCatalog, stable_seed
 from .profiles import RegionGeneratorProfile
 
@@ -35,9 +36,9 @@ ZIPF_SHIFT = 3.0
 BASELINE_TAIL_BOOST = 4.0
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class RegionPantry:
-    """Ranked ingredient inventory of one cuisine.
+    """Ranked ingredient inventory of one cuisine; ``==`` compares values.
 
     Attributes:
         profile: the generator profile this pantry realises.
@@ -53,6 +54,11 @@ class RegionPantry:
     def __post_init__(self) -> None:
         if len(self.ingredients) != len(self.popularity):
             raise ConfigurationError("popularity misaligned with ingredients")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RegionPantry):
+            return NotImplemented
+        return same_fields(self, other)
 
     @property
     def size(self) -> int:

@@ -276,7 +276,7 @@ class RawRecipeTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RawRecipeTable):
             return NotImplemented
-        return _same_columns(self, other)
+        return same_fields(self, other)
 
     def phrases(self) -> list[str]:
         """Every ingredient phrase, decoded, in phrase-axis order."""
@@ -463,7 +463,7 @@ class RecipeTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecipeTable):
             return NotImplemented
-        return _same_columns(self, other)
+        return same_fields(self, other)
 
     def sizes(self) -> np.ndarray:
         """Recipe sizes ``n``, in row order."""
@@ -515,9 +515,9 @@ def recipe_table(recipes: RecipeTable | Iterable[Recipe]) -> RecipeTable:
     return RecipeTable.from_recipes(recipes)
 
 
-def _same_columns(left: Any, right: Any) -> bool:
-    """Whether two tables of one class hold equal values, column by
-    column."""
+def same_fields(left: Any, right: Any) -> bool:
+    """Whether two dataclass values of one class hold equal fields,
+    numpy arrays compared by value."""
     for field in dataclasses.fields(left):
         mine, theirs = getattr(left, field.name), getattr(right, field.name)
         if isinstance(mine, np.ndarray):

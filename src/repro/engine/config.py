@@ -3,9 +3,11 @@
 Every run parameter — corpus seed and scale, Monte Carlo fan-out, null
 model sample count, artifact-cache location — lives in :class:`RunConfig`.
 It is built exactly once per entry point (from argparse in ``repro``,
-from request params in the service, from script flags in
-``run_full_experiments.py``) and handed down; no layer re-plumbs loose
-keyword arguments.
+from request params in the service) and handed down; no layer
+re-plumbs loose keyword arguments. The full-scale results in
+``results/full_scale`` come from
+``repro report --scale 1 --samples 100000 --workers 0 --out
+results/full_scale``.
 
 Each field carries CLI metadata, so the shared argparse parent parser is
 *generated* from the dataclass (:func:`config_parent_parser`) — flag
@@ -25,11 +27,7 @@ from typing import Any
 
 from ..corpus.generator import DEFAULT_SEED
 from ..datamodel import ConfigurationError
-from ..parallel.executor import (
-    DEFAULT_SHARD_SIZE,
-    ParallelConfig,
-    resolve_workers,
-)
+from ..parallel.executor import ParallelConfig, resolve_workers
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -110,11 +108,9 @@ class RunConfig:
         recipe_scale: recipe-count scale factor (1.0 = 45,772 recipes).
         include_world_only: also generate the WORLD-only mini-regions.
         workers: worker processes for Monte Carlo sampling (``None`` =
-            the unsharded in-process plan, ``0`` = one per CPU core).
-            Stage builds run in one process whatever its value, so it
-            is never part of any stage fingerprint.
-        shard_size: Monte Carlo samples per shard (results depend on
-            this, never on ``workers``).
+            in this process, ``0`` = one per CPU core). No result
+            depends on it, and stage builds run in one process whatever
+            its value, so it is never part of any stage fingerprint.
         n_samples: random recipes per null model (fig4).
         cache_dir: artifact disk-cache directory; setting it enables the
             disk tier (see also :data:`ENV_CACHE_DIR`).
@@ -141,21 +137,10 @@ class RunConfig:
         type=nonnegative_int,
         metavar="N",
         help=(
-            "fan null-model sampling across N worker processes (0 = one "
-            "per CPU core). Omit it to sample fig4 as one unsharded "
-            "shard per region and model, whose Z-scores differ from any "
-            "--workers N run. Stage builds always run in one process"
-        ),
-    )
-    shard_size: int = _cfg(
-        DEFAULT_SHARD_SIZE,
-        flags=("--shard-size",),
-        type=positive_int,
-        metavar="N",
-        help=(
-            "samples per Monte Carlo shard (default: "
-            f"{DEFAULT_SHARD_SIZE}); results depend on this, not on "
-            "--workers"
+            "fan null-model sampling across N worker processes, one "
+            "task per region and model (0 = one per CPU core). Every N, "
+            "and no --workers, gives the same results. Stage builds "
+            "always run in one process"
         ),
     )
     n_samples: int = _cfg(
@@ -185,8 +170,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.recipe_scale > 0:
             raise ConfigurationError("recipe_scale must be positive")
-        if self.shard_size < 1:
-            raise ConfigurationError("shard_size must be >= 1")
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be >= 1")
         if self.workers is not None and self.workers < 0:
@@ -202,7 +185,7 @@ class RunConfig:
 
     @property
     def sampling_seed(self) -> int | None:
-        """Seed mixed into the Monte Carlo shard generators.
+        """Seed mixed into the Monte Carlo generators.
 
         ``None`` selects the deterministic ``"default"`` stream — the
         same streams the pre-RunConfig CLI produced, so existing z-score
@@ -212,19 +195,11 @@ class RunConfig:
         """
         return None if self.seed == DEFAULT_SEED else self.seed
 
-    def parallel(self, cap: int | None = None) -> ParallelConfig | None:
-        """The Monte Carlo fan-out this config requests, or ``None``.
-
-        Args:
-            cap: optional upper bound on resolved workers (the service
-                uses this so one request cannot monopolise the host).
-        """
+    def parallel(self) -> ParallelConfig | None:
+        """The Monte Carlo fan-out this config requests, or ``None``."""
         if self.workers is None:
             return None
-        workers = resolve_workers(self.workers)
-        if cap is not None:
-            workers = max(1, min(workers, cap))
-        return ParallelConfig(workers=workers, shard_size=self.shard_size)
+        return ParallelConfig(workers=resolve_workers(self.workers))
 
     @property
     def disk_cache_enabled(self) -> bool:

@@ -171,16 +171,15 @@ def run_fig4(
         workspace: shared experiment workspace.
         n_samples: random recipes per model (paper: 100,000).
         models: null models to evaluate.
-        parallel: when set, every (region, model) sampling shard fans out
-            through one shared process pool; results are bit-identical
-            for any worker count (see :mod:`repro.parallel`). ``None``
-            draws one unsharded stream per (region, model) in this
-            process.
-        seed: extra seed mixed into the sampling generators on either
-            plan; ``None`` selects the deterministic default streams.
+        parallel: when set, the (region, model) sampling tasks fan out
+            through one shared process pool; ``None`` runs them in this
+            process. Both draw the same stream per cell, so results are
+            bit-identical (see :mod:`repro.parallel`).
+        seed: extra seed mixed into the sampling generators; ``None``
+            selects the deterministic default streams.
     """
     # One sweep over every region's view (the engine's pairing_views
-    # artifact): slow regions' shards interleave with fast ones.
+    # artifact): slow regions' cells interleave with fast ones.
     results = analyze_regions(
         workspace.regional_cuisines(),
         workspace.views(),

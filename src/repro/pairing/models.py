@@ -78,7 +78,7 @@ def sample_model_moments(
     Draws ``chunk`` recipes at a time with :func:`sample_model_scores`,
     folds their scores into a :class:`StreamingMoments` and discards
     them, so peak memory is one chunk of floats, never the score vector.
-    Every Monte Carlo shard runs this (see :mod:`repro.parallel`).
+    Every Monte Carlo task runs this (see :mod:`repro.parallel`).
     """
     if n_samples <= 0:
         raise ConfigurationError("n_samples must be positive")

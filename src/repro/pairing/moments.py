@@ -2,13 +2,11 @@
 
 The null-model analyses only ever need four summary statistics of the
 sampled scores — count, mean, standard deviation, and the range — so no
-sampling run materializes the 100,000-float score vector. Each shard,
-sharded or the one shard of an unsharded run, folds its samples into a
-:class:`StreamingMoments` (count, sum, sum of squares, min/max) and the
-parent merges the shards. Merging is a plain sum of the accumulators, so
-for a fixed shard decomposition the result is bit-identical regardless of
-how many workers produced the shards — only the (deterministic) merge
-order matters, never the scheduling order.
+sampling run materializes the 100,000-float score vector. Each
+(region, model) cell folds its samples, chunk by chunk in draw order,
+into one :class:`StreamingMoments` (count, sum, sum of squares,
+min/max). A cell is drawn by one task from one stream, so its moments
+are the same whichever process ran it.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ class StreamingMoments:
 
     @classmethod
     def from_array(cls, values: np.ndarray) -> "StreamingMoments":
-        """Moments of one shard of samples."""
+        """Moments of one array of samples."""
         moments = cls()
         moments.update(values)
         return moments
@@ -54,21 +52,6 @@ class StreamingMoments:
         self.sum_squares += float(np.square(values).sum())
         self.minimum = min(self.minimum, float(values.min()))
         self.maximum = max(self.maximum, float(values.max()))
-
-    def merge(self, other: "StreamingMoments") -> "StreamingMoments":
-        """Combine two shards exactly; returns a new instance.
-
-        The combination is a plain sum of the accumulators, so folding a
-        fixed shard sequence left-to-right yields bit-identical results
-        no matter which processes computed the shards.
-        """
-        return StreamingMoments(
-            count=self.count + other.count,
-            total=self.total + other.total,
-            sum_squares=self.sum_squares + other.sum_squares,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-        )
 
     @property
     def mean(self) -> float:

@@ -14,8 +14,8 @@ with ``sqrt(N)`` by construction.
 
 The statistic needs only streaming moments of the random scores, so
 every comparison is :func:`comparison_from_moments` over moments drawn by
-:mod:`repro.parallel.montecarlo` — sharded under a ``ParallelConfig``,
-one shard per (region, model) without one.
+:mod:`repro.parallel.montecarlo`: one stream per (region, model), the
+same with or without a ``ParallelConfig``.
 """
 
 from __future__ import annotations
@@ -122,22 +122,19 @@ def compare_to_model(
     model: NullModel,
     n_samples: int = PAPER_SAMPLE_COUNT,
     rng: np.random.Generator | None = None,
-    parallel: "ParallelConfig | None" = None,
     seed: int | None = None,
 ) -> ModelComparison:
     """Compare one cuisine view against one null model.
 
-    The samples come from :func:`repro.parallel.model_moments`: the
-    sharded streams under ``parallel`` (bit-identical for any
-    ``parallel.workers``), or the unsharded stream without it — the
-    same stream :func:`analyze_cuisine` draws. ``seed`` selects the
-    streams on both plans. A caller-owned ``rng`` replaces both plan and
-    seed: the samples are drawn from it directly.
+    The samples come from :func:`repro.parallel.model_moments`, in this
+    process: the cell's stream under ``seed``, the same stream
+    :func:`analyze_cuisine` draws at any worker count. A caller-owned
+    ``rng`` replaces the seed: the samples are drawn from it directly.
     """
     if rng is None:
         from ..parallel.montecarlo import model_moments
 
-        moments = model_moments(view, model, n_samples, parallel, seed)
+        moments = model_moments(view, model, n_samples, seed)
     else:
         moments = sample_model_moments(view, model, n_samples, rng)
     return comparison_from_moments(cuisine_mean_score(view), model, moments)
@@ -153,7 +150,7 @@ def analyze_regions(
 ) -> dict[str, CuisinePairingResult]:
     """Every view's pairing analysis from one Monte Carlo sweep.
 
-    All regions' shards go through one sweep (one pool when
+    All regions' cells go through one sweep (one pool when
     ``parallel`` fans out), so slow regions overlap with fast ones.
     ``cuisines`` supplies the recipe and ingredient counts; results are
     keyed and ordered like ``views``.
@@ -197,9 +194,9 @@ def analyze_cuisine(
         n_samples: random recipes per model.
         seed: extra seed mixed into the per-model generators; ``None``
             uses the deterministic default.
-        parallel: when set, all models' sampling fans out through the
-            sharded Monte Carlo engine in one sweep; ``None`` draws one
-            unsharded stream per model in this process.
+        parallel: when set, the models' cells fan out through the
+            process pool in one sweep; ``None`` draws them in this
+            process. Both draw the same stream per model.
         view: a prebuilt numeric view of the cuisine (the engine's
             ``pairing_views`` stage artifact); built here when omitted.
     """

@@ -44,10 +44,6 @@ from ..obs.snapshot import (
     merge_snapshots,
 )
 
-#: Default Monte Carlo samples per shard: large enough that pool overhead
-#: amortises, small enough that 100k samples split across 4+ workers.
-DEFAULT_SHARD_SIZE = 25_000
-
 _LOG = get_logger("repro.parallel")
 
 _T = TypeVar("_T")
@@ -58,27 +54,16 @@ class ParallelConfig:
     """How a sampling workload fans out.
 
     Attributes:
-        workers: process count; ``1`` runs every shard serially in the
-            parent (no pool), which by construction produces the exact
-            same results as any other worker count.
-        shard_size: Monte Carlo samples per work unit. Results are
-            bit-identical for a fixed ``(seed, n_samples, shard_size)``
-            regardless of ``workers``; changing ``shard_size`` changes
-            the shard RNG streams and therefore the sampled values.
+        workers: process count; ``1`` runs every task serially in the
+            parent (no pool). A task's random stream never depends on
+            the worker count, so every count gives the same results.
     """
 
     workers: int = 1
-    shard_size: int = DEFAULT_SHARD_SIZE
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.shard_size < 1:
-            raise ConfigurationError("shard_size must be >= 1")
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.workers > 1
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -88,19 +73,11 @@ def resolve_workers(requested: int | None = None) -> int:
     return requested
 
 
-def shard_sizes(n_samples: int, shard_size: int) -> list[int]:
-    """Split ``n_samples`` into full shards plus a remainder shard."""
-    if n_samples <= 0:
-        raise ConfigurationError("n_samples must be positive")
-    full, remainder = divmod(n_samples, shard_size)
-    return [shard_size] * full + ([remainder] if remainder else [])
-
-
 def runs_pooled(workers: int, tasks: int) -> bool:
     """Whether :func:`run_tasks` sends ``tasks`` payloads to a process pool.
 
     The one decision for every caller: a sweep publishes its views to
-    shared memory only when this holds, and otherwise hands the shards
+    shared memory only when this holds, and otherwise hands the tasks
     the views its own process already holds.
     """
     return workers > 1 and tasks > 1

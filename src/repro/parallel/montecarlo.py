@@ -1,28 +1,20 @@
-"""Sharded Monte Carlo drivers for the pairing workloads.
+"""Monte Carlo drivers for the pairing workloads.
 
 This is the layer fig4/fig5 (and the service's ``/montecarlo`` endpoint)
-sit on. A sampling request for ``(region, model, n_samples)`` becomes
-``ceil(n_samples / shard_size)`` :class:`ShardTask` units; each worker
-attaches the cuisine's shared-memory view, draws its shard with its own
-spawned RNG, and returns a :class:`~repro.pairing.moments.StreamingMoments`
-— never the raw score vector. Only a pooled sweep
-(:func:`~repro.parallel.executor.runs_pooled`) publishes shared memory;
-shards that run in the calling process sample the caller's own
-:class:`~repro.pairing.views.CuisineView`.
-
-Determinism is by construction: per-shard generators derive from
+sit on. A sampling request for ``(region, model, n_samples)`` is one
+:class:`ShardTask`: it draws every sample of that cell from the root
 ``np.random.SeedSequence(stable_seed("null-model", region, model,
-seed)).spawn(n_shards)``, so for a fixed ``(seed, n_samples,
-shard_size)`` the shard streams — and the shard-index-ordered moment
-merge — are identical regardless of worker count or scheduling order.
+seed))`` and returns a :class:`~repro.pairing.moments.StreamingMoments`
+— never the raw score vector. Those are the same draws as
+``PCG64(stable_seed("null-model", region, model, seed))``.
 
-Without a :class:`ParallelConfig` (``config=None``, what ``repro fig4``
-runs without ``--workers``) each (region, model) is one shard drawn in
-this process from the root sequence itself, not from a spawned child.
-That is the unsharded stream: the same draws as
-``PCG64(stable_seed("null-model", region, model, seed))``, so its
-Z-scores differ from every sharded run's. This module is the only place
-that maps ``(region, model, seed, plan)`` to generators.
+A pool only distributes the cells: a task's stream depends on its cell
+and seed alone, so every worker count, and ``config=None`` (in this
+process), gives the same moments bit for bit. Only a pooled sweep
+(:func:`~repro.parallel.executor.runs_pooled`) publishes shared memory;
+tasks that run in the calling process sample the caller's own
+:class:`~repro.pairing.views.CuisineView`. This module is the only place
+that maps ``(region, model, seed)`` to a generator.
 """
 
 from __future__ import annotations
@@ -37,14 +29,10 @@ import numpy as np
 
 from ..flavordb import stable_seed
 from ..obs import get_registry, span
-from ..pairing.models import (
-    DEFAULT_CHUNK,
-    NullModel,
-    sample_model_moments,
-)
+from ..pairing.models import NullModel, sample_model_moments
 from ..pairing.moments import StreamingMoments
 from ..pairing.views import CuisineView
-from .executor import ParallelConfig, run_tasks, runs_pooled, shard_sizes
+from .executor import ParallelConfig, run_tasks, runs_pooled
 from .sharedmem import AttachedView, SharedViewSpec, SharedViewStore
 
 
@@ -63,12 +51,12 @@ def _with_view(
 
 @dataclasses.dataclass(frozen=True)
 class ShardTask:
-    """One Monte Carlo work unit: a shard of one (region, model) request.
+    """One Monte Carlo work unit: every sample of one (region, model).
 
     A pooled task carries only the shared-memory spec, the model name,
-    the shard's spawned seed sequence and two integers — a test caps its
+    the cell's root seed sequence and its sample count — a test caps its
     pickled size to guarantee no worker ever receives an overlap matrix.
-    A shard run in the calling process carries the caller's resident
+    A task run in the calling process carries the caller's resident
     :class:`CuisineView` as ``spec`` instead; it is never pickled.
     """
 
@@ -76,12 +64,11 @@ class ShardTask:
     model_value: str
     seed_seq: np.random.SeedSequence
     n_samples: int
-    chunk: int = DEFAULT_CHUNK
 
 
 @dataclasses.dataclass(frozen=True)
 class ShardResult:
-    """A worker's shard: its moments plus throughput bookkeeping."""
+    """A task's moments plus throughput bookkeeping."""
 
     moments: StreamingMoments
     samples: int
@@ -90,11 +77,11 @@ class ShardResult:
 
 
 def run_shard(task: ShardTask) -> ShardResult:
-    """Sample one shard (attaching its view if pooled); return its moments.
+    """Sample one cell (attaching its view if pooled); return its moments.
 
     Records ``repro_montecarlo_*`` series *in the worker*; the executor
     harvests them back as deltas, so the merged registry reads the same
-    totals (and the same histogram window, merged in shard order) at any
+    totals (and the same histogram window, merged in task order) at any
     worker count.
     """
     started = time.perf_counter()
@@ -110,7 +97,6 @@ def run_shard(task: ShardTask) -> ShardResult:
                 NullModel(task.model_value),
                 task.n_samples,
                 np.random.Generator(np.random.PCG64(task.seed_seq)),
-                chunk=task.chunk,
             ),
         )
         trace.incr("samples", task.n_samples)
@@ -130,28 +116,16 @@ def run_shard(task: ShardTask) -> ShardResult:
     )
 
 
-def _plan(n_samples: int, config: ParallelConfig | None) -> tuple[int, int]:
-    """``(workers, shard_size)`` under ``config``.
-
-    ``None`` is the unsharded plan: one in-process shard of every sample.
-    """
-    if config is None:
-        return 1, n_samples
-    return config.workers, config.shard_size
-
-
-def shard_tasks(
+def shard_task(
     spec: SharedViewSpec | CuisineView,
     model: NullModel,
     n_samples: int,
-    config: ParallelConfig | None = None,
     seed: int | None = None,
-    chunk: int = DEFAULT_CHUNK,
-) -> list[ShardTask]:
-    """The deterministic shard decomposition of one (region, model).
+) -> ShardTask:
+    """The task that draws every sample of one (region, model).
 
-    Shards draw from children spawned off the root sequence; the one
-    shard of the unsharded plan (``config=None``) draws from the root.
+    Its generator is seeded by the cell's root sequence itself, so where
+    the task runs never changes what it draws.
     """
     seed_label = "default" if seed is None else str(seed)
     root = np.random.SeedSequence(
@@ -159,19 +133,9 @@ def shard_tasks(
             "null-model", spec.region_code, model.value, seed_label
         )
     )
-    _, shard_size = _plan(n_samples, config)
-    sizes = shard_sizes(n_samples, shard_size)
-    seeds = [root] if config is None else root.spawn(len(sizes))
-    return [
-        ShardTask(
-            spec=spec,
-            model_value=model.value,
-            seed_seq=seed_seq,
-            n_samples=size,
-            chunk=chunk,
-        )
-        for seed_seq, size in zip(seeds, sizes)
-    ]
+    return ShardTask(
+        spec=spec, model_value=model.value, seed_seq=root, n_samples=n_samples
+    )
 
 
 def sweep_pairing_moments(
@@ -180,71 +144,49 @@ def sweep_pairing_moments(
     n_samples: int,
     config: ParallelConfig | None = None,
     seed: int | None = None,
-    chunk: int = DEFAULT_CHUNK,
 ) -> dict[tuple[str, NullModel], StreamingMoments]:
     """Null-model score moments for every (region, model) pair.
 
-    All shards of all pairs go through one pool, so slow regions overlap
-    with fast ones. Shard moments merge in shard-index order per key —
-    results are independent of completion order and worker count. The
-    views go to shared memory only when the shards leave this process.
-    ``config=None`` runs the unsharded plan (see :func:`shard_tasks`).
+    One task per pair, all through one pool, so slow regions overlap
+    with fast ones; ``config=None`` runs them in this process. The views
+    go to shared memory only when the tasks leave this process.
     """
-    workers, shard_size = _plan(n_samples, config)
+    workers = 1 if config is None else config.workers
     with span(
         "parallel.sweep",
         regions=len(views),
         models=len(models),
         n_samples=n_samples,
         workers=workers,
-        shard_size=shard_size,
     ) as trace:
-        pooled = runs_pooled(
-            workers,
-            len(views)
-            * len(models)
-            * len(shard_sizes(n_samples, shard_size)),
-        )
+        pooled = runs_pooled(workers, len(views) * len(models))
         with SharedViewStore() as store:
             tasks: list[ShardTask] = []
             keys: list[tuple[str, NullModel]] = []
             for region_code, view in views.items():
                 source = store.publish(view) if pooled else view
                 for model in models:
-                    for task in shard_tasks(
-                        source, model, n_samples, config, seed, chunk
-                    ):
-                        tasks.append(task)
-                        keys.append((region_code, model))
+                    tasks.append(shard_task(source, model, n_samples, seed))
+                    keys.append((region_code, model))
             results = run_tasks(
                 run_shard,
                 tasks,
                 workers=workers,
                 label="parallel.montecarlo",
             )
-        merged: dict[tuple[str, NullModel], StreamingMoments] = {}
-        for key, result in zip(keys, results):
-            previous = merged.get(key)
-            merged[key] = (
-                result.moments
-                if previous is None
-                else previous.merge(result.moments)
-            )
         _surface_throughput(trace, results)
-        return merged
+        return {key: result.moments for key, result in zip(keys, results)}
 
 
 def model_moments(
     view: CuisineView,
     model: NullModel,
     n_samples: int,
-    config: ParallelConfig | None = None,
     seed: int | None = None,
-    chunk: int = DEFAULT_CHUNK,
 ) -> StreamingMoments:
-    """Moments for a single (region, model) request."""
+    """Moments for a single (region, model) request, in this process."""
     sweep = sweep_pairing_moments(
-        {view.region_code: view}, (model,), n_samples, config, seed, chunk
+        {view.region_code: view}, (model,), n_samples, seed=seed
     )
     return sweep[(view.region_code, model)]
 

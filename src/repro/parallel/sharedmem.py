@@ -16,10 +16,9 @@ directly over the shared buffers (zero copy), so a worker rebuilds
 nothing per task.
 
 Only pooled sweeps publish (:func:`repro.parallel.executor.runs_pooled`):
-shards that run in the calling process — ``workers=1`` or a single
-shard, as in a served ``/montecarlo`` request at its default one
-worker — sample the caller's own view, so server threads no longer
-attach to serve such a request.
+tasks that run in the calling process — ``workers=1``, a single task,
+or a served ``/montecarlo`` request — sample the caller's own view, so
+server threads never attach.
 
 Lifetime: the store owns the blocks and unlinks them on ``close()`` (or
 context-manager exit); attachments only ever ``close()`` their mapping.

@@ -571,36 +571,26 @@ class QueryService:
 
     @parses(MonteCarloRequest)
     def handle_montecarlo(self, request: MonteCarloRequest) -> dict[str, Any]:
-        """Null-model Z-score for one region through the parallel engine.
+        """Null-model Z-score for one region and model.
 
-        Runs the same sharded Monte Carlo engine as ``fig4 --workers``
-        (spawned per-shard RNGs, streaming moment reduction; shards run on
-        the resident view unless they go to a pool), so the response
-        depends only on ``(region, model, n_samples, seed, shard_size)``
-        — never on ``workers`` — and is therefore safely cacheable.
+        One cell is one Monte Carlo task, sampled on the resident view in
+        the handler's thread from the same stream ``fig4`` draws for that
+        cell at any ``--workers``. The response depends only on
+        ``(region, model, n_samples, seed)`` and is therefore safely
+        cacheable.
         """
         from ..pairing import compare_to_model
-        from ..parallel import resolve_workers
 
-        view = self.cuisine_view(request.region)
-        request_config = self._config.replace(
-            n_samples=request.n_samples,
-            workers=request.workers,
-            shard_size=request.shard_size,
-            seed=request.seed,
-        )
         comparison = compare_to_model(
-            view,
+            self.cuisine_view(request.region),
             request.model,
-            request_config.n_samples,
-            parallel=request_config.parallel(cap=resolve_workers(None)),
-            seed=request_config.sampling_seed,
+            request.n_samples,
+            seed=self._config.replace(seed=request.seed).sampling_seed,
         )
         return {
             "region": request.region,
             "model": request.model.value,
             "n_samples": request.n_samples,
-            "shard_size": request.shard_size,
             "cuisine_mean": comparison.cuisine_mean,
             "random_mean": comparison.random_mean,
             "random_std": comparison.random_std,

@@ -292,8 +292,6 @@ class MonteCarloRequest:
     region: str = field(CODE, required=True)
     model: NullModel = field(NullModel, NullModel.RANDOM)
     n_samples: int = field(INT, 10_000, 100, 50_000)
-    workers: int = field(INT, 1, 1, 8)
-    shard_size: int = field(INT, 5_000, 100, 25_000)
     seed: int | None = field(INT)
 
 

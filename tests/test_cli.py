@@ -151,7 +151,8 @@ class TestServeParser:
 
 
 class TestWorkspaceCommandFlags:
-    """build-db, similar, recommend and serve take no sampling flags."""
+    """build-db, similar, recommend and serve take no sampling flags, and
+    no command takes ``--shard-size``."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -161,6 +162,10 @@ class TestWorkspaceCommandFlags:
             ["recommend", "--region", "ITA", "--workers", "2"],
             ["serve", "--workers", "2"],
             ["serve", "--shard-size", "123"],
+            ["run", "fig4", "--shard-size", "100"],
+            ["fig4", "--shard-size", "100"],
+            ["fig5", "--shard-size", "100"],
+            ["report", "--out", "x", "--shard-size", "100"],
         ],
     )
     def test_removed_flags_exit_2(self, argv, capsys):
@@ -212,7 +217,7 @@ class TestRunConfigFlow:
         args = _build_parser().parse_args(
             [
                 "run", "fig4", "--scale", "0.25", "--samples", "500",
-                "--seed", "9", "--workers", "2", "--shard-size", "250",
+                "--seed", "9", "--workers", "2",
                 "--cache-dir", "/tmp/a", "--no-disk-cache",
             ]
         )
@@ -221,7 +226,6 @@ class TestRunConfigFlow:
         assert config.n_samples == 500
         assert config.seed == 9
         assert config.workers == 2
-        assert config.shard_size == 250
         assert config.cache_dir == "/tmp/a"
         assert config.no_disk_cache is True
         assert config.disk_cache_enabled is False

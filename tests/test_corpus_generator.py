@@ -1,5 +1,6 @@
 """Tests for the corpus generator (on the shared reduced-scale corpus)."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -155,6 +156,23 @@ class TestDeterminismAndScaling:
             for left, right in zip(
                 first.raw_recipes[:200], second.raw_recipes[:200]
             )
+        )
+
+    def test_generations_compare_by_value(self):
+        def generate(seed):
+            return CorpusGenerator(
+                seed=seed, recipe_scale=0.02, include_world_only=False
+            ).generate()
+
+        first, second, other = generate(7), generate(7), generate(8)
+        assert first is not second
+        assert first == second
+        assert first != other
+        pantry = first.pantries["ITA"]
+        assert pantry == second.pantries["ITA"]
+        assert pantry != first.pantries["KOR"]
+        assert pantry != dataclasses.replace(
+            pantry, popularity=pantry.popularity * 2
         )
 
     def test_invalid_scale_rejected(self):

@@ -16,6 +16,7 @@ from repro.engine import (
     get_stage,
     stage_fingerprint,
 )
+from repro.parallel import ParallelConfig, resolve_workers
 
 
 class TestRunConfig:
@@ -47,7 +48,7 @@ class TestRunConfig:
         [
             {"recipe_scale": 0.0},
             {"recipe_scale": -1.0},
-            {"shard_size": 0},
+            {"recipe_scale": float("nan")},
             {"n_samples": 0},
             {"workers": -1},
         ],
@@ -59,13 +60,11 @@ class TestRunConfig:
     def test_parallel_none_without_workers(self):
         assert RunConfig().parallel() is None
 
-    def test_parallel_resolves_and_caps(self):
-        parallel = RunConfig(workers=4, shard_size=500).parallel()
-        assert parallel is not None
-        assert parallel.workers == 4
-        assert parallel.shard_size == 500
-        capped = RunConfig(workers=4).parallel(cap=2)
-        assert capped.workers == 2
+    def test_parallel_resolves_workers(self):
+        assert RunConfig(workers=4).parallel() == ParallelConfig(workers=4)
+        assert RunConfig(workers=0).parallel() == ParallelConfig(
+            workers=resolve_workers(0)
+        )
 
     def test_disk_cache_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -111,8 +110,8 @@ class TestGeneratedParser:
         args = parser.parse_args(
             [
                 "--seed", "3", "--scale", "0.5", "--workers", "2",
-                "--shard-size", "100", "--samples", "1000",
-                "--cache-dir", "/tmp/c", "--no-disk-cache",
+                "--samples", "1000", "--cache-dir", "/tmp/c",
+                "--no-disk-cache",
             ]
         )
         config = config_from_args(args)
@@ -120,7 +119,6 @@ class TestGeneratedParser:
             seed=3,
             recipe_scale=0.5,
             workers=2,
-            shard_size=100,
             n_samples=1000,
             cache_dir="/tmp/c",
             no_disk_cache=True,
@@ -161,7 +159,6 @@ class TestFingerprints:
         for changes in (
             {"n_samples": 5_000},
             {"workers": 3},
-            {"shard_size": 123},
             {"cache_dir": "/tmp/elsewhere"},
             {"no_disk_cache": True},
         ):

@@ -5,13 +5,7 @@ import os
 import pytest
 
 from repro.datamodel import ConfigurationError
-from repro.parallel import (
-    DEFAULT_SHARD_SIZE,
-    ParallelConfig,
-    resolve_workers,
-    run_tasks,
-    shard_sizes,
-)
+from repro.parallel import ParallelConfig, resolve_workers, run_tasks
 
 
 def _square(value):
@@ -31,13 +25,7 @@ def _identity(value):
 
 class TestParallelConfig:
     def test_defaults(self):
-        config = ParallelConfig()
-        assert config.workers == 1
-        assert config.shard_size == DEFAULT_SHARD_SIZE
-        assert not config.is_parallel
-
-    def test_parallel_flag(self):
-        assert ParallelConfig(workers=2).is_parallel
+        assert ParallelConfig().workers == 1
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -46,10 +34,6 @@ class TestParallelConfig:
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             ParallelConfig(workers=-1)
-
-    def test_zero_shard_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(shard_size=0)
 
 
 class TestResolveWorkers:
@@ -61,25 +45,6 @@ class TestResolveWorkers:
 
     def test_explicit_count_passes_through(self):
         assert resolve_workers(3) == 3
-
-
-class TestShardSizes:
-    def test_exact_division(self):
-        assert shard_sizes(100, 25) == [25, 25, 25, 25]
-
-    def test_remainder_shard(self):
-        assert shard_sizes(10, 4) == [4, 4, 2]
-
-    def test_single_small_shard(self):
-        assert shard_sizes(4, 8) == [4]
-
-    def test_sizes_sum_to_total(self):
-        for n_samples in (1, 7, 25, 99, 100, 101):
-            assert sum(shard_sizes(n_samples, 25)) == n_samples
-
-    def test_nonpositive_samples_rejected(self):
-        with pytest.raises(ConfigurationError):
-            shard_sizes(0, 25)
 
 
 class TestRunTasks:

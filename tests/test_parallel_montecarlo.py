@@ -1,4 +1,4 @@
-"""Tests for the sharded Monte Carlo engine: determinism and payloads."""
+"""Tests for the Monte Carlo engine: one stream per cell, and payloads."""
 
 import hashlib
 import pickle
@@ -19,7 +19,7 @@ from repro.parallel import (
     ShardTask,
     model_moments,
     run_shard,
-    shard_tasks,
+    shard_task,
     sweep_contributions,
     sweep_pairing_moments,
 )
@@ -27,13 +27,11 @@ from repro.parallel.sharedmem import SharedViewStore
 from tests.oracles import loop_chi_values
 
 #: SHA-256 of every (region, model) cell's moments on the scale-0.25
-#: `workspace` fixture, 2,000 samples per cell, per sampling plan.
+#: `workspace` fixture, 2,000 samples per cell, each cell drawn from its
+#: root seed stream (the plan a sweep without a ParallelConfig runs).
 SAMPLER_DIGESTS = {
     "unsharded": (
         "a9690727e3551ba4d89605c1231609eca113993d9efa86c743ddba80fbdbadab"
-    ),
-    "shards_of_1000": (
-        "ebe15cd874cbd5044f574eb128ff8e039aec37b2b20e717e25f38d530c12fed4"
     ),
 }
 
@@ -67,74 +65,63 @@ def view(cuisine, catalog):
 
 
 class TestWorkerCountInvariance:
-    """The acceptance criterion: z-scores bit-identical for workers 1/2/4."""
+    """One stream per cell: every worker count, and no ParallelConfig,
+    gives the same moments bit for bit."""
+
+    @pytest.mark.parametrize("model", list(NullModel))
+    def test_every_worker_count_draws_the_root_stream(self, workspace, model):
+        views = {
+            code: workspace.views()[code] for code in ("ITA", "KOR", "SAM")
+        }
+        unsharded = sweep_pairing_moments(views, (model,), 500)
+        for workers in (1, 2):
+            pooled = sweep_pairing_moments(
+                views, (model,), 500, ParallelConfig(workers=workers)
+            )
+            assert list(pooled) == list(unsharded)
+            for key, moments in unsharded.items():
+                assert pooled[key] == moments, (workers, key)
 
     @pytest.mark.parametrize("model", list(NullModel))
     def test_moments_identical_across_worker_counts(self, view, model):
-        baseline = model_moments(
-            view,
-            model,
-            n_samples=1200,
-            config=ParallelConfig(workers=1, shard_size=300),
+        # Two cells, so workers > 1 really goes through the pool.
+        views = {"ITA": view, "ALT": view}
+        baseline = sweep_pairing_moments(
+            views, (model,), 1200, ParallelConfig(workers=1)
         )
         for workers in (2, 4):
-            other = model_moments(
-                view,
-                model,
-                n_samples=1200,
-                config=ParallelConfig(workers=workers, shard_size=300),
+            other = sweep_pairing_moments(
+                views, (model,), 1200, ParallelConfig(workers=workers)
             )
-            assert other.count == baseline.count
-            assert other.total == baseline.total
-            assert other.sum_squares == baseline.sum_squares
-            assert other.minimum == baseline.minimum
-            assert other.maximum == baseline.maximum
+            assert other == baseline
 
-    def test_z_scores_identical_across_worker_counts(self, view):
+    def test_z_scores_identical_across_worker_counts(self, cuisine, catalog):
         comparisons = [
-            compare_to_model(
-                view,
-                NullModel.FREQUENCY,
+            analyze_cuisine(
+                cuisine,
+                catalog,
                 n_samples=1000,
-                parallel=ParallelConfig(workers=workers, shard_size=250),
+                parallel=parallel,
+            ).comparisons[NullModel.FREQUENCY]
+            for parallel in (
+                None,
+                ParallelConfig(workers=1),
+                ParallelConfig(workers=2),
+                ParallelConfig(workers=4),
             )
-            for workers in (1, 2, 4)
         ]
         assert len({item.z_score for item in comparisons}) == 1
         assert len({item.random_mean for item in comparisons}) == 1
         assert len({item.random_std for item in comparisons}) == 1
 
     def test_seed_changes_the_stream(self, view):
-        config = ParallelConfig(workers=1, shard_size=250)
-        default = compare_to_model(
-            view, NullModel.RANDOM, 1000, parallel=config
-        )
-        seeded = compare_to_model(
-            view, NullModel.RANDOM, 1000, parallel=config, seed=99
-        )
+        default = compare_to_model(view, NullModel.RANDOM, 1000)
+        seeded = compare_to_model(view, NullModel.RANDOM, 1000, seed=99)
         assert default.z_score != seeded.z_score
-
-    def test_shard_size_is_part_of_the_contract(self, view):
-        # Changing shard_size changes the spawned RNG streams: documented
-        # behaviour, asserted so it cannot silently change.
-        fine = model_moments(
-            view,
-            NullModel.RANDOM,
-            1000,
-            ParallelConfig(workers=1, shard_size=100),
-        )
-        coarse = model_moments(
-            view,
-            NullModel.RANDOM,
-            1000,
-            ParallelConfig(workers=1, shard_size=500),
-        )
-        assert fine.count == coarse.count == 1000
-        assert fine.total != coarse.total
 
 
 class TestUnshardedPlan:
-    """``config=None``: one in-process shard drawn from the root stream."""
+    """One task per (region, model), drawn from the cell's root stream."""
 
     @pytest.mark.parametrize("model", list(NullModel))
     def test_one_shard_on_the_root_stream(self, view, model):
@@ -146,53 +133,35 @@ class TestUnshardedPlan:
         )
         rng = np.random.Generator(np.random.PCG64(seed))
         expected = sample_model_moments(view, model, 700, rng)
-        assert model_moments(view, model, 700, None) == expected
+        assert model_moments(view, model, 700) == expected
 
     def test_one_task_per_region_and_model(self, view):
-        [task] = shard_tasks(view, NullModel.RANDOM, 30_000)
+        from repro.flavordb import stable_seed
+
+        task = shard_task(view, NullModel.RANDOM, 30_000)
         assert task.n_samples == 30_000
         assert task.spec is view
+        assert task.seed_seq.entropy == stable_seed(
+            "null-model", "ITA", "random", "default"
+        )
+        assert task.seed_seq.spawn_key == ()
 
 
 class TestShardDecomposition:
-    def test_shard_sample_counts(self, view):
-        with SharedViewStore() as store:
-            spec = store.publish(view)
-            tasks = shard_tasks(
-                spec,
-                NullModel.RANDOM,
-                1100,
-                ParallelConfig(workers=2, shard_size=500),
-            )
-        assert [task.n_samples for task in tasks] == [500, 500, 100]
-        assert all(task.model_value == "random" for task in tasks)
-
     def test_task_payload_never_carries_the_matrix(self, view):
         # The acceptance cap: a pickled task must stay a few hundred
         # bytes however large the overlap matrix is.
         with SharedViewStore() as store:
             spec = store.publish(view)
-            tasks = shard_tasks(
-                spec,
-                NullModel.FREQUENCY_CATEGORY,
-                50_000,
-                ParallelConfig(workers=4),
-            )
-            for task in tasks:
-                assert len(pickle.dumps(task)) < 8192
+            task = shard_task(spec, NullModel.FREQUENCY_CATEGORY, 50_000)
+            assert len(pickle.dumps(task)) < 8192
 
     def test_run_shard_matches_in_process_sampling(self, view):
         with SharedViewStore() as store:
             spec = store.publish(view)
-            [task] = shard_tasks(
-                spec,
-                NullModel.RANDOM,
-                400,
-                ParallelConfig(workers=1, shard_size=400),
-            )
-            result = run_shard(task)
+            result = run_shard(shard_task(spec, NullModel.RANDOM, 400))
         assert result.samples == 400
-        assert result.moments.count == 400
+        assert result.moments == model_moments(view, NullModel.RANDOM, 400)
         assert result.elapsed >= 0.0
 
 
@@ -203,7 +172,7 @@ class TestSweeps:
             views,
             tuple(NullModel),
             600,
-            ParallelConfig(workers=2, shard_size=200),
+            ParallelConfig(workers=2),
         )
         assert set(moments) == {
             ("ITA", model) for model in NullModel
@@ -222,14 +191,14 @@ class TestSweeps:
             cuisine,
             catalog,
             n_samples=800,
-            parallel=ParallelConfig(workers=2, shard_size=200),
+            parallel=ParallelConfig(workers=2),
         )
         assert set(result.comparisons) == set(NullModel)
         serial = analyze_cuisine(
             cuisine,
             catalog,
             n_samples=800,
-            parallel=ParallelConfig(workers=1, shard_size=200),
+            parallel=ParallelConfig(workers=1),
         )
         for model in NullModel:
             assert (
@@ -246,13 +215,7 @@ class TestSamplerPinned:
     sample order.
     """
 
-    @pytest.mark.parametrize(
-        ("plan", "config"),
-        [
-            ("unsharded", None),
-            ("shards_of_1000", ParallelConfig(workers=1, shard_size=1000)),
-        ],
-    )
+    @pytest.mark.parametrize(("plan", "config"), [("unsharded", None)])
     def test_sweep_moments_pinned_across_commits(
         self, workspace, plan, config
     ):
@@ -290,14 +253,10 @@ class TestExperimentIntegration:
             models=(NullModel.RANDOM,),
         )
         serial = run_fig4(
-            workspace,
-            parallel=ParallelConfig(workers=1, shard_size=200),
-            **kwargs,
+            workspace, parallel=ParallelConfig(workers=1), **kwargs
         )
         fanned = run_fig4(
-            workspace,
-            parallel=ParallelConfig(workers=2, shard_size=200),
-            **kwargs,
+            workspace, parallel=ParallelConfig(workers=2), **kwargs
         )
         for mine, theirs in zip(serial.rows, fanned.rows):
             assert mine.code == theirs.code
@@ -337,7 +296,7 @@ class TestExperimentIntegration:
             workspace,
             n_samples=300,
             models=(NullModel.RANDOM,),
-            parallel=ParallelConfig(workers=2, shard_size=150),
+            parallel=ParallelConfig(workers=2),
         )
         assert len(result.rows) == 22
         assert result.uniform_count + result.contrasting_count == 22
@@ -355,25 +314,13 @@ class TestExperimentIntegration:
 class TestTaskHygiene:
     def test_shard_task_is_frozen(self, view):
         with SharedViewStore() as store:
-            spec = store.publish(view)
-            [task] = shard_tasks(
-                spec,
-                NullModel.RANDOM,
-                100,
-                ParallelConfig(workers=1, shard_size=100),
-            )
+            task = shard_task(store.publish(view), NullModel.RANDOM, 100)
         with pytest.raises(AttributeError):
             task.n_samples = 5
 
     def test_shard_task_round_trips_through_pickle(self, view):
         with SharedViewStore() as store:
-            spec = store.publish(view)
-            [task] = shard_tasks(
-                spec,
-                NullModel.CATEGORY,
-                100,
-                ParallelConfig(workers=1, shard_size=100),
-            )
+            task = shard_task(store.publish(view), NullModel.CATEGORY, 100)
             clone = pickle.loads(pickle.dumps(task))
             assert isinstance(clone, ShardTask)
             assert clone.model_value == task.model_value
@@ -391,31 +338,24 @@ def _refuse_segments(monkeypatch):
 
 
 class TestInProcessPath:
-    """Shards that stay in this process sample its own views: no segments."""
+    """Tasks that stay in this process sample its own views: no segments."""
 
-    @pytest.mark.parametrize(
-        "workers, shard_size, models",
-        [
-            (1, 100, tuple(NullModel)),  # serial, four shards per model
-            (2, 400, (NullModel.CATEGORY,)),  # one task only
-        ],
-    )
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_moments_sweep_creates_no_segment(
-        self, view, monkeypatch, workers, shard_size, models
+        self, view, monkeypatch, workers
     ):
-        # Pooled baseline: both regions and every model, several shards.
+        # Serial: every model. Two workers: one task only, so no pool.
+        models = tuple(NullModel) if workers == 1 else (NullModel.CATEGORY,)
+        # Pooled baseline: both regions and every model.
         pooled = sweep_pairing_moments(
             {"ITA": view, "ALT": view},
             tuple(NullModel),
             400,
-            ParallelConfig(workers=2, shard_size=shard_size),
+            ParallelConfig(workers=2),
         )
         _refuse_segments(monkeypatch)
         resident = sweep_pairing_moments(
-            {"ITA": view},
-            models,
-            400,
-            ParallelConfig(workers=workers, shard_size=shard_size),
+            {"ITA": view}, models, 400, ParallelConfig(workers=workers)
         )
         for model in models:
             assert resident[("ITA", model)] == pooled[("ITA", model)]
@@ -441,11 +381,10 @@ class TestInProcessPath:
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        config = ParallelConfig(workers=1, shard_size=200)
         models = list(NullModel) * 4
         expected = {
             model: model_moments(
-                build_cuisine_view(cuisine, catalog), model, 400, config
+                build_cuisine_view(cuisine, catalog), model, 400
             )
             for model in NullModel
         }
@@ -456,7 +395,7 @@ class TestInProcessPath:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
-                    pool.submit(model_moments, shared, model, 400, config)
+                    pool.submit(model_moments, shared, model, 400)
                     for model in models
                 ]
                 results = [future.result(timeout=120) for future in futures]
@@ -470,18 +409,22 @@ class TestInProcessPath:
 
         registry = get_registry()
         shards = registry.counter("repro_montecarlo_shards_total")
-        before = shards.value
+        samples = registry.counter(
+            "repro_montecarlo_samples_total", model="random"
+        )
+        before, samples_before = shards.value, samples.value
         _refuse_segments(monkeypatch)
         sweep_pairing_moments(
             {"ITA": view},
             (NullModel.RANDOM,),
             300,
-            ParallelConfig(workers=1, shard_size=100),
+            ParallelConfig(workers=1),
         )
-        assert shards.value == before + 3
+        assert shards.value == before + 1
+        assert samples.value == samples_before + 300
 
     def test_unsharded_sweep_keeps_telemetry(self, view, monkeypatch):
-        # Without a ParallelConfig: one shard per (region, model).
+        # Without a ParallelConfig: one task per (region, model).
         from repro.obs import get_registry
 
         shards = get_registry().counter("repro_montecarlo_shards_total")

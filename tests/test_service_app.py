@@ -449,13 +449,12 @@ class TestDispatchTracing:
 
 
 class TestMonteCarlo:
-    """The /montecarlo endpoint drives the parallel sampling engine."""
+    """The /montecarlo endpoint samples one cell on fig4's stream."""
 
     PAYLOAD = {
         "region": "ITA",
         "model": "random",
         "n_samples": 400,
-        "shard_size": 100,
     }
 
     def test_returns_comparison_fields(self, app):
@@ -471,13 +470,23 @@ class TestMonteCarlo:
             / (body["random_std"] / 400**0.5)
         )
 
-    def test_worker_count_does_not_change_the_answer(self, app):
-        serial = dict(self.PAYLOAD, workers=1)
-        fanned = dict(self.PAYLOAD, workers=2)
-        _, first = app.dispatch("POST", "/montecarlo", serial)
-        _, second = app.dispatch("POST", "/montecarlo", fanned)
-        assert first["z_score"] == second["z_score"]
-        assert first["random_mean"] == second["random_mean"]
+    @pytest.mark.parametrize(
+        "model", ["random", "frequency", "category", "frequency_category"]
+    )
+    def test_answer_is_the_cells_sweep_stream(self, app, service, model):
+        from repro.pairing import NullModel
+        from repro.parallel import ParallelConfig, sweep_pairing_moments
+
+        views = {code: service.cuisine_view(code) for code in ("ITA", "KOR")}
+        pooled = sweep_pairing_moments(
+            views, (NullModel(model),), 400, ParallelConfig(workers=2)
+        )[("ITA", NullModel(model))]
+        _, body = app.dispatch(
+            "POST", "/montecarlo", dict(self.PAYLOAD, model=model)
+        )
+        assert "shard_size" not in body
+        assert body["random_mean"] == pooled.mean
+        assert body["random_std"] == pooled.std()
 
     def test_region_codes_are_case_insensitive(self, app):
         _, upper = app.dispatch("POST", "/montecarlo", dict(self.PAYLOAD))
@@ -533,12 +542,13 @@ class TestMonteCarlo:
             assert status == 200, body
         assert service.cuisine_view("ITA").spec_counts is specs
 
-    def test_worker_bounds_enforced(self, app):
+    @pytest.mark.parametrize("name", ["workers", "shard_size"])
+    def test_fan_out_fields_are_unknown(self, app, name):
         status, body = app.dispatch(
-            "POST", "/montecarlo", dict(self.PAYLOAD, workers=99)
+            "POST", "/montecarlo", dict(self.PAYLOAD, **{name: 1})
         )
         assert status == 400
-        assert body["error"]["code"] == "invalid_field"
+        assert body["error"]["code"] == "unknown_field"
 
     def test_seed_must_be_an_integer(self, app):
         status, body = app.dispatch(

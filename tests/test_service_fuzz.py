@@ -44,8 +44,6 @@ FIELDLESS = ("/healthz", "/readyz", "/regions", "/stats")
 #: Upper ends drawn for the fields that set how much work a request does.
 WORK_CAPS = {
     "n_samples": 200,
-    "shard_size": 200,
-    "workers": 1,
     "count": 2,
     "seconds": 0.03,
 }
