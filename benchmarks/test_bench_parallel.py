@@ -98,26 +98,3 @@ def test_bench_parallel_scaling(workspace, bench_samples):
             "determinism checks passed"
         )
 
-
-def test_bench_parallel_contribution_sweep(workspace):
-    """fig5's chi sweep through the pool matches the serial path exactly."""
-    from repro.experiments.fig5 import run_fig5
-
-    cores = os.cpu_count() or 1
-    started = time.perf_counter()
-    serial = run_fig5(workspace)
-    serial_seconds = time.perf_counter() - started
-
-    workers = min(4, cores) if cores > 1 else 1
-    started = time.perf_counter()
-    fanned = run_fig5(workspace, parallel=ParallelConfig(workers=workers))
-    fanned_seconds = time.perf_counter() - started
-
-    for mine, theirs in zip(serial.rows, fanned.rows):
-        assert [item.ingredient_name for item in mine.top] == [
-            item.ingredient_name for item in theirs.top
-        ]
-    print(
-        f"\nfig5 chi sweep: serial {serial_seconds:.2f}s, "
-        f"{workers} workers {fanned_seconds:.2f}s"
-    )

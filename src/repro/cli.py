@@ -31,9 +31,9 @@ Every run parameter flows through one :class:`repro.engine.RunConfig`:
 the ``--seed``/``--scale``/``--samples``/``--workers``/``--cache-dir``
 flags are *generated* from its field metadata
 (:func:`repro.engine.config_parent_parser`), so each flag has a single
-definition shared by all subcommands. ``build-db``, ``similar``,
-``recommend`` and ``serve`` take only the flags that select their
-workspace: ``--seed``, ``--scale``, ``--cache-dir`` and
+definition shared by all subcommands. ``fig5``, ``build-db``,
+``similar``, ``recommend`` and ``serve`` take only the flags that select
+their workspace: ``--seed``, ``--scale``, ``--cache-dir`` and
 ``--no-disk-cache``. Passing ``--cache-dir`` (or
 setting ``$REPRO_CACHE_DIR``) enables the on-disk stage-artifact cache:
 a second run warm-loads the corpus/aliasing/cuisines/pairing-view
@@ -42,8 +42,8 @@ stderr (``engine cache: hits=... builds=...``).
 
 ``--workers N`` fans the Monte Carlo tasks, one per (region, model),
 across a process pool (``0`` = one per CPU core) for the sampling
-commands (``run``/``fig4``/``fig5``/``report``; see
-:mod:`repro.parallel`). Stage builds always run in one process, so
+commands (``run``/``fig4``/``report``; see :mod:`repro.parallel`).
+Stage builds and Fig 5's exact sweep always run in one process, so
 stage artifacts are byte-identical with or without ``--workers``.
 Each task draws its cell's root seed stream wherever it runs, so
 ``fig4 --z-out PATH`` writes full-precision Z-scores that depend only on
@@ -149,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # One generated parent per flag set; every subcommand below reuses
     # these, so flag names/validators/help live only on RunConfig.
     run_flags = config_parent_parser()
-    # build-db, similar, recommend and serve sample nothing from the
-    # config: a served /montecarlo draws its one cell in process.
+    # fig5, build-db, similar, recommend and serve sample nothing from
+    # the config: a served /montecarlo draws its one cell in process.
     workspace_flags = config_parent_parser(
         fields=("seed", "recipe_scale", "cache_dir", "no_disk_cache")
     )
@@ -194,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "fig5",
         help="shortcut for 'run fig5' (top contributing ingredients)",
-        parents=[obs_flags, run_flags],
+        parents=[obs_flags, workspace_flags],
     )
 
     build = sub.add_parser(
@@ -913,8 +913,6 @@ def _run_cache(args: argparse.Namespace) -> int:
 
 def _run_experiment(runner, workspace, config: RunConfig):
     """Invoke one experiment runner with the flags it understands."""
-    from .experiments.fig5 import run_fig5
-
     if runner is run_fig4:
         return runner(
             workspace,
@@ -922,8 +920,6 @@ def _run_experiment(runner, workspace, config: RunConfig):
             parallel=config.parallel(),
             seed=config.sampling_seed,
         )
-    if runner is run_fig5:
-        return runner(workspace, parallel=config.parallel())
     return runner(workspace)
 
 

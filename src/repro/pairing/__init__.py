@@ -8,7 +8,6 @@ Z-score significance, and leave-one-out ingredient contributions.
 from .contribution import (
     IngredientContribution,
     chi_values,
-    contributions_from_chi,
     ingredient_contributions,
     top_contributors,
 )
@@ -42,7 +41,6 @@ from .zscore import (
 __all__ = [
     "IngredientContribution",
     "chi_values",
-    "contributions_from_chi",
     "ingredient_contributions",
     "top_contributors",
     "DEFAULT_CHUNK",

@@ -35,10 +35,8 @@ class IngredientContribution:
 def chi_values(view: CuisineView) -> np.ndarray:
     """``chi_i`` per local ingredient index — the numeric core.
 
-    Touches only the view's numeric arrays, so it runs unchanged on a
-    view attached from shared memory inside a worker process; the fig5
-    sweep fans one call per region across the pool and attaches names in
-    the parent.
+    Touches only the view's numeric arrays;
+    :func:`ingredient_contributions` attaches the names.
 
     Complexity: every (recipe, member) removal is scored with array
     operations, one recipe-size group at a time, in O(sum of n**2) over
@@ -127,14 +125,9 @@ def _removal_scores(
     )
 
 
-def contributions_from_chi(
-    view: CuisineView, chi: np.ndarray
-) -> list[IngredientContribution]:
-    """Attach names/usage to a chi vector, most used first.
-
-    ``chi`` may come from :func:`chi_values` run anywhere, including a
-    worker that attached the view from shared memory.
-    """
+def ingredient_contributions(view: CuisineView) -> list[IngredientContribution]:
+    """``chi_i`` for every ingredient of the cuisine, most used first."""
+    chi = chi_values(view)
     ingredients = view.ingredients
     results = [
         IngredientContribution(
@@ -149,29 +142,19 @@ def contributions_from_chi(
     return results
 
 
-def ingredient_contributions(view: CuisineView) -> list[IngredientContribution]:
-    """``chi_i`` for every ingredient of the cuisine, most used first."""
-    return contributions_from_chi(view, chi_values(view))
-
-
 def top_contributors(
     view: CuisineView,
     count: int = 3,
     positive_pairing: bool = True,
-    contributions: list[IngredientContribution] | None = None,
 ) -> list[IngredientContribution]:
     """The ``count`` ingredients contributing most to the pairing pattern.
 
     For a uniform (positive) cuisine, the top contributors are those whose
     removal *decreases* the mean score the most (most negative ``chi``);
     for a contrasting cuisine, those whose removal *increases* it the most.
-    Pass precomputed ``contributions`` (e.g. from the parallel sweep) to
-    skip the leave-one-out recomputation.
     """
-    if contributions is None:
-        contributions = ingredient_contributions(view)
     ordered = sorted(
-        contributions,
+        ingredient_contributions(view),
         key=lambda item: item.chi_percent,
         reverse=not positive_pairing,
     )

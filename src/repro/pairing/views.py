@@ -12,8 +12,8 @@ cuisine, prepared once by :class:`CuisineView`:
   preserve, and each recipe's category composition (its *template spec*).
 
 Every field is an array, a string or a tuple of category names, so a view
-pickles and loads as a handful of buffers, and a worker process can map
-the same arrays from shared memory (:mod:`repro.parallel.sharedmem`).
+pickles and loads as a handful of buffers: the engine stores views that
+way, and a pooled Monte Carlo task ships its view to a worker that way.
 """
 
 from __future__ import annotations

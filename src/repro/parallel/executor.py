@@ -5,7 +5,9 @@ picklable worker function over a list of task payloads, either serially
 (``workers=1`` — same code path, no pool, useful both as a fallback and
 as the deterministic baseline) or across a ``ProcessPoolExecutor``.
 Results always come back in payload order, so callers can zip them
-against their task keys regardless of scheduling order.
+against their task keys regardless of scheduling order. The pool's own
+pickling is the only transport: a payload carries everything its task
+reads, as a Monte Carlo task carries its cuisine view.
 
 Telemetry crosses the process boundary (see :mod:`repro.obs.snapshot`):
 each pooled task carries a :class:`~repro.obs.snapshot.TraceContext` and
@@ -73,16 +75,6 @@ def resolve_workers(requested: int | None = None) -> int:
     return requested
 
 
-def runs_pooled(workers: int, tasks: int) -> bool:
-    """Whether :func:`run_tasks` sends ``tasks`` payloads to a process pool.
-
-    The one decision for every caller: a sweep publishes its views to
-    shared memory only when this holds, and otherwise hands the tasks
-    the views its own process already holds.
-    """
-    return workers > 1 and tasks > 1
-
-
 @dataclasses.dataclass(frozen=True)
 class _TaskEnvelope:
     """A pooled task's result plus the telemetry it recorded."""
@@ -118,16 +110,16 @@ def run_tasks(
 ) -> list[_T]:
     """Map ``fn`` over ``payloads``; results in payload order.
 
-    Unless :func:`runs_pooled` (``workers <= 1`` or a single payload),
-    the payloads run serially in-process. A pool that cannot be created
-    (no process support) degrades to the serial path; an individual
-    task failure is retried serially before the error is allowed to
-    propagate. Worker telemetry snapshots are merged in shard order
-    after all results are in.
+    With ``workers <= 1`` or a single payload, the payloads run
+    serially in-process; otherwise each one, pickled, goes to a pool
+    worker. A pool that cannot be created (no process support) degrades
+    to the serial path; an individual task failure is retried serially
+    before the error is allowed to propagate. Worker telemetry snapshots
+    are merged in shard order after all results are in.
     """
     items: Sequence[Any] = list(payloads)
     with span(label, workers=workers, tasks=len(items)) as trace:
-        if not runs_pooled(workers, len(items)):
+        if workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         results: list[Any] = [None] * len(items)
         snapshots: list[TelemetrySnapshot | None] = [None] * len(items)

@@ -151,8 +151,8 @@ class TestServeParser:
 
 
 class TestWorkspaceCommandFlags:
-    """build-db, similar, recommend and serve take no sampling flags, and
-    no command takes ``--shard-size``."""
+    """fig5, build-db, similar, recommend and serve take no sampling
+    flags, and no command takes ``--shard-size``."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -165,6 +165,8 @@ class TestWorkspaceCommandFlags:
             ["run", "fig4", "--shard-size", "100"],
             ["fig4", "--shard-size", "100"],
             ["fig5", "--shard-size", "100"],
+            ["fig5", "--workers", "2"],
+            ["fig5", "--samples", "100"],
             ["report", "--out", "x", "--shard-size", "100"],
         ],
     )

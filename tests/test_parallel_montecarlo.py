@@ -1,7 +1,12 @@
 """Tests for the Monte Carlo engine: one stream per cell, and payloads."""
 
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,6 @@ from repro.pairing import (
     NullModel,
     analyze_cuisine,
     build_cuisine_view,
-    chi_values,
     compare_to_model,
 )
 from repro.parallel import (
@@ -20,11 +24,8 @@ from repro.parallel import (
     model_moments,
     run_shard,
     shard_task,
-    sweep_contributions,
     sweep_pairing_moments,
 )
-from repro.parallel.sharedmem import SharedViewStore
-from tests.oracles import loop_chi_values
 
 #: SHA-256 of every (region, model) cell's moments on the scale-0.25
 #: `workspace` fixture, 2,000 samples per cell, each cell drawn from its
@@ -140,7 +141,7 @@ class TestUnshardedPlan:
 
         task = shard_task(view, NullModel.RANDOM, 30_000)
         assert task.n_samples == 30_000
-        assert task.spec is view
+        assert task.view is view
         assert task.seed_seq.entropy == stable_seed(
             "null-model", "ITA", "random", "default"
         )
@@ -148,21 +149,14 @@ class TestUnshardedPlan:
 
 
 class TestShardDecomposition:
-    def test_task_payload_never_carries_the_matrix(self, view):
-        # The acceptance cap: a pickled task must stay a few hundred
-        # bytes however large the overlap matrix is.
-        with SharedViewStore() as store:
-            spec = store.publish(view)
-            task = shard_task(spec, NullModel.FREQUENCY_CATEGORY, 50_000)
-            assert len(pickle.dumps(task)) < 8192
-
     def test_run_shard_matches_in_process_sampling(self, view):
-        with SharedViewStore() as store:
-            spec = store.publish(view)
-            result = run_shard(shard_task(spec, NullModel.RANDOM, 400))
-        assert result.samples == 400
-        assert result.moments == model_moments(view, NullModel.RANDOM, 400)
-        assert result.elapsed >= 0.0
+        # A pooled task reaches its worker pickled, view and all.
+        for model in (NullModel.CATEGORY, NullModel.FREQUENCY):
+            task = shard_task(view, model, 400)
+            result = run_shard(pickle.loads(pickle.dumps(task)))
+            assert result.samples == 400
+            assert result.moments == model_moments(view, model, 400), model
+            assert result.elapsed >= 0.0
 
 
 class TestSweeps:
@@ -178,13 +172,6 @@ class TestSweeps:
             ("ITA", model) for model in NullModel
         }
         assert all(item.count == 600 for item in moments.values())
-
-    def test_contribution_sweep_matches_serial_chi(self, view):
-        sweep = sweep_contributions(
-            {"ITA": view}, ParallelConfig(workers=2)
-        )
-        assert np.array_equal(sweep["ITA"], chi_values(view))
-        assert np.array_equal(sweep["ITA"], loop_chi_values(view))
 
     def test_analyze_cuisine_parallel_path(self, cuisine, catalog):
         result = analyze_cuisine(
@@ -313,69 +300,77 @@ class TestExperimentIntegration:
 
 class TestTaskHygiene:
     def test_shard_task_is_frozen(self, view):
-        with SharedViewStore() as store:
-            task = shard_task(store.publish(view), NullModel.RANDOM, 100)
+        task = shard_task(view, NullModel.RANDOM, 100)
         with pytest.raises(AttributeError):
             task.n_samples = 5
 
     def test_shard_task_round_trips_through_pickle(self, view):
-        with SharedViewStore() as store:
-            task = shard_task(store.publish(view), NullModel.CATEGORY, 100)
-            clone = pickle.loads(pickle.dumps(task))
-            assert isinstance(clone, ShardTask)
-            assert clone.model_value == task.model_value
-            assert clone.n_samples == task.n_samples
-            assert clone.spec.blocks.keys() == task.spec.blocks.keys()
+        task = shard_task(view, NullModel.CATEGORY, 100)
+        clone = pickle.loads(pickle.dumps(task))
+        assert isinstance(clone, ShardTask)
+        assert clone.model_value == task.model_value
+        assert clone.n_samples == task.n_samples
+        assert clone.view.region_code == view.region_code
+        assert np.array_equal(clone.view.overlap, view.overlap)
+        assert np.array_equal(clone.view.spec_counts, view.spec_counts)
+        assert run_shard(clone).moments == model_moments(
+            view, NullModel.CATEGORY, 100
+        )
 
+    def test_pooled_sweep_leaves_no_resource_tracker(self):
+        # Pooled tasks carry their views pickled, so nothing registers
+        # with multiprocessing's resource tracker and no tracker process
+        # outlives the sweep. Fresh interpreter: the test process may
+        # have started a tracker for reasons of its own.
+        script = textwrap.dedent(
+            """
+            from multiprocessing import resource_tracker
 
-def _refuse_segments(monkeypatch):
-    from multiprocessing import shared_memory
+            from repro.datamodel import Cuisine, Recipe
+            from repro.flavordb import default_catalog
+            from repro.pairing import NullModel, build_cuisine_view
+            from repro.parallel import ParallelConfig, sweep_pairing_moments
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("an in-process sweep created a segment")
-
-    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+            catalog = default_catalog()
+            names = [
+                ("tomato", "basil", "garlic", "olive oil"),
+                ("tomato", "garlic", "onion", "oregano"),
+                ("milk", "butter", "flour"),
+            ]
+            recipes = [
+                Recipe(index, "ITA", frozenset(
+                    catalog.get(name).ingredient_id for name in row
+                ))
+                for index, row in enumerate(names, start=1)
+            ]
+            view = build_cuisine_view(Cuisine("ITA", recipes), catalog)
+            sweep = sweep_pairing_moments(
+                {"ITA": view, "ALT": view},
+                (NullModel.RANDOM,),
+                200,
+                ParallelConfig(workers=2),
+            )
+            assert len(sweep) == 2, sweep
+            print(resource_tracker._resource_tracker._pid)
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "None"
 
 
 class TestInProcessPath:
-    """Tasks that stay in this process sample its own views: no segments."""
+    """Tasks that stay in this process sample its own views."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_moments_sweep_creates_no_segment(
-        self, view, monkeypatch, workers
-    ):
-        # Serial: every model. Two workers: one task only, so no pool.
-        models = tuple(NullModel) if workers == 1 else (NullModel.CATEGORY,)
-        # Pooled baseline: both regions and every model.
-        pooled = sweep_pairing_moments(
-            {"ITA": view, "ALT": view},
-            tuple(NullModel),
-            400,
-            ParallelConfig(workers=2),
-        )
-        _refuse_segments(monkeypatch)
-        resident = sweep_pairing_moments(
-            {"ITA": view}, models, 400, ParallelConfig(workers=workers)
-        )
-        for model in models:
-            assert resident[("ITA", model)] == pooled[("ITA", model)]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_contribution_sweep_creates_no_segment(
-        self, view, monkeypatch, workers
-    ):
-        pooled = sweep_contributions(
-            {"ITA": view, "ALT": view}, ParallelConfig(workers=2)
-        )
-        _refuse_segments(monkeypatch)
-        resident = sweep_contributions(
-            {"ITA": view}, ParallelConfig(workers=workers)
-        )
-        assert np.array_equal(resident["ITA"], pooled["ITA"])
-
-    def test_concurrent_callers_share_one_view(
-        self, cuisine, catalog, monkeypatch
-    ):
+    def test_concurrent_callers_share_one_view(self, cuisine, catalog):
         # Server threads sample one resident view at once; its sampler
         # caches fill lazily under them. Every answer must stay exact.
         import sys
@@ -389,7 +384,6 @@ class TestInProcessPath:
             for model in NullModel
         }
         shared = build_cuisine_view(cuisine, catalog)
-        _refuse_segments(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -404,7 +398,7 @@ class TestInProcessPath:
         for model, result in zip(models, results):
             assert result == expected[model]
 
-    def test_in_process_shard_keeps_telemetry(self, view, monkeypatch):
+    def test_in_process_shard_keeps_telemetry(self, view):
         from repro.obs import get_registry
 
         registry = get_registry()
@@ -413,7 +407,6 @@ class TestInProcessPath:
             "repro_montecarlo_samples_total", model="random"
         )
         before, samples_before = shards.value, samples.value
-        _refuse_segments(monkeypatch)
         sweep_pairing_moments(
             {"ITA": view},
             (NullModel.RANDOM,),
@@ -423,12 +416,11 @@ class TestInProcessPath:
         assert shards.value == before + 1
         assert samples.value == samples_before + 300
 
-    def test_unsharded_sweep_keeps_telemetry(self, view, monkeypatch):
+    def test_unsharded_sweep_keeps_telemetry(self, view):
         # Without a ParallelConfig: one task per (region, model).
         from repro.obs import get_registry
 
         shards = get_registry().counter("repro_montecarlo_shards_total")
         before = shards.value
-        _refuse_segments(monkeypatch)
         sweep_pairing_moments({"ITA": view}, tuple(NullModel), 300)
         assert shards.value == before + len(NullModel)
