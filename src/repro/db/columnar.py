@@ -1483,7 +1483,9 @@ def _order_indices(
 # ----------------------------------------------------------------------
 # query execution
 # ----------------------------------------------------------------------
-def execute(query: "Query") -> list[dict[str, Any]] | None:
+def execute(
+    query: "Query", max_rows: int | None = None
+) -> list[dict[str, Any]] | None:
     """Try to run ``query`` through the vectorised kernels end to end.
 
     Returns the result rows when the whole pipeline — scan, joins,
@@ -1493,9 +1495,13 @@ def execute(query: "Query") -> list[dict[str, Any]] | None:
     the :class:`Unsupported` reason is recorded on the query
     (``_fallback_reason`` / ``_fallback_family``) and counted in the
     ``repro_sql_fallback_total{reason=...}`` metric.
+
+    ``max_rows`` caps the rows returned, and only those row dicts are
+    built; the query's ``_row_count`` then receives the length of the
+    whole result.
     """
     try:
-        return _execute(query)
+        return _execute(query, max_rows)
     except Unsupported as fallback:
         message = str(fallback)
         family = fallback_family(message)
@@ -1505,15 +1511,17 @@ def execute(query: "Query") -> list[dict[str, Any]] | None:
         return None
 
 
-def _execute(query: "Query") -> list[dict[str, Any]]:
+def _execute(query: "Query", max_rows: int | None) -> list[dict[str, Any]]:
     relation, compiler, where, _pushed = _scan(query)
     mask = compiler.mask(where)
     if query._group_columns or query._aggregates:
-        return _execute_grouped(query, compiler, mask)
-    return _finish(query, compiler, mask, relation.output_names)
+        return _execute_grouped(query, compiler, mask, max_rows)
+    return _finish(query, compiler, mask, relation.output_names, max_rows)
 
 
-def _execute_grouped(query: "Query", compiler: Compiler, mask):
+def _execute_grouped(
+    query: "Query", compiler: Compiler, mask, max_rows: int | None
+):
     key_vecs = [
         compiler.value(ColumnRef(name)) for name in query._group_columns
     ]
@@ -1537,6 +1545,7 @@ def _execute_grouped(query: "Query", compiler: Compiler, mask):
     n = len(sel)
     if key_vecs:
         if n == 0:
+            query._row_count = 0
             return []  # GROUP BY over zero rows yields no groups
         gids, groups, group_keys, _strategy = _group_rows(key_vecs, n)
     else:
@@ -1560,11 +1569,22 @@ def _execute_grouped(query: "Query", compiler: Compiler, mask):
         )
     grouped = Compiler(RowsRelation(names, blocks, groups))
     having_mask = grouped.mask(query._having)
-    return _finish(query, grouped, having_mask, names)
+    return _finish(query, grouped, having_mask, names, max_rows)
 
 
-def _finish(query: "Query", compiler: Compiler, mask, default_names):
-    """Shared vectorised tail: projection/distinct/order/offset/limit."""
+def _finish(
+    query: "Query",
+    compiler: Compiler,
+    mask,
+    default_names,
+    max_rows: int | None,
+):
+    """Shared vectorised tail: projection/distinct/order/offset/limit.
+
+    Builds the row dicts of the first ``max_rows`` rows of the window
+    (all of them when ``None``) and records the window's full length in
+    ``query._row_count``.
+    """
     if query._projections is None:
         aliases = list(default_names)
         vecs = [compiler.value(ColumnRef(name)) for name in aliases]
@@ -1612,6 +1632,8 @@ def _finish(query: "Query", compiler: Compiler, mask, default_names):
     )
     window = slice(start, stop)
     keep = np.arange(n, dtype=np.int64)[window]
+    query._row_count = len(keep)
+    keep = keep[:max_rows]
     out_columns = []
     for vec in picked:
         if vec.is_scalar:

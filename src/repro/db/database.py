@@ -163,12 +163,15 @@ class Database:
     # statistics
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, dict[str, Any]]:
-        """Per-table row counts and index inventory (for diagnostics)."""
+        """Per-table row counts and index inventory (for diagnostics):
+        the ``indexed`` columns, and which of their indexes are ``built``
+        (an index is built on the first read that needs it)."""
         return {
             table.name: {
                 "rows": len(table),
                 "columns": list(table.schema.column_names),
                 "indexed": sorted(table.indexed_columns()),
+                "built": sorted(table.built_indexes()),
             }
             for table in self._tables.values()
         }

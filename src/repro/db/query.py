@@ -78,6 +78,9 @@ class Query:
         self._last_execution: dict[str, Any] | None = None
         self._fallback_reason: str | None = None
         self._fallback_family: str | None = None
+        # Length of the whole result of the last columnar run (see
+        # :meth:`head`).
+        self._row_count: int | None = None
 
     # ------------------------------------------------------------------
     # builder methods (each returns a modified copy)
@@ -234,7 +237,8 @@ class Query:
 
         The vectorised columnar executor is used automatically whenever a
         query shape supports it; this switch pins the query to the row
-        path for ablations, debugging, and equivalence testing.
+        path for ablations, debugging, and equivalence testing. The row
+        path builds every result row, even under :meth:`head`'s cap.
         """
         clone = self._copy()
         clone._use_reference = flag
@@ -259,6 +263,18 @@ class Query:
         """Execute and return all result rows."""
         return list(self._execute())
 
+    def head(self, n: int) -> tuple[list[dict[str, Any]], int]:
+        """The first ``n`` result rows, and how many rows the whole result
+        holds.
+
+        The columnar executor builds only the ``n`` row dicts it returns.
+        The reference executor builds every row, then slices them.
+        """
+        rows = list(self._execute(max_rows=n))
+        if self._last_execution["executor"] == "columnar":
+            return rows, self._row_count
+        return rows[:n], len(rows)
+
     def first(self) -> dict[str, Any] | None:
         """Execute and return the first row, or ``None`` if empty."""
         for row in self._execute():
@@ -279,9 +295,13 @@ class Query:
     # ------------------------------------------------------------------
     # pipeline internals
     # ------------------------------------------------------------------
-    def _execute(self) -> Iterator[dict[str, Any]]:
+    def _execute(
+        self, max_rows: int | None = None
+    ) -> Iterator[dict[str, Any]]:
+        """The result rows; ``max_rows`` caps those the columnar
+        executor builds (the reference executor ignores it)."""
         if not self._use_reference:
-            produced = _columnar.execute(self)
+            produced = _columnar.execute(self, max_rows)
             if produced is not None:
                 # Vectorised scan/join/filter/group/having/projection/
                 # distinct/order/limit ran end to end; nothing left to

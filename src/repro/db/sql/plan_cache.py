@@ -69,11 +69,15 @@ class PreparedStatement:
         *,
         reference: bool = False,
         info_out: dict[str, Any] | None = None,
+        max_rows: int | None = None,
     ) -> list[dict[str, Any]]:
         """Run the plan against ``database`` with ``params`` bound.
 
         ``info_out`` (SELECT only) receives the executor diagnostics —
-        which engine served the rows and, on fallback, the reason family.
+        which engine served the rows and, on fallback, the reason family
+        — and the result's full ``row_count``. ``max_rows`` (SELECT only)
+        returns just the first rows; the columnar executor builds no
+        others (see :func:`~repro.db.sql.planner.execute_statement`).
         """
         from .dml import execute_parsed
         from .parser import SelectStatement
@@ -86,6 +90,7 @@ class PreparedStatement:
                 params,
                 reference=reference,
                 info_out=info_out,
+                max_rows=max_rows,
             )
         return execute_parsed(
             database, bind_statement(self.statement, params)

@@ -73,13 +73,19 @@ def execute_statement(
     *,
     reference: bool = False,
     info_out: dict[str, Any] | None = None,
+    max_rows: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run an already-parsed statement against ``database``.
 
     When ``info_out`` is given, the executor diagnostics from
     :attr:`Query.last_execution` (executor name, fallback reason family)
     are copied into it so callers such as ``POST /sql`` can report which
-    engine actually served the rows.
+    engine actually served the rows, together with ``row_count``, the
+    length of the whole result.
+
+    ``max_rows`` returns only the first ``max_rows`` rows
+    (:meth:`Query.head`): the columnar executor builds only those, the
+    reference executor builds every row and slices them.
     """
     statement = bind_statement(statement, params)
     query = lower_statement(database, statement)
@@ -89,8 +95,12 @@ def execute_statement(
     # engine may decline mid-compile), so the span attrs read the
     # query's post-run diagnostics.
     with span("db.sql.execute") as execute_span:
-        rows = query.all()
-        info = query.last_execution or {}
+        if max_rows is None:
+            rows = query.all()
+            row_count = len(rows)
+        else:
+            rows, row_count = query.head(max_rows)
+        info = dict(query.last_execution or {}, row_count=row_count)
         if info.get("executor"):
             execute_span.set("executor", info["executor"])
         if info.get("reason_family"):

@@ -15,22 +15,41 @@ Constraint enforcement on write:
 
 Rows arrive one at a time through :meth:`Table.insert`, or all at once
 through :meth:`Table.load_columns`, which fills an empty table from whole
-columns. The column load makes the same checks one column at a time,
-stores the same values and builds the same indexes in bulk, so every
-other method sees exactly what per-row inserts would have left.
+columns. The column load makes the same checks one column at a time and
+stores the same values, so every other method sees exactly what per-row
+inserts would have left.
+
+Every unique and secondary index is a cache of the columns. A new, empty
+table starts with each declared index built (and empty), so per-row
+inserts maintain them as they go. A column load, :meth:`Table.compact`,
+:meth:`Table.create_index` and a rolled-back transaction leave them
+unbuilt instead, and the first read that needs one (``get``, ``lookup``,
+``contains_value``, an index-narrowed ``scan``, an ``insert`` or
+``update`` uniqueness check, or a child table's foreign-key probe)
+builds that one index from the live rows, once, under the table's lock.
+Writes maintain only the indexes already built. A build opens a
+``db.index.build`` span and counts in ``repro_db_index_builds_total``.
 """
 
 from __future__ import annotations
 
+import bisect
+import threading
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
+from ..obs import get_registry, span
 from .errors import ConstraintViolation, QueryError, SchemaError
 from .expressions import Expression, extract_equalities
-from .schema import Column, Schema
+from .schema import Column, ColumnType, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .database import Database
+
+#: Lazy index builds, labelled by table and column.
+INDEX_BUILDS_TOTAL = "repro_db_index_builds_total"
 
 
 class Table:
@@ -54,10 +73,13 @@ class Table:
         # blocks (see :meth:`columnar`) know when they are stale.
         self._version = 0
         self._columnar_store: Any = None
-        # Unique indexes: column name -> {value: row id}
-        self._unique_indexes: dict[str, dict[Any, int]] = {}
-        # Secondary (non-unique) indexes: column name -> {value: [row ids]}
-        self._secondary_indexes: dict[str, dict[Any, list[int]]] = {}
+        # Unique indexes: column name -> {value: row id}, or None while
+        # unbuilt (see :meth:`_index`).
+        self._unique_indexes: dict[str, dict[Any, int] | None] = {}
+        # Secondary (non-unique) indexes: column name -> {value:
+        # [ascending row ids]}, or None while unbuilt.
+        self._secondary_indexes: dict[str, dict[Any, list[int]] | None] = {}
+        self._index_lock = threading.Lock()
         for column in schema:
             if column.primary_key or column.unique:
                 self._unique_indexes[column.name] = {}
@@ -102,6 +124,15 @@ class Table:
         """Names of columns served by any index (unique or secondary)."""
         return frozenset(self._unique_indexes) | frozenset(
             self._secondary_indexes
+        )
+
+    def built_indexes(self) -> frozenset[str]:
+        """Names of the indexed columns whose index is built now."""
+        return frozenset(
+            name
+            for indexes in (self._unique_indexes, self._secondary_indexes)
+            for name, index in indexes.items()
+            if index is not None
         )
 
     # ------------------------------------------------------------------
@@ -150,7 +181,13 @@ class Table:
         and unique keys, and foreign keys, where a self-reference may point
         only at an earlier row. A table with one defect raises what
         :meth:`insert` raises for that row, with the same message. Nothing
-        is stored on any error. The indexes are built eagerly, in bulk.
+        is stored on any error.
+
+        The load keeps no index: every index is left unbuilt, and the
+        first read that needs one builds it. The key check builds no
+        row-sized dict either: an INT key column is checked by sorting
+        an int64 copy, any other through a set of its values, and only a
+        column with a duplicate is walked again to name the first one.
 
         Raises:
             SchemaError: if the table holds rows (live or tombstoned), on
@@ -186,19 +223,14 @@ class Table:
                     )
                 values = [None] * count
             loaded[column.name] = _coerce_column(column, values)
-        unique = {
-            name: self._unique_index(name, loaded[name])
-            for name in self._unique_indexes
-        }
+        for name in self._unique_indexes:
+            self._check_unique_column(name, loaded[name])
         self._check_column_foreign_keys(loaded)
         self._columns = loaded
         self._live = [True] * count
         self._live_count = count
         self._version += 1
-        self._unique_indexes = unique
-        self._secondary_indexes = {
-            name: _buckets(loaded[name]) for name in self._secondary_indexes
-        }
+        self._invalidate_indexes()
         return count
 
     def update(self, values: Mapping[str, Any], where: Expression | None = None) -> int:
@@ -243,7 +275,10 @@ class Table:
         return len(touched)
 
     def compact(self) -> int:
-        """Drop tombstoned rows and rebuild indexes; returns rows reclaimed."""
+        """Drop tombstoned rows; returns rows reclaimed.
+
+        Row ids are renumbered, so every index is left unbuilt.
+        """
         dead = len(self._live) - self._live_count
         if not dead:
             return 0
@@ -252,7 +287,7 @@ class Table:
             self._columns[name] = [values[row_id] for row_id in keep]
         self._live = [True] * len(keep)
         self._version += 1
-        self._rebuild_indexes()
+        self._invalidate_indexes()
         return dead
 
     # ------------------------------------------------------------------
@@ -278,7 +313,7 @@ class Table:
         pk = self.schema.primary_key
         if pk is None:
             raise QueryError(f"table {self.name!r} has no primary key")
-        row_id = self._unique_indexes[pk.name].get(pk_value)
+        row_id = self._index(pk.name).get(pk_value)
         if row_id is None:
             return None
         return self._row_at(row_id)
@@ -286,10 +321,10 @@ class Table:
     def lookup(self, column_name: str, value: Any) -> list[dict[str, Any]]:
         """Fetch all rows where ``column_name == value``, via index if any."""
         if column_name in self._unique_indexes:
-            row_id = self._unique_indexes[column_name].get(value)
+            row_id = self._index(column_name).get(value)
             return [] if row_id is None else [self._row_at(row_id)]
         if column_name in self._secondary_indexes:
-            row_ids = self._secondary_indexes[column_name].get(value, [])
+            row_ids = self._index(column_name).get(value, ())
             return [self._row_at(row_id) for row_id in row_ids]
         self.schema.column(column_name)
         return [row for row in self.rows() if row[column_name] == value]
@@ -324,9 +359,9 @@ class Table:
     def contains_value(self, column_name: str, value: Any) -> bool:
         """Whether any live row has ``column_name == value`` (index-backed)."""
         if column_name in self._unique_indexes:
-            return value in self._unique_indexes[column_name]
+            return value in self._index(column_name)
         if column_name in self._secondary_indexes:
-            return bool(self._secondary_indexes[column_name].get(value))
+            return bool(self._index(column_name).get(value))
         return any(
             row[column_name] == value for row in self.rows()
         )
@@ -335,43 +370,92 @@ class Table:
     # index management
     # ------------------------------------------------------------------
     def create_index(self, column_name: str) -> None:
-        """Create a secondary hash index on ``column_name`` after the fact."""
-        column = self.schema.column(column_name)
+        """Declare a secondary hash index on ``column_name`` after the fact.
+
+        The index is built by the first read that needs it.
+        """
+        self.schema.column(column_name)
         if column_name in self._unique_indexes or (
             column_name in self._secondary_indexes
         ):
             return  # idempotent
-        index: dict[Any, list[int]] = {}
-        for row_id, live in enumerate(self._live):
-            if live:
-                index.setdefault(
-                    self._columns[column.name][row_id], []
-                ).append(row_id)
-        self._secondary_indexes[column_name] = index
+        self._secondary_indexes[column_name] = None
 
-    def _rebuild_indexes(self) -> None:
-        for index in self._unique_indexes.values():
-            index.clear()
-        for index in self._secondary_indexes.values():
-            index.clear()
-        for row_id, live in enumerate(self._live):
-            if live:
-                self._index_row(row_id, self._row_at(row_id))
+    def _invalidate_indexes(self) -> None:
+        """Leave every declared index unbuilt, for :meth:`_index` to rebuild."""
+        self._unique_indexes = dict.fromkeys(self._unique_indexes)
+        self._secondary_indexes = dict.fromkeys(self._secondary_indexes)
+
+    def _index(self, name: str) -> dict[Any, Any]:
+        """The index on ``name``, built from the live rows on first read.
+
+        The first reader builds it under the table's lock and publishes
+        it only when it is complete, so racing readers wait for that one
+        build. Building does not bump :attr:`version`: the row data, and
+        so the columnar blocks, stay the same.
+        """
+        unique = name in self._unique_indexes
+        indexes = self._unique_indexes if unique else self._secondary_indexes
+        index = indexes[name]
+        if index is None:
+            with self._index_lock:
+                index = indexes[name]
+                if index is None:
+                    index = self._build_index(name, unique)
+                    indexes[name] = index
+        return index
+
+    def _build_index(self, name: str, unique: bool) -> dict[Any, Any]:
+        values = self._columns[name]
+        if self._live_count == len(self._live):
+            row_ids: Iterable[int] = range(len(values))
+            keys = values
+        else:
+            row_ids = [row_id for row_id, live in enumerate(self._live) if live]
+            keys = [values[row_id] for row_id in row_ids]
+        with span(
+            "db.index.build", table=self.name, column=name, rows=len(keys)
+        ):
+            if unique:
+                index: dict[Any, Any] = dict(zip(keys, row_ids))
+                index.pop(None, None)
+            else:
+                index = {}
+                for row_id, key in zip(row_ids, keys):
+                    bucket = index.get(key)
+                    if bucket is None:
+                        index[key] = [row_id]
+                    else:
+                        bucket.append(row_id)
+        _count_index_build(self.name, name)
+        return index
 
     def _index_row(self, row_id: int, row: Mapping[str, Any]) -> None:
         for name, index in self._unique_indexes.items():
             value = row[name]
-            if value is not None:
+            if index is not None and value is not None:
                 index[value] = row_id
         for name, index in self._secondary_indexes.items():
-            index.setdefault(row[name], []).append(row_id)
+            if index is None:
+                continue
+            bucket = index.get(row[name])
+            if bucket is None:
+                index[row[name]] = [row_id]
+            else:
+                # Buckets stay in ascending row order, as a build leaves
+                # them, also when an update re-indexes an earlier row.
+                bisect.insort(bucket, row_id)
 
     def _unindex_row(self, row_id: int, row: Mapping[str, Any]) -> None:
         for name, index in self._unique_indexes.items():
             value = row[name]
-            if value is not None and index.get(value) == row_id:
+            if index is not None and value is not None and (
+                index.get(value) == row_id
+            ):
                 del index[value]
         for name, index in self._secondary_indexes.items():
+            if index is None:
+                continue
             bucket = index.get(row[name])
             if bucket is not None:
                 try:
@@ -387,11 +471,11 @@ class Table:
     def _check_unique(
         self, row: Mapping[str, Any], ignore_row_id: int | None = None
     ) -> None:
-        for name, index in self._unique_indexes.items():
+        for name in self._unique_indexes:
             value = row[name]
             if value is None:
                 continue
-            existing = index.get(value)
+            existing = self._index(name).get(value)
             if existing is not None and existing != ignore_row_id:
                 raise self._unique_violation(name, value)
 
@@ -409,18 +493,21 @@ class Table:
             if not target.contains_value(fk.column, value):
                 raise self._foreign_key_violation(column, value)
 
-    def _unique_index(self, name: str, values: list[Any]) -> dict[Any, int]:
-        """The unique index of a loaded column; raises on a duplicate."""
-        index = dict(zip(values, range(len(values))))
-        nulls = values.count(None) if index.pop(None, -1) != -1 else 0
-        if len(index) + nulls < len(values):
-            seen = set()
-            for value in values:
-                if value is not None:
-                    if value in seen:
-                        raise self._unique_violation(name, value)
-                    seen.add(value)
-        return index
+    def _check_unique_column(self, name: str, values: list[Any]) -> None:
+        """:meth:`_check_unique` for every row of a column load."""
+        column = self.schema.column(name)
+        keys = (
+            [value for value in values if value is not None]
+            if column.nullable
+            else values
+        )
+        if not _repeats(column, keys):
+            return
+        seen = set()
+        for value in keys:
+            if value in seen:
+                raise self._unique_violation(name, value)
+            seen.add(value)
 
     def _check_column_foreign_keys(self, columns: Mapping[str, list]) -> None:
         """:meth:`_check_foreign_keys` for every row of a column load."""
@@ -478,12 +565,12 @@ class Table:
         for name, value in extract_equalities(where):
             bare = name.rsplit(".", 1)[-1]
             if bare in self._unique_indexes:
-                row_id = self._unique_indexes[bare].get(value)
+                row_id = self._index(bare).get(value)
                 return [] if row_id is None else [row_id]
             if bare in self._secondary_indexes:
-                # Sorted so index-narrowed scans keep row order (buckets
-                # drift out of order when updates re-append row ids).
-                return sorted(self._secondary_indexes[bare].get(value, []))
+                # A copy of the ascending bucket, so a write made while a
+                # scan iterates cannot shift it.
+                return tuple(self._index(bare).get(value, ()))
         return range(len(self._live))
 
 
@@ -507,13 +594,24 @@ def _coerce_column(column: Column, values: list[Any]) -> list[Any]:
     return [column.coerce(value) for value in values]
 
 
-def _buckets(values: list[Any]) -> dict[Any, list[int]]:
-    """A secondary index of a loaded column: value -> ascending row ids."""
-    index: dict[Any, list[int]] = {}
-    for row_id, value in enumerate(values):
-        bucket = index.get(value)
-        if bucket is None:
-            index[value] = [row_id]
+def _repeats(column: Column, keys: list[Any]) -> bool:
+    """Whether ``keys`` holds a value twice, found without a row-sized
+    dict: an INT column sorts an int64 copy, any other column (or an int
+    beyond int64) goes through a set."""
+    if column.type is ColumnType.INT:
+        try:
+            ordered = np.sort(np.array(keys, dtype=np.int64))
+        except OverflowError:
+            pass
         else:
-            bucket.append(row_id)
-    return index
+            return bool(np.any(ordered[1:] == ordered[:-1]))
+    return len(set(keys)) < len(keys)
+
+
+def _count_index_build(table: str, column: str) -> None:
+    try:
+        get_registry().counter(
+            INDEX_BUILDS_TOTAL, table=table, column=column
+        ).incr()
+    except Exception:  # pragma: no cover - metrics must never break reads
+        pass

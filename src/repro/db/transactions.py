@@ -9,7 +9,10 @@ writes against a :class:`~repro.db.database.Database`::
         raise RuntimeError("boom")   # everything above is rolled back
 
 Implementation: a copy-on-entry snapshot of every table's column arrays,
-tombstone vector and indexes. Suitable for the engine's in-process,
+tombstone vector and declared index names. Indexes are caches of the
+columns (see :mod:`repro.db.table`), so no index is copied: a rollback
+restores the columns and leaves every index unbuilt, and the first read
+that needs one rebuilds it. Suitable for the engine's in-process,
 single-writer use; not a concurrency mechanism (there are no concurrent
 writers to isolate against).
 """
@@ -36,14 +39,8 @@ def _snapshot_table(table: Table) -> dict[str, Any]:
         },
         "live": list(table._live),
         "live_count": table._live_count,
-        "unique": {
-            name: dict(index)
-            for name, index in table._unique_indexes.items()
-        },
-        "secondary": {
-            name: {value: list(rows) for value, rows in index.items()}
-            for name, index in table._secondary_indexes.items()
-        },
+        # Only the names: an index created inside the block is dropped.
+        "secondary": tuple(table._secondary_indexes),
     }
 
 
@@ -51,8 +48,8 @@ def _restore_table(table: Table, snapshot: dict[str, Any]) -> None:
     table._columns = snapshot["columns"]
     table._live = snapshot["live"]
     table._live_count = snapshot["live_count"]
-    table._unique_indexes = snapshot["unique"]
-    table._secondary_indexes = snapshot["secondary"]
+    table._secondary_indexes = dict.fromkeys(snapshot["secondary"])
+    table._invalidate_indexes()
     # Rollback rewrites row data, so cached columnar blocks are stale.
     table._version += 1
 

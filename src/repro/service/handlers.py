@@ -535,7 +535,9 @@ class QueryService:
         Statements go through the per-database plan cache, so repeated
         queries (including parameterised ``?`` templates bound from
         ``params``) skip tokenizing and parsing. ``reference=true`` pins
-        the row-at-a-time executor for ablations.
+        the row-at-a-time executor for ablations. The columnar executor
+        builds only the ``max_rows`` rows a response carries;
+        ``row_count`` and ``truncated`` describe the whole result.
         """
         database = self.database()
         try:
@@ -555,14 +557,15 @@ class QueryService:
                 request.params,
                 reference=request.reference,
                 info_out=execution,
+                max_rows=request.max_rows,
             )
         except ReproError as error:
             raise RequestError(400, "sql_error", str(error)) from error
-        max_rows = request.max_rows
+        row_count = execution["row_count"]
         response = {
-            "rows": rows[:max_rows],
-            "row_count": len(rows),
-            "truncated": len(rows) > max_rows,
+            "rows": rows,
+            "row_count": row_count,
+            "truncated": row_count > request.max_rows,
             "executor": execution.get("executor", "reference"),
         }
         if execution.get("reason_family"):

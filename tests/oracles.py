@@ -349,7 +349,8 @@ def per_row_build_culinarydb(
 def table_state(table) -> dict:
     """Everything a column load must reproduce of a per-row built table:
     the cells in row order with their exact types, the live flags, and
-    every unique and secondary index."""
+    every declared unique and secondary index, materialised (an unbuilt
+    index is built here, as its first read would build it)."""
     return {
         "names": list(table._columns),
         "columns": table._columns,
@@ -358,8 +359,10 @@ def table_state(table) -> dict:
             for name, values in table._columns.items()
         },
         "live": (table._live, table._live_count),
-        "unique": table._unique_indexes,
-        "secondary": table._secondary_indexes,
+        "unique": {name: table._index(name) for name in table._unique_indexes},
+        "secondary": {
+            name: table._index(name) for name in table._secondary_indexes
+        },
     }
 
 
