@@ -61,10 +61,13 @@ structured logs to JSON lines, and ``--log-level`` sets their threshold.
 (:mod:`repro.obs.profile`) and prints the hottest stacks on exit;
 ``--profile-out PATH`` writes the capture (``.json`` = speedscope,
 anything else = collapsed stacks). ``--metrics-out PATH`` dumps the
-final metrics-registry snapshot as JSON. With ``--trace`` and
-``--workers N`` together, worker-side spans and counters are harvested
-back into the parent (see :mod:`repro.obs.snapshot`), so the printed
-tree and the metrics dump are complete at any worker count.
+final metrics-registry snapshot as JSON; each histogram's window is
+reported in the unit its name states. With ``--trace`` and
+``--workers N`` together, worker-side spans are harvested back into the
+parent (see :mod:`repro.obs.snapshot`), so the printed tree is complete
+at any worker count. Workers record no metric series: the Monte Carlo
+sweep counts each task from its result, so the metrics dump reads the
+same without ``--workers`` and at every ``N``.
 """
 
 from __future__ import annotations

@@ -25,8 +25,10 @@ inserts maintain them as they go. A column load, :meth:`Table.compact`,
 :meth:`Table.create_index` and a rolled-back transaction leave them
 unbuilt instead, and the first read that needs one (``get``, ``lookup``,
 ``contains_value``, an index-narrowed ``scan``, an ``insert`` or
-``update`` uniqueness check, or a child table's foreign-key probe)
+``update`` uniqueness check, or a child row's foreign-key probe)
 builds that one index from the live rows, once, under the table's lock.
+A child's column load probes a transient set of the parent's keys
+instead, so it builds no parent index.
 Writes maintain only the indexes already built. A build opens a
 ``db.index.build`` span and counts in ``repro_db_index_builds_total``.
 """
@@ -528,12 +530,12 @@ class Table:
                     if value is not None and first.get(value, row_id) >= row_id:
                         raise self._foreign_key_violation(column, value)
                 continue
-            # Distinct values in first-seen order, so the first failure
-            # is the earliest failing row's.
+            # A transient set of the parent's keys, so the load leaves
+            # no parent index built. Distinct values in first-seen
+            # order, so the first failure is the earliest failing row's.
+            parent_keys = set(target.column_values(fk.column))
             for value in dict.fromkeys(values):
-                if value is not None and not target.contains_value(
-                    fk.column, value
-                ):
+                if value is not None and value not in parent_keys:
                     raise self._foreign_key_violation(column, value)
 
     def _unique_violation(self, name: str, value: Any) -> ConstraintViolation:

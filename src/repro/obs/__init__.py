@@ -61,7 +61,6 @@ from .metrics import (
     Gauge,
     Histogram,
     HistogramStats,
-    MetricDelta,
     MetricsRegistry,
     get_registry,
     percentile,
@@ -96,7 +95,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramStats",
-    "MetricDelta",
     "MetricsRegistry",
     "NOOP_SPAN",
     "ProfileBusyError",

@@ -18,13 +18,9 @@ format (``# TYPE`` headers, escaped label values, cumulative
 ``_bucket``/``_sum``/``_count`` lines for histograms) served by
 ``GET /metrics?format=prometheus``.
 
-Beyond exposition, the registry supports **cross-process harvesting**
-(see :mod:`repro.obs.snapshot`): :meth:`MetricsRegistry.state` captures
-a baseline, :meth:`MetricsRegistry.deltas_since` turns everything
-recorded after it into picklable :class:`MetricDelta` values, and
-:meth:`MetricsRegistry.apply_delta` merges a delta into this process's
-registry — counters and histogram count/sum/buckets add exactly, so
-totals are identical whether work ran in-process or across a pool.
+The registry is per process and nothing merges registries across the
+process pool: a pooled task returns what it counted in its result, and
+the caller records it (see :mod:`repro.obs.snapshot`).
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramStats",
-    "MetricDelta",
     "MetricSeries",
     "MetricsRegistry",
     "get_registry",
@@ -145,12 +140,14 @@ class HistogramStats:
     p99: float
 
     def as_dict(self) -> dict[str, Any]:
+        """The window in the unit the histogram observes, which its
+        name's suffix states (``*_seconds``, ``*_ms``)."""
         return {
             "count": self.count,
-            "mean_ms": round(self.mean * 1000, 3),
-            "p50_ms": round(self.p50 * 1000, 3),
-            "p95_ms": round(self.p95 * 1000, 3),
-            "p99_ms": round(self.p99 * 1000, 3),
+            "mean": round(self.mean, 6),
+            "p50": round(self.p50, 6),
+            "p95": round(self.p95, 6),
+            "p99": round(self.p99, 6),
         }
 
 
@@ -210,62 +207,6 @@ class Histogram:
         with self._lock:
             return tuple(self._bucket_counts)
 
-    def _window_chronological(self) -> list[float]:
-        """The retained window in observation order (caller holds lock)."""
-        if len(self._samples) < self._size:
-            return list(self._samples)
-        return self._samples[self._next_slot:] + self._samples[: self._next_slot]
-
-    def state(self) -> tuple[int, float, tuple[int, ...]]:
-        """Baseline for delta capture: ``(count, total, bucket_counts)``."""
-        with self._lock:
-            return self._count, self._total, tuple(self._bucket_counts)
-
-    def delta_since(
-        self, state: tuple[int, float, tuple[int, ...]] | None
-    ) -> tuple[int, float, tuple[float, ...], tuple[int, ...]]:
-        """What was observed after ``state``, as exact additive parts.
-
-        Returns ``(count, total, samples, bucket_counts)`` where
-        ``samples`` are the newest observations in observation order
-        (capped at the reservoir size) and ``count``/``total``/buckets
-        are exact even beyond the cap.
-        """
-        base_count, base_total, base_buckets = state or (
-            0, 0.0, (0,) * len(self._bucket_counts)
-        )
-        with self._lock:
-            count = self._count - base_count
-            total = self._total - base_total
-            buckets = tuple(
-                now - before
-                for now, before in zip(self._bucket_counts, base_buckets)
-            )
-            window = self._window_chronological()
-        samples = tuple(window[-count:]) if count > 0 else ()
-        return count, total, samples, buckets
-
-    def merge_delta(
-        self,
-        count: int,
-        total: float,
-        samples: tuple[float, ...],
-        bucket_counts: tuple[int, ...],
-    ) -> None:
-        """Fold another process's observations in, keeping totals exact."""
-        with self._lock:
-            self._count += count
-            self._total += total
-            for index, extra in enumerate(bucket_counts):
-                if index < len(self._bucket_counts):
-                    self._bucket_counts[index] += extra
-            for value in samples:
-                if len(self._samples) < self._size:
-                    self._samples.append(value)
-                else:
-                    self._samples[self._next_slot] = value
-                    self._next_slot = (self._next_slot + 1) % self._size
-
     def stats(self) -> HistogramStats:
         with self._lock:
             window = sorted(self._samples)
@@ -285,27 +226,6 @@ class MetricSeries:
     kind: str  # "counter" | "gauge" | "histogram"
     labels: dict[str, str]
     metric: Counter | Gauge | Histogram
-
-
-@dataclasses.dataclass(frozen=True)
-class MetricDelta:
-    """What one series recorded since a baseline — picklable and additive.
-
-    The unit a pool worker ships home inside a
-    :class:`~repro.obs.snapshot.TelemetrySnapshot`. Counters carry the
-    increment, gauges the latest value (last write wins on merge), and
-    histograms exact ``count``/``total``/bucket increments plus the
-    newest window ``samples`` in observation order.
-    """
-
-    name: str
-    kind: str
-    labels: tuple[tuple[str, str], ...]
-    value: float = 0.0
-    count: int = 0
-    total: float = 0.0
-    samples: tuple[float, ...] = ()
-    bucket_counts: tuple[int, ...] = ()
 
 
 _LabelKey = tuple[tuple[str, str], ...]
@@ -399,91 +319,6 @@ class MetricsRegistry:
             if series.name == name and label in series.labels
         }
         return tuple(sorted(values))
-
-    # ------------------------------------------------------------------
-    # cross-process delta capture / merge (see repro.obs.snapshot)
-    # ------------------------------------------------------------------
-    def state(self) -> dict[tuple[str, _LabelKey], Any]:
-        """A baseline of every series' current reading.
-
-        Pool workers capture this at task start (it naturally absorbs
-        any state inherited across ``fork``) and diff against it at task
-        end via :meth:`deltas_since`.
-        """
-        baseline: dict[tuple[str, _LabelKey], Any] = {}
-        for series in self.collect():
-            key = (series.name, _label_key(series.labels))
-            if isinstance(series.metric, Histogram):
-                baseline[key] = series.metric.state()
-            else:
-                baseline[key] = series.metric.value
-        return baseline
-
-    def deltas_since(
-        self, baseline: dict[tuple[str, _LabelKey], Any]
-    ) -> tuple[MetricDelta, ...]:
-        """Everything recorded after ``baseline``, as picklable deltas.
-
-        Unchanged series are skipped; gauges are included whenever their
-        value differs from the baseline (last write wins on merge).
-        """
-        deltas: list[MetricDelta] = []
-        for series in self.collect():
-            key = (series.name, _label_key(series.labels))
-            labels = _label_key(series.labels)
-            if isinstance(series.metric, Histogram):
-                count, total, samples, buckets = series.metric.delta_since(
-                    baseline.get(key)
-                )
-                if count:
-                    deltas.append(
-                        MetricDelta(
-                            name=series.name,
-                            kind="histogram",
-                            labels=labels,
-                            count=count,
-                            total=total,
-                            samples=samples,
-                            bucket_counts=buckets,
-                        )
-                    )
-                continue
-            before = baseline.get(key, 0.0)
-            now = series.metric.value
-            if series.kind == "counter":
-                if now != before:
-                    deltas.append(
-                        MetricDelta(
-                            name=series.name,
-                            kind="counter",
-                            labels=labels,
-                            value=now - before,
-                        )
-                    )
-            elif now != before:  # gauge: ship the reading itself
-                deltas.append(
-                    MetricDelta(
-                        name=series.name,
-                        kind="gauge",
-                        labels=labels,
-                        value=now,
-                    )
-                )
-        return tuple(deltas)
-
-    def apply_delta(self, delta: MetricDelta) -> None:
-        """Merge one worker delta into this registry (exactly additive)."""
-        labels = dict(delta.labels)
-        if delta.kind == "counter":
-            self.counter(delta.name, **labels).incr(delta.value)
-        elif delta.kind == "gauge":
-            self.gauge(delta.name, **labels).set(delta.value)
-        elif delta.kind == "histogram":
-            self.histogram(delta.name, **labels).merge_delta(
-                delta.count, delta.total, delta.samples, delta.bucket_counts
-            )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown metric kind {delta.kind!r}")
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready dump of every series (debugging / tests)."""

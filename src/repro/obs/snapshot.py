@@ -1,23 +1,27 @@
-"""Cross-process telemetry: trace-context propagation and harvesting.
+"""Cross-process telemetry: trace-context propagation and span harvesting.
 
-Until this module existed, every span, counter and histogram recorded
-inside a pool worker died with the worker. The executor now ships a
-:class:`TraceContext` out with each task and a :class:`TelemetrySnapshot`
-back with each result:
+A span recorded inside a pool worker would die with the worker. The
+executor ships a :class:`TraceContext` out with each task and a
+:class:`TelemetrySnapshot` of finished spans back with each result:
 
 1. The parent calls :func:`capture_context` inside its ``run_tasks``
    span; the context carries the trace id, the submitting span's id and
    whether tracing is on — a few dozen bytes in each task payload.
 2. The worker brackets the task with :func:`begin_worker_capture` /
-   :func:`finish_worker_capture`. The baseline (span count + registry
-   state) naturally absorbs anything inherited across ``fork``, so the
-   snapshot contains exactly what *this task* recorded: finished span
-   payloads plus :class:`~repro.obs.metrics.MetricDelta` values.
+   :func:`finish_worker_capture`. The span-count baseline absorbs
+   anything inherited across ``fork``, so the snapshot holds exactly
+   the spans *this task* finished, as plain payloads.
 3. The parent merges snapshots **in shard order** via
    :func:`merge_snapshots`: spans are re-identified and grafted under
-   the submitting span (``--trace`` shows the full parent→worker tree),
-   and metric deltas add exactly — ``repro_*`` counters and histograms
-   read the same at any worker count.
+   the submitting span, so ``--trace`` shows the full parent→worker
+   tree.
+
+Metrics do not cross the pool. A pooled task function records no
+metric series: its result carries what it counted, and the caller
+records that in its own registry (as
+:func:`repro.parallel.montecarlo.sweep_pairing_moments` does from each
+``ShardResult``), so every ``repro_*`` series reads the same at any
+worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import os
 from collections.abc import Sequence
 from typing import Any
 
-from .metrics import MetricDelta, get_registry
 from .trace import get_tracer
 
 __all__ = [
@@ -50,9 +53,7 @@ class TraceContext:
         trace_id: the parent's trace id (empty when tracing is off).
         parent_span_id: id of the span the task was submitted under;
             harvested worker roots re-parent onto it.
-        traced: whether the worker should record spans at all. Metric
-            deltas are harvested regardless — counters must stay exact
-            whether or not anyone is watching the trace.
+        traced: whether the worker should record spans at all.
     """
 
     trace_id: str = ""
@@ -62,21 +63,18 @@ class TraceContext:
 
 @dataclasses.dataclass(frozen=True)
 class TelemetrySnapshot:
-    """What one worker task recorded: span payloads + metric deltas.
+    """The spans one worker task finished, as picklable payloads.
 
-    Compact and picklable by construction: spans are plain dicts (see
-    :meth:`~repro.obs.trace.Span.to_payload`) and metrics are
-    :class:`MetricDelta` values — never live ``Span``/``Histogram``
-    objects with their locks and tracer references.
+    Spans are plain dicts (see :meth:`~repro.obs.trace.Span.to_payload`),
+    never live ``Span`` objects with their locks and tracer references.
     """
 
     spans: tuple[dict[str, Any], ...] = ()
-    metrics: tuple[MetricDelta, ...] = ()
     pid: int = 0
 
     @property
     def empty(self) -> bool:
-        return not self.spans and not self.metrics
+        return not self.spans
 
 
 @dataclasses.dataclass
@@ -85,7 +83,6 @@ class WorkerCapture:
 
     traced: bool
     span_baseline: int
-    registry_state: dict[Any, Any]
 
 
 def capture_context() -> TraceContext:
@@ -111,56 +108,44 @@ def begin_worker_capture(context: TraceContext) -> WorkerCapture:
 
     Enables (or disables) the worker's tracer per the context, clears
     the open-span stack a ``fork`` may have copied mid-span, and
-    baselines both the finished-span list and the metrics registry so
-    the eventual snapshot covers exactly this task.
+    baselines the finished-span list so the eventual snapshot covers
+    exactly this task.
     """
     tracer = get_tracer()
     tracer.enabled = context.traced
     tracer.reset_thread_stack()
     return WorkerCapture(
-        traced=context.traced,
-        span_baseline=tracer.finished_count(),
-        registry_state=get_registry().state(),
+        traced=context.traced, span_baseline=tracer.finished_count()
     )
 
 
 def finish_worker_capture(capture: WorkerCapture) -> TelemetrySnapshot:
-    """Everything recorded since ``begin_worker_capture``, picklable."""
+    """The spans finished since ``begin_worker_capture``, picklable."""
     spans: tuple[dict[str, Any], ...] = ()
     if capture.traced:
         spans = tuple(
             span.to_payload()
             for span in get_tracer().spans_since(capture.span_baseline)
         )
-    return TelemetrySnapshot(
-        spans=spans,
-        metrics=get_registry().deltas_since(capture.registry_state),
-        pid=os.getpid(),
-    )
+    return TelemetrySnapshot(spans=spans, pid=os.getpid())
 
 
 def merge_snapshot(
     snapshot: TelemetrySnapshot, context: TraceContext
 ) -> None:
-    """Fold one worker snapshot into the parent's tracer and registry."""
+    """Graft one worker snapshot's spans into the parent's tracer."""
     if snapshot.spans:
         get_tracer().adopt(
             snapshot.spans, context.parent_span_id, context.trace_id
         )
-    registry = get_registry()
-    for delta in snapshot.metrics:
-        registry.apply_delta(delta)
 
 
 def merge_snapshots(
     snapshots: Sequence[TelemetrySnapshot | None], context: TraceContext
 ) -> None:
-    """Merge worker snapshots **in shard order**.
-
-    Shard-order iteration (never completion order) is what makes the
-    merged registry deterministic: histogram windows end up holding the
-    same observation sequence a ``workers=1`` run records in-process.
-    """
+    """Merge worker snapshots **in shard order** (never completion
+    order), so the adopted spans land in the same order at any worker
+    count."""
     for snapshot in snapshots:
         if snapshot is not None and not snapshot.empty:
             merge_snapshot(snapshot, context)

@@ -40,7 +40,9 @@ __all__ = [
 DEFAULT_TOLERANCE = 0.30
 
 #: Guards against division blow-ups on near-zero baselines: metrics
-#: whose baseline is below this many units are compared absolutely.
+#: whose baseline is below this many units are compared absolutely (a
+#: move in the good direction never fails; a move in the bad direction
+#: fails beyond the tolerance, read in the metric's own units).
 _ABS_FLOOR = 1e-6
 
 _LOWER_BETTER_MARKERS = (
@@ -101,7 +103,8 @@ class MetricVerdict:
     baseline: float
     current: float
     tolerance: float
-    #: Relative change in the *bad* direction (negative means improved).
+    #: Change in the *bad* direction (negative means improved),
+    #: relative to the baseline, or absolute against a near-zero one.
     regression: float
     ok: bool
 
@@ -153,7 +156,7 @@ def compare_documents(
         else:
             delta = base_value - curr_value
         if abs(base_value) < _ABS_FLOOR:
-            regression = 0.0 if abs(delta) < _ABS_FLOOR else float("inf")
+            regression = delta
         else:
             regression = delta / abs(base_value)
         limit = _resolve_tolerance(path, tolerance, overrides)

@@ -9,14 +9,16 @@ against their task keys regardless of scheduling order. The pool's own
 pickling is the only transport: a payload carries everything its task
 reads, as a Monte Carlo task carries its cuisine view.
 
-Telemetry crosses the process boundary (see :mod:`repro.obs.snapshot`):
-each pooled task carries a :class:`~repro.obs.snapshot.TraceContext` and
-returns a :class:`~repro.obs.snapshot.TelemetrySnapshot` alongside its
-result. The parent merges snapshots in shard order, so ``--trace``
-output shows worker-side spans under the submitting ``run_tasks`` span
-(one ``<label>.task`` span per shard, tagged with shard index and pid)
-and every ``repro_*`` counter/histogram recorded inside a worker is
-exact at any worker count.
+Spans cross the process boundary (see :mod:`repro.obs.snapshot`): each
+pooled task carries a :class:`~repro.obs.snapshot.TraceContext` and
+returns a :class:`~repro.obs.snapshot.TelemetrySnapshot` of its
+finished spans alongside its result. The parent merges snapshots in
+shard order, so ``--trace`` output shows worker-side spans under the
+submitting ``run_tasks`` span (one ``<label>.task`` span per shard,
+tagged with shard index and pid). Metrics do not: a task function
+records no metric series, because a worker's registry dies with it.
+Its result carries what it counted, and the caller records that, so
+every series reads the same at any worker count.
 
 Failure handling is graceful-degradation by design: a task whose future
 fails — including every outstanding future of a broken pool (a worker
@@ -77,7 +79,7 @@ def resolve_workers(requested: int | None = None) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class _TaskEnvelope:
-    """A pooled task's result plus the telemetry it recorded."""
+    """A pooled task's result plus the spans it finished."""
 
     result: Any
     snapshot: TelemetrySnapshot
@@ -114,8 +116,11 @@ def run_tasks(
     serially in-process; otherwise each one, pickled, goes to a pool
     worker. A pool that cannot be created (no process support) degrades
     to the serial path; an individual task failure is retried serially
-    before the error is allowed to propagate. Worker telemetry snapshots
-    are merged in shard order after all results are in.
+    before the error is allowed to propagate. Worker span snapshots are
+    merged in shard order after all results are in.
+
+    ``fn`` records no metric series: its result carries what it
+    counted, and the caller records it once the results are in.
     """
     items: Sequence[Any] = list(payloads)
     with span(label, workers=workers, tasks=len(items)) as trace:
@@ -177,7 +182,7 @@ def run_tasks(
         for index in retried:
             _LOG.info("parallel.retry_serial", task=index)
             results[index] = fn(items[index])
-        # Shard-order merge: worker spans graft under this run's span and
-        # metric deltas add exactly (retried shards recorded in-process).
+        # Shard-order merge: worker spans graft under this run's span
+        # (a retried shard's spans were recorded in-process).
         merge_snapshots(snapshots, context)
         return results

@@ -15,6 +15,12 @@ cell's :class:`~repro.pairing.views.CuisineView`; a pooled task reaches
 its worker through the pool's own pickling, and a task run in this
 process samples the caller's view itself. This module is the only place
 that maps ``(region, model, seed)`` to a generator.
+
+A task records no metric series: :func:`run_shard` opens its span and
+returns a :class:`ShardResult`, and :func:`sweep_pairing_moments`
+counts ``repro_montecarlo_shards_total`` and
+``repro_montecarlo_samples_total{model}`` from those results, in task
+order, wherever the tasks ran.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ class ShardTask:
 
 @dataclasses.dataclass(frozen=True)
 class ShardResult:
-    """A task's moments plus throughput bookkeeping."""
+    """A task's moments plus what it counted, for the caller to record."""
 
     moments: StreamingMoments
     samples: int
@@ -61,12 +67,10 @@ class ShardResult:
 
 
 def run_shard(task: ShardTask) -> ShardResult:
-    """Sample one cell; return its moments.
+    """Sample one cell; return its moments and what it counted.
 
-    Records ``repro_montecarlo_*`` series *in the worker*; the executor
-    harvests them back as deltas, so the merged registry reads the same
-    totals (and the same histogram window, merged in task order) at any
-    worker count.
+    Opens a ``montecarlo.shard`` span and writes no metric series: the
+    caller counts the result (see :func:`sweep_pairing_moments`).
     """
     started = time.perf_counter()
     with span(
@@ -81,14 +85,6 @@ def run_shard(task: ShardTask) -> ShardResult:
             np.random.Generator(np.random.PCG64(task.seed_seq)),
         )
         trace.incr("samples", task.n_samples)
-    registry = get_registry()
-    registry.counter("repro_montecarlo_shards_total").incr()
-    registry.counter(
-        "repro_montecarlo_samples_total", model=task.model_value
-    ).incr(task.n_samples)
-    registry.histogram("repro_montecarlo_shard_samples").observe(
-        float(task.n_samples)
-    )
     return ShardResult(
         moments=moments,
         samples=task.n_samples,
@@ -129,7 +125,9 @@ def sweep_pairing_moments(
     """Null-model score moments for every (region, model) pair.
 
     One task per pair, all through one pool, so slow regions overlap
-    with fast ones; ``config=None`` runs them in this process.
+    with fast ones; ``config=None`` runs them in this process. The
+    ``repro_montecarlo_*`` counters are recorded here from each task's
+    result, in task order, so they read the same on every path.
     """
     workers = 1 if config is None else config.workers
     with span(
@@ -151,6 +149,12 @@ def sweep_pairing_moments(
             workers=workers,
             label="parallel.montecarlo",
         )
+        registry = get_registry()
+        for (_region, model), result in zip(keys, results):
+            registry.counter("repro_montecarlo_shards_total").incr()
+            registry.counter(
+                "repro_montecarlo_samples_total", model=model.value
+            ).incr(result.samples)
         _surface_throughput(trace, results)
         return {key: result.moments for key, result in zip(keys, results)}
 

@@ -5,13 +5,15 @@ layer: each ``handle_*`` method takes a decoded JSON payload, receives it
 parsed against its endpoint's spec (:mod:`repro.service.requests`), and
 returns a JSON-ready dict, raising :class:`RequestError` for anything the
 client got wrong. Heavy derived artefacts (the aliasing pipeline, the
-cuisine classifier, the CulinaryDB instance) are built lazily on first
-use and shared across all server threads behind a lock.
+cuisine classifier, the CulinaryDB instance, each region's recipe
+designer) are built lazily on first use and shared across all server
+threads. Each is built in its own single flight, so a request that needs
+one artefact never waits for another's build.
 """
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -24,6 +26,7 @@ from ..db.errors import SqlSyntaxError
 from ..engine import RunConfig
 from ..experiments import ExperimentWorkspace
 from ..generation import CuisineClassifier, RecipeDesigner
+from ..lru import MISSING, ResultCache
 from ..obs import get_logger
 from ..pairing import CuisineView, food_pairing_score
 from ..retrieval import (
@@ -72,11 +75,9 @@ class QueryService:
     ) -> None:
         self._workspace = workspace
         self._config = config if config is not None else RunConfig()
-        self._lock = threading.Lock()
-        self._pipelines: dict[bool, AliasingPipeline] = {}
-        self._classifier: CuisineClassifier | None = None
-        self._database: Database | None = None
-        self._designers: dict[str, RecipeDesigner] = {}
+        # Two aliasing pipelines, the classifier, the database and one
+        # designer per region view: room for all, so none is evicted.
+        self._artifacts = ResultCache(capacity=4 + len(REGIONS))
         self._preloaded = False
 
     @property
@@ -86,38 +87,44 @@ class QueryService:
     # ------------------------------------------------------------------
     # lazily-built shared artefacts
     # ------------------------------------------------------------------
+    def _artifact(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The artefact ``key``, built once by ``build()`` on first use.
+
+        Concurrent first callers share one build; callers of other keys
+        never wait for it.
+        """
+        return self._artifacts.get_or_compute(key, build)[0]
+
+    def _built(self, key: Any) -> bool:
+        """Whether the artefact ``key`` exists, without building it."""
+        return self._artifacts.probe(key) is not MISSING
+
     def _pipeline(self, fuzzy: bool) -> AliasingPipeline:
-        with self._lock:
-            pipeline = self._pipelines.get(fuzzy)
-            if pipeline is None:
-                pipeline = AliasingPipeline(
-                    self._workspace.catalog, fuzzy=fuzzy
-                )
-                self._pipelines[fuzzy] = pipeline
-            return pipeline
+        return self._artifact(
+            ("pipeline", fuzzy),
+            lambda: AliasingPipeline(self._workspace.catalog, fuzzy=fuzzy),
+        )
 
     def classifier(self) -> CuisineClassifier:
         """The naive-Bayes classifier, trained once on first use."""
-        with self._lock:
-            if self._classifier is None:
-                self._classifier = CuisineClassifier(
-                    self._workspace.regional_cuisines(),
-                    vocabulary_size=len(self._workspace.catalog),
-                )
-            return self._classifier
+        return self._artifact(
+            "classifier",
+            lambda: CuisineClassifier(
+                self._workspace.regional_cuisines(),
+                vocabulary_size=len(self._workspace.catalog),
+            ),
+        )
 
     def database(self) -> Database:
         """CulinaryDB over the workspace corpus, built once on first use."""
-        with self._lock:
-            if self._database is None:
-                self._database = build_culinarydb(
-                    self._workspace.recipes,
-                    self._workspace.catalog,
-                    instructions=(
-                        self._workspace.corpus.raw_recipes.instructions
-                    ),
-                )
-            return self._database
+        return self._artifact(
+            "database",
+            lambda: build_culinarydb(
+                self._workspace.recipes,
+                self._workspace.catalog,
+                instructions=self._workspace.corpus.raw_recipes.instructions,
+            ),
+        )
 
     def cuisine_view(self, region_code: str) -> CuisineView:
         """The pairing view of one region (the stage artifact).
@@ -148,12 +155,10 @@ class QueryService:
         """
         view = self.cuisine_view(region_code)
         index = self.retrieval()
-        with self._lock:
-            designer = self._designers.get(region_code)
-            if designer is None:
-                designer = RecipeDesigner(view, index=index)
-                self._designers[region_code] = designer
-            return designer
+        return self._artifact(
+            ("designer", region_code),
+            lambda: RecipeDesigner(view, index=index),
+        )
 
     def warm(self) -> None:
         """Pre-build every lazy artefact (used at server start-up)."""
@@ -169,8 +174,7 @@ class QueryService:
         retrieval index are stage artifacts the workspace already holds.
         """
         self.warm()
-        with self._lock:
-            self._preloaded = True
+        self._preloaded = True
         _LOG.info(
             "service.preloaded",
             regions=len(self._workspace.views()),
@@ -253,16 +257,15 @@ class QueryService:
         from ..engine import Engine
 
         payload_dict(payload)
-        with self._lock:
-            components = {
-                "aliasing_pipeline": bool(self._pipelines),
-                "classifier": self._classifier is not None,
-                "database": self._database is not None,
-            }
-            preloaded = self._preloaded
+        components = {
+            "aliasing_pipeline": self._built(("pipeline", False))
+            or self._built(("pipeline", True)),
+            "classifier": self._built("classifier"),
+            "database": self._built("database"),
+        }
         return {
             "ready": all(components.values()),
-            "preloaded": preloaded,
+            "preloaded": self._preloaded,
             "components": components,
             "views_cached": len(self._workspace.views()),
             "stages": Engine(self._config).cache_states(),

@@ -131,6 +131,15 @@ class TestRegistry:
         assert snapshot['c{kind=x}'] == 2
         assert snapshot["h"]["count"] == 1
 
+    def test_snapshot_keeps_each_histogram_unit(self):
+        registry = MetricsRegistry()
+        registry.histogram("stage_build_ms").observe(5.0)
+        registry.histogram("request_seconds").observe(0.25)
+        snapshot = registry.snapshot()
+        assert snapshot["stage_build_ms"]["mean"] == 5.0
+        assert snapshot["stage_build_ms"]["p99"] == 5.0
+        assert snapshot["request_seconds"]["mean"] == 0.25
+
     def test_global_registry_is_singleton(self):
         assert get_registry() is get_registry()
 

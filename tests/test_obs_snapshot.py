@@ -12,11 +12,11 @@ from repro.obs import (
     configure_tracing,
     finish_worker_capture,
     get_registry,
-    get_tracer,
     merge_snapshot,
     span,
 )
-from repro.parallel import run_tasks
+from repro.pairing import NullModel
+from repro.parallel import ParallelConfig, run_tasks, sweep_pairing_moments
 
 
 @pytest.fixture()
@@ -29,27 +29,27 @@ def traced_tracer():
 
 
 def _record_telemetry(value):
-    """Top-level (picklable) task: records a span, counter and histogram."""
-    registry = get_registry()
-    registry.counter("snaptest_items_total").incr()
-    registry.histogram("snaptest_values").observe(float(value))
+    """Top-level (picklable) task: records a span, and no metric."""
     with span("snaptest.work", item=value) as trace:
         trace.incr("processed", 1)
     return value * 2
 
 
-def _registry_deltas(state):
-    """Comparable view of everything recorded since ``state``."""
+@pytest.fixture(scope="module")
+def views(workspace):
+    """Two regions' pairing views."""
+    return {code: workspace.views()[code] for code in ("ITA", "KOR")}
+
+
+def _montecarlo_series():
+    """Every ``repro_montecarlo_*`` series' kind and value, by key."""
     return {
-        (delta.name, delta.labels): (
-            delta.kind,
-            delta.value,
-            delta.count,
-            round(delta.total, 9),
-            delta.samples,
-            delta.bucket_counts,
+        (series.name, tuple(sorted(series.labels.items()))): (
+            series.kind,
+            series.metric.value,
         )
-        for delta in get_registry().deltas_since(state)
+        for series in get_registry().collect()
+        if series.name.startswith("repro_montecarlo")
     }
 
 
@@ -73,15 +73,6 @@ class TestTraceContext:
 
 
 class TestWorkerCapture:
-    def test_baseline_absorbs_prior_state(self):
-        registry = get_registry()
-        registry.counter("snaptest_prior_total").incr(7)
-        capture = begin_worker_capture(TraceContext())
-        registry.counter("snaptest_prior_total").incr(2)
-        snapshot = finish_worker_capture(capture)
-        deltas = {d.name: d for d in snapshot.metrics}
-        assert deltas["snaptest_prior_total"].value == 2
-
     def test_untraced_capture_ships_no_spans(self):
         capture = begin_worker_capture(TraceContext(traced=False))
         with span("invisible"):
@@ -102,30 +93,17 @@ class TestWorkerCapture:
         assert payload["attrs"]["shard"] == 3
         assert payload["end_wall"] >= payload["start_wall"]
 
-    def test_empty_snapshot_property(self):
+    def test_empty_snapshot_property(self, traced_tracer):
         assert TelemetrySnapshot().empty
-        assert not TelemetrySnapshot(
-            metrics=(get_registry().deltas_since({}) or (None,))
-        ).empty
+        capture = begin_worker_capture(TraceContext(traced=True))
+        with span("captured.op"):
+            pass
+        snapshot = finish_worker_capture(capture)
+        assert snapshot.spans
+        assert not snapshot.empty
 
 
 class TestMergeSnapshot:
-    def test_metric_deltas_apply_exactly(self):
-        registry = get_registry()
-        capture = begin_worker_capture(TraceContext())
-        registry.counter("snaptest_merge_total").incr(5)
-        registry.histogram("snaptest_merge_values").observe(1.5)
-        snapshot = finish_worker_capture(capture)
-
-        state = registry.state()
-        merge_snapshot(snapshot, TraceContext())
-        merged = _registry_deltas(state)
-        counter_key = ("snaptest_merge_total", ())
-        assert merged[counter_key][1] == 5
-        histogram_key = ("snaptest_merge_values", ())
-        assert merged[histogram_key][2] == 1  # count
-        assert merged[histogram_key][4] == (1.5,)  # samples
-
     def test_spans_graft_under_parent(self, traced_tracer):
         with span("parent.op") as parent:
             context = capture_context()
@@ -153,27 +131,32 @@ class TestMergeSnapshot:
 
 
 class TestRunTasksHarvesting:
-    def test_counters_identical_across_worker_counts(self):
-        registry = get_registry()
+    def test_counters_identical_across_worker_counts(self, views):
+        # The sweep counts each task from its result, so in process, at
+        # one worker and through the pool the counters move alike.
+        models = tuple(NullModel)
         per_run = []
-        for workers in (1, 2, 4):
-            state = registry.state()
-            results = run_tasks(
-                _record_telemetry,
-                list(range(6)),
-                workers=workers,
-                label="snaptest.run",
+        for config in (None, ParallelConfig(workers=1), ParallelConfig(2)):
+            before = _montecarlo_series()
+            sweep_pairing_moments(views, models, 200, config)
+            after = _montecarlo_series()
+            per_run.append(
+                {
+                    key: (kind, value - before.get(key, (kind, 0))[1])
+                    for key, (kind, value) in after.items()
+                }
             )
-            assert results == [value * 2 for value in range(6)]
-            per_run.append(_registry_deltas(state))
         assert per_run[0] == per_run[1] == per_run[2]
-        counter_key = ("snaptest_items_total", ())
-        assert per_run[0][counter_key][1] == 6
-        histogram_key = ("snaptest_values", ())
-        # Shard-order merge: the parallel window equals the serial one.
-        assert per_run[0][histogram_key][4] == tuple(
-            float(value) for value in range(6)
-        )
+        expected = {
+            ("repro_montecarlo_shards_total", ()): (
+                "counter", len(views) * len(models)
+            ),
+        }
+        for model in models:
+            expected[
+                ("repro_montecarlo_samples_total", (("model", model.value),))
+            ] = ("counter", len(views) * 200)
+        assert per_run[0] == expected
 
     def test_traced_parallel_run_shows_worker_spans(self, traced_tracer):
         with span("test.root"):

@@ -109,6 +109,20 @@ class TestCompare:
         )
         assert all(v.ok for v in verdicts)
 
+    def test_zero_baseline_improvement_passes(self):
+        (verdict,) = compare_documents({"speedup": 0.0}, {"speedup": 3.0})
+        assert verdict.ok
+        assert verdict.regression == pytest.approx(-3.0)
+
+    def test_zero_baseline_slip_judged_by_absolute_margin(self):
+        baseline = {"profiler_overhead": 0.0}
+        (small,) = compare_documents(baseline, {"profiler_overhead": 0.004})
+        assert small.ok
+        assert small.regression == pytest.approx(0.004)
+        (large,) = compare_documents(baseline, {"profiler_overhead": 0.5})
+        assert not large.ok
+        assert large.regression == pytest.approx(0.5)
+
     def test_metric_missing_on_one_side_is_skipped(self):
         current = {"build_seconds": 1.0, "new_seconds": 9.0}
         verdicts = compare_documents(BASELINE, current)

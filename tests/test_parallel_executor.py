@@ -91,24 +91,18 @@ class TestRetryTelemetry:
     def test_retries_counted_in_registry(self):
         from repro.obs import get_registry
 
-        registry = get_registry()
+        retries = get_registry().counter(
+            "repro_parallel_shard_retries_total", label="retrytest.run"
+        )
         parent = os.getpid()
-        state = registry.state()
+        before = retries.value
         run_tasks(
             _succeed_only_in_parent,
             [parent, parent, parent],
             workers=2,
             label="retrytest.run",
         )
-        deltas = {
-            (d.name, d.labels): d.value
-            for d in registry.deltas_since(state)
-        }
-        key = (
-            "repro_parallel_shard_retries_total",
-            (("label", "retrytest.run"),),
-        )
-        assert deltas[key] == 3
+        assert retries.value - before == 3
 
     def test_retried_shards_recorded_on_span(self):
         from repro.obs import configure_tracing
@@ -134,11 +128,14 @@ class TestRetryTelemetry:
         from repro.obs import get_registry
 
         registry = get_registry()
-        state = registry.state()
+
+        def retries():
+            return {
+                tuple(series.labels.items()): series.metric.value
+                for series in registry.collect()
+                if series.name == "repro_parallel_shard_retries_total"
+            }
+
+        before = retries()
         run_tasks(_square, [1, 2, 3, 4], workers=2, label="retrytest.clean")
-        retry_deltas = [
-            d
-            for d in registry.deltas_since(state)
-            if d.name == "repro_parallel_shard_retries_total"
-        ]
-        assert retry_deltas == []
+        assert retries() == before

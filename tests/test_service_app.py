@@ -1,5 +1,10 @@
 """Tests for the service handlers and app dispatch (no HTTP transport)."""
 
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.service import QueryService, ResultCache, ServiceApp
@@ -679,15 +684,89 @@ class TestReadyz:
         from repro.service import QueryService, ServiceApp
 
         registry = get_registry()
-        state = registry.state()
+
+        def builds():
+            return {
+                tuple(series.labels.items()): series.metric.value
+                for series in registry.collect()
+                if series.name == "engine_stage_build_total"
+            }
+
+        before = builds()
         cold_app = ServiceApp(QueryService(workspace))
         cold_app.dispatch("GET", "/readyz")
-        built = [
-            delta
-            for delta in registry.deltas_since(state)
-            if delta.name == "engine_stage_build_total"
-        ]
-        assert built == []
+        assert builds() == before
+
+
+class TestLazyArtefacts:
+    """Each lazily built artefact is built in its own single flight."""
+
+    def test_score_does_not_wait_for_a_designer_build(
+        self, workspace, monkeypatch
+    ):
+        from repro.service import handlers
+
+        building = threading.Event()
+        release = threading.Event()
+        real = handlers.RecipeDesigner
+
+        def held_open(*args, **kwargs):
+            building.set()
+            release.wait(60)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(handlers, "RecipeDesigner", held_open)
+        service = QueryService(workspace)
+        designer = threading.Thread(target=service.designer, args=("ITA",))
+        designer.start()
+        try:
+            assert building.wait(60)
+            scored = []
+            scorer = threading.Thread(
+                target=lambda: scored.append(
+                    service.handle_score({"ingredients": ["garlic", "onion"]})
+                )
+            )
+            scorer.start()
+            scorer.join(30)
+            assert not scorer.is_alive()
+            assert scored and scored[0]["pairable"] == 2
+            assert designer.is_alive()
+        finally:
+            release.set()
+            designer.join(60)
+        assert not designer.is_alive()
+
+    def test_concurrent_first_designer_calls_build_once(
+        self, workspace, monkeypatch
+    ):
+        from repro.service import handlers
+
+        builds = []
+        real = handlers.RecipeDesigner
+
+        def counted(*args, **kwargs):
+            builds.append(threading.get_ident())
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(handlers, "RecipeDesigner", counted)
+        service = QueryService(workspace)
+        start = threading.Barrier(8)
+
+        def first_call(_):
+            start.wait(60)
+            return service.designer("ITA")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                designers = list(pool.map(first_call, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 1
+        assert all(designer is designers[0] for designer in designers)
 
 
 class TestDebugProfile:

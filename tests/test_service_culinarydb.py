@@ -58,8 +58,10 @@ def test_served_endpoints_build_no_link_table_index(workspace):
         status, body = app.dispatch(method, path, payload)
         assert status == 200, (path, body)
     stats = service.database().stats()
-    assert stats["recipe_ingredients"]["built"] == []
-    assert stats["ingredient_molecules"]["built"] == []
+    # Not even the parents the load's foreign-key checks probed.
+    assert {name: entry["built"] for name, entry in stats.items()} == (
+        dict.fromkeys(stats, [])
+    )
     assert stats["recipe_ingredients"]["indexed"] == [
         "ingredient_id", "link_id", "recipe_id",
     ]
