@@ -164,7 +164,7 @@ STAGES: dict[str, Stage] = {
         ),
         Stage(
             name="pairing_views",
-            version="3",
+            version="4",
             deps=("cuisines",),
             config_fields=(),
             build=_build_pairing_views,

@@ -6,6 +6,9 @@ can never leave a half-written artifact under its final name. Every file
 carries a JSON header with the payload's length and SHA-256; a
 truncated, bit-flipped or otherwise unreadable entry is detected on
 load, removed, and reported as a miss — the engine simply rebuilds.
+A load streams the file through one handle: it hashes the payload in
+1 MiB reads, checks it, then unpickles from the same handle, so no
+whole-file buffer is ever allocated (DESIGN.md §23).
 
 The store is size-bounded: after every write, least-recently-used
 entries (by file access order, maintained via ``os.utime`` on load) are
@@ -22,7 +25,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from ..lru import MISSING
 from ..obs import get_logger, get_registry
@@ -40,6 +43,13 @@ _LOG = get_logger("repro.engine.store")
 
 ARTIFACT_SUFFIX = ".art"
 _MAGIC = b"repro-artifact/1\n"
+
+#: Longest header line a read accepts; a header is ~200 bytes, and a
+#: line with no newline within the bound marks the entry corrupt.
+_HEADER_LIMIT = 4096
+
+#: Bytes read per step while hashing a payload.
+_HASH_CHUNK = 1 << 20
 
 #: Default size bound for the disk cache (4 GiB).
 DEFAULT_MAX_BYTES = 4 << 30
@@ -91,11 +101,15 @@ class ArtifactStore:
         """The stored artifact, or :data:`MISSING`.
 
         Corrupt or truncated entries are removed and counted in
-        ``engine_store_corrupt_total`` so the caller rebuilds.
+        ``engine_store_corrupt_total`` so the caller rebuilds. A read
+        that fails with an ``OSError`` is logged as ``store.read_failed``
+        and is a miss too, but the file stays: the disk failed, not the
+        entry.
         """
         path = self._path(stage, fingerprint)
         try:
-            blob = path.read_bytes()
+            with path.open("rb") as handle:
+                value = self._decode(stage, fingerprint, path, handle)
         except FileNotFoundError:
             return MISSING
         except OSError as error:
@@ -103,7 +117,6 @@ class ArtifactStore:
                 "store.read_failed", path=str(path), error=str(error)
             )
             return MISSING
-        value = self._decode(stage, fingerprint, path, blob)
         if value is MISSING:
             return MISSING
         try:  # refresh recency for LRU eviction
@@ -126,26 +139,46 @@ class ArtifactStore:
             return False
 
     def _decode(
-        self, stage: str, fingerprint: str, path: Path, blob: bytes
+        self, stage: str, fingerprint: str, path: Path, handle: BinaryIO
     ) -> Any:
+        """Check the entry on ``handle``, then unpickle it from there.
+
+        Two passes over one open file, and never the whole file in one
+        buffer: the first hashes the payload in :data:`_HASH_CHUNK`
+        reads, the second seeks back and unpickles, so arrays are read
+        straight into their own buffers. The store only replaces
+        (:func:`os.replace`) or unlinks files and never rewrites one in
+        place, so both passes read the same inode. ``OSError`` passes
+        through to :meth:`get`; any other failure is damage.
+        """
         try:
-            if not blob.startswith(_MAGIC):
+            if handle.read(len(_MAGIC)) != _MAGIC:
                 raise ValueError("bad magic")
-            newline = blob.index(b"\n", len(_MAGIC))
-            header = json.loads(blob[len(_MAGIC) : newline])
-            # A view, not a copy: artifacts run to tens of megabytes.
-            payload = memoryview(blob)[newline + 1 :]
+            line = handle.readline(_HEADER_LIMIT)
+            if not line.endswith(b"\n"):
+                raise ValueError(
+                    f"no header line within {_HEADER_LIMIT} bytes"
+                )
+            header = json.loads(line)
             if header.get("fingerprint") != fingerprint:
                 raise ValueError("fingerprint mismatch")
-            if header.get("size") != len(payload):
+            start = handle.tell()
+            digest = hashlib.sha256()
+            size = 0
+            while chunk := handle.read(_HASH_CHUNK):
+                digest.update(chunk)
+                size += len(chunk)
+            if header.get("size") != size:
                 raise ValueError(
-                    f"truncated payload: {len(payload)} of "
+                    f"truncated payload: {size} of "
                     f"{header.get('size')} bytes"
                 )
-            digest = hashlib.sha256(payload).hexdigest()
-            if header.get("sha256") != digest:
+            if header.get("sha256") != digest.hexdigest():
                 raise ValueError("checksum mismatch")
-            return pickle.loads(payload)
+            handle.seek(start)
+            return pickle.load(handle)
+        except OSError:
+            raise
         except Exception as error:  # noqa: BLE001 - any damage => rebuild
             self._registry.counter(
                 "engine_store_corrupt_total", stage=stage

@@ -18,7 +18,8 @@ without replacement with weights ``w`` is equivalent to taking the top-m
 of ``log w + Gumbel noise``, which turns per-recipe rejection loops into
 dense numpy operations. The naive per-recipe ``rng.choice`` loop it
 replaced is kept as a test oracle (``tests/oracles.py``); its recorded
-cost is in DESIGN.md §5.
+cost is in DESIGN.md §5. The keys are drawn in bounded row blocks; the
+one-shot draw they replaced is an oracle there too (DESIGN.md §23).
 
 :func:`sample_model_batches` draws one batch of recipes grouped by
 size, :func:`sample_model_scores` scores it in sample order, and
@@ -40,8 +41,17 @@ from .moments import StreamingMoments
 from .score import batch_scores
 from .views import CuisineView
 
-#: Samples per chunk; bounds peak memory at ~chunk * ingredient_count floats.
+#: Samples per chunk. Each chunk draws its templates, then its
+#: ingredients, so the chunk size fixes how the stream's words are laid
+#: out: another value would change the Z-score of every cell drawing
+#: more than one chunk. It no longer bounds memory
+#: (:data:`DRAW_BLOCK_ELEMENTS` and
+#: :data:`~repro.pairing.score.BATCH_BLOCK_ELEMENTS` do); keep it 8192.
 DEFAULT_CHUNK = 8192
+
+#: Gumbel keys drawn at once by :func:`_gumbel_top_m` (512 KiB of
+#: float64); a module constant, since the picks do not depend on it.
+DRAW_BLOCK_ELEMENTS = 1 << 16
 
 #: Seconds between progress heartbeat log records on long sampling loops.
 HEARTBEAT_SECONDS = 5.0
@@ -286,6 +296,14 @@ def _gumbel_top_m(
 ) -> np.ndarray:
     """Draw ``m`` items without replacement, ``k`` times, weights shared.
 
+    The Gumbel keys are drawn in row blocks of at most
+    :data:`DRAW_BLOCK_ELEMENTS`, so a draw holds one block of keys and
+    the ``(k, m)`` picks, never ``k * P`` floats. Blocking is exact: the
+    generator yields the same words in the same order however the rows
+    are split, ``noise + log_weights`` has the bits of
+    ``log_weights + noise``, and ``argpartition`` works row by row, so
+    every pick equals the one-shot draw's (``tests/oracles.py``).
+
     Args:
         log_weights: ``(1, P)`` log-weight row.
         k: number of independent draws (rows).
@@ -299,8 +317,16 @@ def _gumbel_top_m(
         raise ConfigurationError(
             f"cannot draw {m} distinct items from a pool of {pool_size}"
         )
-    noise = rng.gumbel(size=(k, pool_size))
-    keys = log_weights + noise
+    picks = np.empty((k, m), dtype=np.intp)
+    rows = max(1, DRAW_BLOCK_ELEMENTS // max(1, pool_size))
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        # Drawn even when every item is picked: later draws in the
+        # stream must see the same words.
+        keys = rng.gumbel(size=(stop - start, pool_size))
+        if m < pool_size:
+            keys += log_weights
+            picks[start:stop] = np.argpartition(keys, -m, axis=1)[:, -m:]
     if m == pool_size:
-        return np.tile(np.arange(pool_size), (k, 1))
-    return np.argpartition(keys, -m, axis=1)[:, -m:]
+        picks[:] = np.arange(pool_size)
+    return picks

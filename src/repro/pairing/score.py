@@ -114,8 +114,10 @@ def cuisine_mean_score(view: CuisineView) -> float:
     return view.mean_score()
 
 
-#: Float budget for one gathered ``(rows, n, n)`` overlap block inside
-#: :func:`batch_scores` (~32 MB); bounds peak memory for large batches.
+#: Element budget for one gathered ``(rows, n, n)`` overlap block inside
+#: :func:`batch_scores` and :func:`member_pair_sums`; a block holds the
+#: overlap's dtype, so 4 MiB for a view's uint8 counts (32 MiB for a
+#: float64 matrix).
 BATCH_BLOCK_ELEMENTS = 1 << 22
 
 
@@ -125,10 +127,13 @@ def batch_scores(
     """N_s for a batch of same-size recipes.
 
     The ``(k, n, n)`` gather is accumulated in fixed-size row chunks —
-    never more than :data:`BATCH_BLOCK_ELEMENTS` floats at once — so an
-    8192-recipe sampling chunk of 60-ingredient recipes peaks at ~32 MB
-    instead of ~240 MB. Chunking only splits the batch axis, so the
-    per-recipe sums (and therefore the scores) are unchanged.
+    never more than :data:`BATCH_BLOCK_ELEMENTS` elements at once — so
+    an 8192-recipe sampling chunk of 60-ingredient recipes gathers 4 Mi
+    elements at a time (4 MiB of uint8 counts), not all 29.5 M.
+    Chunking only splits the batch axis, so the per-recipe sums (and
+    therefore the scores) are unchanged. Integer counts sum exactly in
+    numpy's 64-bit accumulator, and float64 counts sum exactly too while
+    the sums stay below 2**53, so either dtype gives the same bits.
 
     Args:
         overlap: cuisine overlap matrix.

@@ -7,6 +7,7 @@ cuisine, prepared once by :class:`CuisineView`:
   paper's four profile-free additives are excluded from scoring), as
   catalog ids,
 * a dense pairwise overlap matrix |F_i ∩ F_j| over those ingredients,
+  as narrow unsigned integer counts,
 * the recipes as compressed sparse rows of local indices,
 * ingredient usage frequencies and category labels, which the null models
   preserve, and each recipe's category composition (its *template spec*).
@@ -41,7 +42,13 @@ class CuisineView:
         region_code: the cuisine's region.
         ingredient_ids: catalog ids of the pairable ingredients used by
             the cuisine, ascending; position ``i`` is local index ``i``.
-        overlap: dense symmetric |F_i ∩ F_j| matrix, diagonal zero.
+        overlap: dense symmetric |F_i ∩ F_j| matrix, diagonal zero, in
+            the narrowest unsigned integer dtype that holds its largest
+            count (uint8 for every view at scale 1.0). Every consumer
+            sums the counts, and an exact integer sum turned into a
+            float64 equals the float64 sum of the same integers, so no
+            score depends on the dtype. Never subtract in it: unsigned
+            arithmetic wraps.
         frequencies: recipe-usage count per local ingredient.
         category_order: the cuisine's category names, sorted.
         category_ids: per local ingredient, its category's position in
@@ -214,9 +221,8 @@ def build_cuisine_view(
     ingredients = [
         catalog.by_id(ingredient_id) for ingredient_id in pairable_ids
     ]
-    overlap = shared_molecule_counts(membership_matrix(ingredients)).astype(
-        np.float64
-    )
+    counts = shared_molecule_counts(membership_matrix(ingredients))
+    overlap = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
 
     table = cuisine.table
     local_of = np.full(max(pairable_ids, default=-1) + 1, -1, np.int64)

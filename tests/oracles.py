@@ -10,6 +10,9 @@ each of them.
 * :func:`naive_sample_model_scores` — one ``rng.choice`` loop per random
   recipe, the spec of the Gumbel top-k sampler
   :func:`repro.pairing.sample_model_recipes`.
+* :func:`one_shot_gumbel_top_m` — every Gumbel key of a draw at once, the
+  spec of the row-blocked ``repro.pairing.models._gumbel_top_m``, which
+  must return the same picks and leave the generator in the same state.
 * :func:`loop_chi_values` — one (ingredient, recipe) removal at a time,
   the spec of the array sweep :func:`repro.pairing.chi_values`, which
   must equal it bit for bit.
@@ -156,6 +159,24 @@ def naive_sample_model_scores(
         block = view.overlap[np.ix_(indices, indices)]
         scores[sample] = block.sum() / (n * (n - 1))
     return scores
+
+
+def one_shot_gumbel_top_m(
+    log_weights: np.ndarray, k: int, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``m`` of ``P`` items without replacement, ``k`` times.
+
+    All ``k * P`` Gumbel keys are drawn in one call, and the top ``m``
+    keys of each row are its picks (``log_weights`` is a ``(1, P)``
+    row). When every item is picked the keys are still drawn, so the
+    generator advances as it would for any ``m``.
+    """
+    pool_size = log_weights.shape[1]
+    noise = rng.gumbel(size=(k, pool_size))
+    keys = log_weights + noise
+    if m == pool_size:
+        return np.tile(np.arange(pool_size), (k, 1))
+    return np.argpartition(keys, -m, axis=1)[:, -m:]
 
 
 def loop_chi_values(view: CuisineView) -> np.ndarray:

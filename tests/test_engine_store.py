@@ -1,13 +1,20 @@
 """Tests for the on-disk artifact store: atomicity, corruption
-detection, and size-bounded eviction."""
+detection, read failures, streamed loads and size-bounded eviction."""
 
+import errno
+import io
 import os
+import pathlib
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.engine import MISSING, ArtifactStore
+from repro.engine import store as store_module
 from repro.obs import get_registry
+from repro.obs.logs import configure_logging
 
 
 def _counter_total(name: str, **labels: str) -> float:
@@ -106,6 +113,28 @@ class TestCorruption:
         os.rename(path, other)
         assert store.get("corpus", "b" * 64) is MISSING
 
+    def test_empty_file_detected_and_removed(self, store):
+        store.put("corpus", FP, "value")
+        path = self._entry_path(store)
+        path.write_bytes(b"")
+        before = _counter_total("engine_store_corrupt_total")
+        assert store.get("corpus", FP) is MISSING
+        assert _counter_total("engine_store_corrupt_total") == before + 1
+        assert not path.exists()
+
+    def test_header_without_newline_within_bound_detected(self, store):
+        # A header line longer than the bound is never read whole.
+        store.put("corpus", FP, "value")
+        path = self._entry_path(store)
+        path.write_bytes(
+            store_module._MAGIC
+            + b"{" + b" " * store_module._HEADER_LIMIT + b"}\n"
+        )
+        before = _counter_total("engine_store_corrupt_total")
+        assert store.get("corpus", FP) is MISSING
+        assert _counter_total("engine_store_corrupt_total") == before + 1
+        assert not path.exists()
+
     def test_rebuild_after_corruption_round_trips(self, store):
         store.put("corpus", FP, "original")
         path = self._entry_path(store)
@@ -113,6 +142,96 @@ class TestCorruption:
         assert store.get("corpus", FP) is MISSING
         store.put("corpus", FP, "rebuilt")
         assert store.get("corpus", FP) == "rebuilt"
+
+
+class _FailingRead:
+    """A file handle whose reads raise ``EIO`` once ``fails()`` says so."""
+
+    def __init__(self, handle, fails):
+        self._handle = handle
+        self._fails = fails
+        self.seeks = 0
+
+    def _check(self):
+        if self._fails(self):
+            raise OSError(errno.EIO, "Input/output error")
+
+    def read(self, *args):
+        self._check()
+        return self._handle.read(*args)
+
+    def readinto(self, buffer):
+        self._check()
+        return self._handle.readinto(buffer)
+
+    def seek(self, *args):
+        self.seeks += 1
+        return self._handle.seek(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
+class TestReadFailure:
+    """An ``OSError`` while reading is a miss, not damage: the file stays."""
+
+    @pytest.fixture()
+    def log_stream(self):
+        stream = io.StringIO()
+        configure_logging(stream=stream)
+        yield stream
+        configure_logging(level="info", json_mode=False, stream=None)
+
+    @pytest.mark.parametrize(
+        "fails",
+        [
+            # while hashing the payload, past the magic and header
+            lambda handle: handle.tell() > len(store_module._MAGIC),
+            # while unpickling, after the check seeked back
+            lambda handle: handle.seeks > 0,
+        ],
+        ids=["hashing", "unpickling"],
+    )
+    def test_os_error_mid_read_keeps_the_file(
+        self, store, monkeypatch, log_stream, fails
+    ):
+        value = np.arange(4096, dtype=np.int64)
+        path = store.put("pairing_views", FP, value)
+        real_open = pathlib.Path.open
+
+        def failing_open(self, *args, **kwargs):
+            return _FailingRead(real_open(self, *args, **kwargs), fails)
+
+        monkeypatch.setattr(pathlib.Path, "open", failing_open)
+        before = _counter_total("engine_store_corrupt_total")
+        assert store.get("pairing_views", FP) is MISSING
+        assert _counter_total("engine_store_corrupt_total") == before
+        assert "event=store.read_failed" in log_stream.getvalue()
+        monkeypatch.undo()
+        assert path.exists()
+        assert np.array_equal(store.get("pairing_views", FP), value)
+
+
+class TestStreamedLoad:
+    def test_load_holds_no_copy_of_the_file(self, store):
+        """A load reads arrays straight into their own buffers: it peaks
+        at about one array, not the file plus the array."""
+        array = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+        store.put("pairing_views", FP, {"overlap": array})
+        tracemalloc.start()
+        try:
+            loaded = store.get("pairing_views", FP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded["overlap"], array)
+        assert peak < 1.5 * array.nbytes
 
 
 class TestEviction:

@@ -1,5 +1,6 @@
 """Tests for the four null models."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,12 +9,19 @@ import pytest
 from repro.datamodel import ConfigurationError, Cuisine, Recipe
 from repro.pairing import (
     NullModel,
+    assemble_view,
     build_cuisine_view,
     sample_model_moments,
     sample_model_recipes,
     scores_for_recipes,
 )
-from tests.oracles import naive_sample_model_scores
+from repro.pairing.models import (
+    DRAW_BLOCK_ELEMENTS,
+    _gumbel_top_m,
+    _log_weights,
+    sample_model_batches,
+)
+from tests.oracles import naive_sample_model_scores, one_shot_gumbel_top_m
 
 
 def sampled_scores(view, model, n_samples, rng):
@@ -178,3 +186,71 @@ class TestScores:
             cohesive_view, NullModel.FREQUENCY, 4000, rng
         )
         assert frequency_scores.mean() > random_scores.mean()
+
+
+#: Pantry of the synthetic views below; 109 rows of keys per block.
+POOL = 600
+BLOCK_ROWS = DRAW_BLOCK_ELEMENTS // POOL
+
+
+def synthetic_view(count=POOL, recipes=3000, seed=0):
+    """A view over ``count`` ingredients in six categories, recipes of
+    2 to 20, and uint8 counts."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(0, 120, size=(count, count)), 1)
+    sizes = rng.integers(2, 21, size=recipes)
+    flat = np.concatenate(
+        [
+            np.sort(rng.choice(count, size=size, replace=False))
+            for size in sizes
+        ]
+    )
+    names = ("dairy", "fruit", "herb", "meat", "spice", "vegetable")
+    return assemble_view(
+        region_code="TST",
+        ingredient_ids=np.arange(count),
+        overlap=(upper + upper.T).astype(np.uint8),
+        frequencies=np.bincount(flat, minlength=count) + 1.0,
+        categories=tuple(names[index % 6] for index in range(count)),
+        recipe_offsets=np.concatenate([[0], np.cumsum(sizes)]),
+        flat_recipes=flat,
+    )
+
+
+class TestBlockedDraw:
+    """The row-blocked Gumbel draw against the one-shot oracle."""
+
+    @pytest.mark.parametrize(
+        "k", [3 * BLOCK_ROWS + 5, BLOCK_ROWS // 2],
+        ids=["several-blocks", "one-block"],
+    )
+    @pytest.mark.parametrize("m", [1, 7, POOL], ids=["m1", "m7", "m-pool"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_same_picks_and_generator_state(self, k, m, weighted):
+        weights = (
+            np.random.default_rng(3).integers(1, 50, POOL).astype(float)
+            if weighted
+            else None
+        )
+        log_weights = _log_weights(weights, POOL)[None, :]
+        blocked, one_shot = np.random.default_rng(7), np.random.default_rng(7)
+        picks = _gumbel_top_m(log_weights, k, m, blocked)
+        expected = one_shot_gumbel_top_m(log_weights, k, m, one_shot)
+        assert picks.shape == (k, m)
+        assert np.array_equal(picks, expected)
+        assert blocked.bit_generator.state == one_shot.bit_generator.state
+
+    @pytest.mark.parametrize("model", [NullModel.RANDOM, NullModel.FREQUENCY])
+    def test_draw_memory_is_bounded(self, model):
+        """10,000 recipes over 600 ingredients hold one block of keys at
+        a time, not 10,000 x 600 floats (46 MiB)."""
+        view = synthetic_view()
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            batches = sample_model_batches(view, model, 10_000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(rows) for rows, _ in batches) == 10_000
+        assert peak < 4 << 20

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 
 from repro.datamodel import Category, Ingredient, ValidationError
 from repro.pairing import (
+    assemble_view,
     batch_scores,
+    chi_values,
     food_pairing_score,
     recipe_score_from_matrix,
     scores_for_recipes,
 )
+from repro.pairing.score import member_pair_sums
 
 
 def ing(ingredient_id, molecules):
@@ -287,6 +290,82 @@ class TestBatchChunking:
             score_module, "BATCH_BLOCK_ELEMENTS", 2 * 10 * 10
         )
         assert batch_scores(matrix, batch) == pytest.approx(full)
+
+
+def synthetic_counts(dtype, n=40, seed=11):
+    """Symmetric counts with a zero diagonal, up to 1,000 or the
+    dtype's largest value."""
+    high = min(1000, np.iinfo(dtype).max)
+    upper = np.triu(
+        np.random.default_rng(seed).integers(0, high + 1, size=(n, n)), 1
+    )
+    counts = np.maximum(upper, upper.T).astype(dtype)
+    assert counts.max() >= high - 1
+    return counts
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+class TestCountDtypes:
+    """Views store counts as narrow unsigned integers; every scorer gives
+    the bits it gives on the float64 copy of the same counts."""
+
+    def batches(self):
+        rng = np.random.default_rng(5)
+        return [
+            np.stack(
+                [rng.choice(40, size=size, replace=False) for _ in range(64)]
+            )
+            for size in (2, 3, 7, 15)
+        ]
+
+    def test_batch_scores(self, dtype):
+        counts = synthetic_counts(dtype)
+        for batch in self.batches():
+            assert batch_scores(counts, batch).tobytes() == batch_scores(
+                counts.astype(np.float64), batch
+            ).tobytes()
+
+    def test_member_pair_sums(self, dtype):
+        counts = synthetic_counts(dtype)
+        for batch in self.batches():
+            narrow = member_pair_sums(counts, batch)
+            assert narrow.dtype == np.float64
+            assert narrow.tobytes() == member_pair_sums(
+                counts.astype(np.float64), batch
+            ).tobytes()
+
+    def test_recipe_score_from_matrix(self, dtype):
+        counts = synthetic_counts(dtype)
+        wide = counts.astype(np.float64)
+        for batch in self.batches():
+            for recipe in batch:
+                narrow = recipe_score_from_matrix(counts, recipe)
+                assert type(narrow) is float
+                assert narrow == recipe_score_from_matrix(wide, recipe)
+
+    def test_chi_values(self, dtype):
+        counts = synthetic_counts(dtype)
+        rng = np.random.default_rng(9)
+        rows = [
+            np.sort(rng.choice(40, size=size, replace=False))
+            for size in rng.integers(2, 9, size=120)
+        ]
+        flat = np.concatenate(rows)
+
+        def view(overlap):
+            return assemble_view(
+                region_code="TST",
+                ingredient_ids=np.arange(40),
+                overlap=overlap,
+                frequencies=np.bincount(flat, minlength=40) + 1.0,
+                categories=("herb",) * 40,
+                recipe_offsets=np.cumsum([0] + [len(row) for row in rows]),
+                flat_recipes=flat,
+            )
+
+        assert chi_values(view(counts)).tobytes() == chi_values(
+            view(counts.astype(np.float64))
+        ).tobytes()
 
 
 profile_strategy = st.frozensets(

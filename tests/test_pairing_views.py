@@ -116,3 +116,10 @@ class TestBuildCuisineView:
         )
         view = build_cuisine_view(cuisine, catalog_module)
         assert view.recipe_sizes().tolist() == [2, 3]
+
+    def test_session_views_hold_narrow_unsigned_counts(self, workspace):
+        for code, view in workspace.views().items():
+            assert view.overlap.dtype.kind == "u", code
+            assert view.overlap.dtype == np.min_scalar_type(
+                int(view.overlap.max())
+            ), code
