@@ -16,13 +16,15 @@ Cold-build fast path: normalisation memoises per whitespace chunk
 matching is memoised per content-token tuple: raw lines rarely repeat
 (355k of the full corpus's 413k are distinct), but they reduce to about
 1,000 distinct token tuples. A bounded memo maps each tuple to its match
-(``repro_aliasing_phrase_cache_{hits,misses}_total`` count its traffic;
-:class:`MatchReport` occurrence counting is never cached).
+(``repro_aliasing_phrase_cache_{hits,misses}_total`` count its traffic).
 :meth:`AliasingPipeline.resolve_corpus` aliases a corpus (a
-:class:`~repro.datamodel.RawRecipeTable`) in one process, in corpus
-order, so its result depends only on the raw recipes and the pipeline's
-catalog, aliases and options; ``--workers`` fans out Monte Carlo
-sampling only and never reaches it.
+:class:`~repro.datamodel.RawRecipeTable`) in one process: it numbers the
+distinct token tuples in order of first occurrence, resolves each once,
+and records each in the :class:`MatchReport` once, weighted by how often
+it occurs, which leaves the same counts in the same key order as one
+record per phrase. Its result depends only on the raw recipes and the
+pipeline's catalog, aliases and options; ``--workers`` fans out Monte
+Carlo sampling only and never reaches it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Iterable
+
+import numpy as np
 
 from ..datamodel import (
     Ingredient,
@@ -101,17 +105,18 @@ class MatchReport:
         self.record_match(resolution.kind, resolution.leftover_tokens)
 
     def record_match(
-        self, kind: MatchKind, leftovers: tuple[str, ...]
+        self, kind: MatchKind, leftovers: tuple[str, ...], count: int = 1
     ) -> None:
-        """:meth:`record_phrase` from a resolution's kind and leftovers."""
-        self.phrase_counts[kind] += 1
+        """:meth:`record_phrase` from a resolution's kind and leftovers,
+        for ``count`` phrases that share them."""
+        self.phrase_counts[kind] += count
         if kind is MatchKind.EXACT:
             return
         for length in range(1, min(MAX_NGRAM, len(leftovers)) + 1):
             for start in range(len(leftovers) - length + 1):
                 self._unmatched_ngrams[
                     " ".join(leftovers[start : start + length])
-                ] += 1
+                ] += count
 
     def record_recipe(self, resolved: bool) -> None:
         self.recipes_total += 1
@@ -172,7 +177,9 @@ class AliasingPipeline:
                 tokens the exact matcher leaves over (see
                 :mod:`repro.aliasing.fuzzy`).
             phrase_cache_size: bound on the memo from content tokens
-                to their match; ``0`` disables memoisation entirely.
+                to their match, which spans calls; ``0`` disables
+                memoisation entirely. One :meth:`resolve_corpus` call
+                resolves each distinct tuple once either way.
         """
         self._catalog = catalog if catalog is not None else default_catalog()
         # Key every resolvable surface form by its *normalised* token string
@@ -255,7 +262,13 @@ class AliasingPipeline:
         return PhraseResolution(phrase, *self._match(phrase))
 
     def _match(self, phrase: str) -> _Match:
-        tokens = tuple(normalize_phrase(phrase))
+        return self._match_tokens(tuple(normalize_phrase(phrase)))
+
+    def _match_tokens(
+        self, tokens: tuple[str, ...], occurrences: int = 1
+    ) -> _Match:
+        """The match of a token tuple, counted as ``occurrences`` memo
+        lookups: a miss, if any, is the first, and the rest are hits."""
         if self._memo is None:
             return self._resolve_tokens(tokens)
         lookup = self._memo_lookup
@@ -263,8 +276,9 @@ class AliasingPipeline:
         match = self._memo(tokens)
         if lookup.missed:
             self._cache_misses.incr()
-        else:
-            self._cache_hits.incr()
+            occurrences -= 1
+        if occurrences:
+            self._cache_hits.incr(occurrences)
         return match
 
     def _resolve_tokens_on_miss(self, tokens: tuple[str, ...]) -> _Match:
@@ -356,38 +370,70 @@ class AliasingPipeline:
         return frozenset(ingredient_ids)
 
     def resolve_corpus(self, raws: RawRecipeTable) -> AliasingResult:
-        """Alias a whole corpus in order, collecting the curation report.
+        """Alias a whole corpus, collecting the curation report.
 
-        Callers holding :class:`~repro.datamodel.RawRecipe` objects pass
-        ``RawRecipeTable.from_recipes(raws)``.
+        Each distinct content-token tuple is numbered in order of first
+        occurrence, resolved once, and recorded once with its occurrence
+        count; walking the tuples in that order gives every report key
+        the position a walk over the phrases would. Each recipe's id set
+        is then built phrase by phrase, as :meth:`resolve_recipe` builds
+        it. Callers holding :class:`~repro.datamodel.RawRecipe` objects
+        pass ``RawRecipeTable.from_recipes(raws)``.
         """
         with span("aliasing.resolve_corpus") as trace:
             started = time.perf_counter()
             report = MatchReport()
-            phrases = raws.phrases()
-            kept: list[int] = []
-            rows: list[frozenset[int]] = []
-            for row, (start, stop) in enumerate(
-                itertools.pairwise(raws.phrase_offsets.tolist())
-            ):
-                ingredient_ids = self._resolve_ids(
-                    phrases[start:stop], report
+            # Each distinct token tuple's code, in order of first occurrence.
+            distinct: dict[tuple[str, ...], int] = {}
+            codes = [
+                distinct.setdefault(
+                    tuple(normalize_phrase(phrase)), len(distinct)
                 )
-                if ingredient_ids:
-                    kept.append(row)
-                    rows.append(ingredient_ids)
-            recipes = RecipeTable.from_columns(
-                raws.recipe_ids[kept],
-                rows,
-                *(
-                    [strings[code] for code in codes[kept].tolist()]
-                    for strings, codes in (
-                        (raws.regions, raws.region_idx),
-                        (raws.titles, raws.title_idx),
-                        (raws.sources, raws.source_idx),
-                    )
+                for phrase in raws.phrases()
+            ]
+            occurrences = np.bincount(
+                np.asarray(codes, dtype=np.intp), minlength=len(distinct)
+            ).tolist()
+            resolved: list[tuple[int, ...]] = []
+            for tokens, count in zip(distinct, occurrences):
+                _tokens, ingredients, leftovers, kind = self._match_tokens(
+                    tokens, count
+                )
+                report.record_match(kind, leftovers, count)
+                resolved.append(
+                    tuple(item.ingredient_id for item in ingredients)
+                )
+            rows: list[tuple[int, ...]] = []
+            for start, stop in itertools.pairwise(
+                raws.phrase_offsets.tolist()
+            ):
+                ingredient_ids: set[int] = set()
+                for code in codes[start:stop]:
+                    ingredient_ids.update(resolved[code])
+                rows.append(tuple(frozenset(ingredient_ids)))
+            sizes = np.fromiter(map(len, rows), np.int64, count=len(rows))
+            offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=offsets[1:])
+            # Every raw row, unresolved ones empty; take keeps the others
+            # and compacts the raw string tables to the codes they use.
+            kept = np.flatnonzero(sizes)
+            recipes = RecipeTable(
+                recipe_ids=raws.recipe_ids,
+                offsets=offsets,
+                ingredient_ids=np.fromiter(
+                    itertools.chain.from_iterable(rows),
+                    dtype=np.int32,
+                    count=int(offsets[-1]),
                 ),
-            )
+                region_idx=raws.region_idx,
+                regions=raws.regions,
+                title_idx=raws.title_idx,
+                titles=raws.titles,
+                source_idx=raws.source_idx,
+                sources=raws.sources,
+            ).take(kept)
+            report.recipes_total = len(rows)
+            report.recipes_resolved = len(kept)
             elapsed = time.perf_counter() - started
             registry = get_registry()
             for kind in MatchKind:

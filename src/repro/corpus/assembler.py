@@ -16,10 +16,13 @@ region. :meth:`RecipeAssembler.assemble` draws one recipe, slot by slot,
 with a handful of numpy operations on one pantry-length vector per slot.
 :meth:`RecipeAssembler.assemble_many` draws a whole region's recipes in
 lockstep instead: recipes sorted by size form blocks, and each slot is a
-few operations on a (recipes × pantry) array. The two consume the same
-random doubles in the same order and return the same indices, bit for
-bit; ``assemble`` remains the live fallback for the one case the
-lockstep path does not handle (see :meth:`RecipeAssembler.assemble_many`).
+few operations on a (recipes × pantry) array, whose tilt is looked up
+per integer affinity from a small per-slot table rather than
+exponentiated cell by cell. The two consume the same random doubles in
+the same order and return the same indices, bit for bit; ``assemble``
+remains the live fallback for the one case the lockstep path does not
+handle (see :meth:`RecipeAssembler.assemble_many`), and, still calling
+``np.exp`` itself, the oracle the table is tested against.
 """
 
 from __future__ import annotations
@@ -187,10 +190,32 @@ class RecipeAssembler:
         cumsum and the divide by the last entry. The pick is the count of
         cdf entries <= u, which on a non-decreasing cdf is
         ``searchsorted(u, side="right")``.
+
+        Affinity stays an integer count: at slot ``k`` it is a sum of
+        ``k`` capped overlaps, so it lies in 0 … ``OVERLAP_CAP * k``. The
+        exponential factor of the tilt is read from a per-slot table over
+        exactly that range, built by ``assemble``'s expression on the
+        same float64 values, so each entry has the bits ``assemble``
+        computes for that affinity, and no entry lies past what the slot
+        can reach (which could overflow ``exp``).
         """
         popularity = self._popularity
         first_cdf = (popularity / popularity.sum()).cumsum()
         first_cdf /= first_cdf[-1]
+        overlap = self._overlap.astype(np.intp)
+        factors: list[np.ndarray] = []
+        if per_slot == 2:
+            # factors[k - 1][a] is exp(bias * (a / k) / scale) for every
+            # affinity a that slot k can reach.
+            cap = int(OVERLAP_CAP)
+            factors = [
+                np.exp(
+                    self._bias
+                    * (np.arange(cap * slot + 1, dtype=np.float64) / slot)
+                    / OVERLAP_SCALE
+                )
+                for slot in range(1, int(sizes.max()))
+            ]
         recipes: dict[int, np.ndarray] = {}
         order = np.argsort(-sizes, kind="stable")
         for start in range(0, len(order), BLOCK_ROWS):
@@ -203,7 +228,7 @@ class RecipeAssembler:
             chosen[:, 0] = picks
             weights = np.tile(popularity, (len(block), 1))
             weights[rows, picks] = 0.0
-            affinity = self._overlap[picks]
+            affinity = overlap[picks]
             for slot in range(1, int(block_sizes[0])):
                 active = int(np.count_nonzero(block_sizes > slot))
                 live = weights[:active]
@@ -211,9 +236,7 @@ class RecipeAssembler:
                 if per_slot == 1:
                     tilt = live
                 else:
-                    tilt = live * np.exp(
-                        self._bias * (affinity[:active] / slot) / OVERLAP_SCALE
-                    )
+                    tilt = live * factors[slot - 1][affinity[:active]]
                     noise = doubles[draw_at - 1] < NOISE_RATE
                     tilt[noise] = live[noise]
                 total = tilt.sum(axis=1)
@@ -226,7 +249,7 @@ class RecipeAssembler:
                 )
                 chosen[:active, slot] = picks
                 live[rows[:active], picks] = 0.0
-                affinity[:active] += self._overlap[picks]
+                affinity[:active] += overlap[picks]
             for row, recipe in enumerate(block.tolist()):
                 recipes[recipe] = chosen[row, : block_sizes[row]].copy()
         return [recipes[recipe] for recipe in range(len(sizes))]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 from collections.abc import Mapping
 
 import numpy as np
@@ -290,9 +289,9 @@ class CorpusGenerator:
         ingredients that random assembly missed are swapped into recipes,
         replacing an ingredient that occurs at least twice corpus-wide.
         """
-        usage = Counter[int]()
-        for indices in recipes:
-            usage.update(int(i) for i in indices)
+        usage = np.bincount(
+            np.concatenate(recipes), minlength=pantry.size
+        ).tolist()
         unused = [
             index for index in range(pantry.size) if usage[index] == 0
         ]

@@ -16,6 +16,11 @@ each of them.
 * :func:`loop_chi_values` — one (ingredient, recipe) removal at a time,
   the spec of the array sweep :func:`repro.pairing.chi_values`, which
   must equal it bit for bit.
+* :func:`per_recipe_resolve_corpus` — one ``_resolve_ids`` call per
+  recipe, recording each phrase as it goes, the spec of
+  :meth:`repro.aliasing.AliasingPipeline.resolve_corpus`, which resolves
+  and records each distinct token tuple once and must return the same
+  recipes and a report with the same counts in the same key order.
 * :func:`whole_phrase_clean`, :func:`whole_phrase_tokenize` and
   :func:`whole_phrase_normalize` — each pass over the whole phrase at
   once, the spec of the per-chunk :func:`repro.aliasing.basic_clean`,
@@ -34,6 +39,7 @@ each of them.
 
 from __future__ import annotations
 
+import itertools
 import unicodedata
 from collections.abc import Callable, Sequence
 
@@ -42,7 +48,10 @@ import numpy as np
 from repro.aliasing import (
     CONTEXTUAL_MEASURES,
     MAX_NGRAM,
+    AliasingPipeline,
+    AliasingResult,
     MatchOutcome,
+    MatchReport,
     TokenMatch,
     singularize,
 )
@@ -61,6 +70,8 @@ from repro.datamodel import (
     REGIONS,
     WORLD_ONLY_REGION_NAMES,
     Ingredient,
+    RawRecipeTable,
+    RecipeTable,
 )
 from repro.pairing import CuisineView, NullModel, scores_from_view
 from repro.retrieval import (
@@ -230,6 +241,37 @@ def loop_chi_values(view: CuisineView) -> np.ndarray:
         else:
             chi[local] = 100.0 * (score_sum / count - base_mean) / base_mean
     return chi
+
+
+def per_recipe_resolve_corpus(
+    pipeline: AliasingPipeline, raws: RawRecipeTable
+) -> AliasingResult:
+    """Alias a corpus recipe by recipe, each phrase resolved and recorded
+    on its own, and encode the kept rows' strings afresh."""
+    report = MatchReport()
+    phrases = raws.phrases()
+    kept: list[int] = []
+    rows: list[frozenset[int]] = []
+    for row, (start, stop) in enumerate(
+        itertools.pairwise(raws.phrase_offsets.tolist())
+    ):
+        ingredient_ids = pipeline._resolve_ids(phrases[start:stop], report)
+        if ingredient_ids:
+            kept.append(row)
+            rows.append(ingredient_ids)
+    recipes = RecipeTable.from_columns(
+        raws.recipe_ids[kept],
+        rows,
+        *(
+            [strings[code] for code in codes[kept].tolist()]
+            for strings, codes in (
+                (raws.regions, raws.region_idx),
+                (raws.titles, raws.title_idx),
+                (raws.sources, raws.source_idx),
+            )
+        ),
+    )
+    return AliasingResult(recipes, report)
 
 
 def whole_phrase_clean(phrase: str) -> str:

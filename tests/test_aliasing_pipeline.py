@@ -1,14 +1,22 @@
 """Tests for the end-to-end aliasing pipeline."""
 
 import dataclasses
+import pickle
 import sys
 import threading
 
 import pytest
 
-from repro.aliasing import AliasingPipeline, MatchKind, MatchReport
+from repro.aliasing import (
+    AliasingPipeline,
+    MatchKind,
+    MatchReport,
+    normalize_phrase,
+)
+from repro.aliasing.pipeline import DEFAULT_PHRASE_CACHE
 from repro.corpus import CorpusGenerator
 from repro.datamodel import RawRecipe, RawRecipeTable
+from tests.oracles import per_recipe_resolve_corpus
 
 
 class TestResolvePhrase:
@@ -160,6 +168,23 @@ class TestMatchReport:
         report = MatchReport()
         report.record_phrase(pipeline.resolve_phrase("2 tomatoes"))
         assert "exact=1" in repr(report)
+
+    def test_count_equals_repeated_records(self):
+        leftovers = ("ponzu", "glitter", "sauce")
+        once, repeated = MatchReport(), MatchReport()
+        once.record_match(MatchKind.EXACT, (), count=3)
+        once.record_match(MatchKind.PARTIAL, leftovers, count=3)
+        for _ in range(3):
+            repeated.record_match(MatchKind.EXACT, ())
+        for _ in range(3):
+            repeated.record_match(MatchKind.PARTIAL, leftovers)
+        assert list(once.phrase_counts.items()) == list(
+            repeated.phrase_counts.items()
+        )
+        assert list(once._unmatched_ngrams.items()) == list(
+            repeated._unmatched_ngrams.items()
+        )
+        assert pickle.dumps(once) == pickle.dumps(repeated)
 
 
 def _corpus_raws():
@@ -344,3 +369,117 @@ class TestConcurrentResolve:
         assert mismatches == []
         assert shared.phrase_cache_info() == (2, 2)
 
+
+def _fixture_raws():
+    """Typos, partial, unknown and repeated lines over a few recipes, the
+    same token tuple recurring under different surface forms."""
+    lines = [
+        ("1 tbsp oregeno", "2 cups chopped tomatoe", "moon dust"),
+        ("fresh mozzarela cheese", "2 cups gravel and tomatoes"),
+        ("glorp", "qqqqzzzz flibberjab"),
+        ("3 Tomatoes, diced", "2 Glorps, sliced", "salt and pepper"),
+        ("moon dust", "3 scoops of moon dust", "ponzu glitter sauce base"),
+        ("aa bb cc dd ee ff gg", "2 cups gravel and tomatoes"),
+        ("chopped onions", "olive oil", "1 tbsp oregeno"),
+        ("qqqqzzzz flibberjab",),
+        ("2 cups chopped tomatoes", "fresh basil", "moon dust"),
+    ]
+    return RawRecipeTable.from_recipes(
+        RawRecipe(
+            index + 1,
+            f"Dish {index % 4}",
+            ("AllRecipes", "Epicurious")[index % 2],
+            ("ITA", "JPN", "FRA")[index % 3],
+            phrases,
+        )
+        for index, phrases in enumerate(lines)
+    )
+
+
+@pytest.fixture(scope="module", params=["generated", "fixture"])
+def corpus_raws(request):
+    if request.param == "fixture":
+        return _fixture_raws()
+    return CorpusGenerator(recipe_scale=0.05).generate().raw_recipes
+
+
+def _assert_same_result(got, want):
+    assert got.recipes == want.recipes
+    assert list(got.report.phrase_counts.items()) == list(
+        want.report.phrase_counts.items()
+    )
+    assert list(got.report._unmatched_ngrams.items()) == list(
+        want.report._unmatched_ngrams.items()
+    )
+    assert (got.report.recipes_total, got.report.recipes_resolved) == (
+        want.report.recipes_total,
+        want.report.recipes_resolved,
+    )
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+def _memo_traffic(pipeline, resolve):
+    """(hits, misses) the memo counters gained while ``resolve`` ran."""
+    before = pipeline._cache_hits.value, pipeline._cache_misses.value
+    resolve()
+    return (
+        pipeline._cache_hits.value - before[0],
+        pipeline._cache_misses.value - before[1],
+    )
+
+
+class TestResolveCorpusOracle:
+    """Resolving each distinct token tuple once gives what resolving and
+    recording every phrase recipe by recipe gives, bit for bit."""
+
+    @pytest.mark.parametrize("fuzzy", [False, True])
+    @pytest.mark.parametrize("cache", [0, 2, DEFAULT_PHRASE_CACHE])
+    def test_matches_per_recipe_oracle(
+        self, catalog, corpus_raws, fuzzy, cache
+    ):
+        options = dict(fuzzy=fuzzy, phrase_cache_size=cache)
+        fast = AliasingPipeline(catalog, **options)
+        slow = AliasingPipeline(catalog, **options)
+        _assert_same_result(
+            fast.resolve_corpus(corpus_raws),
+            per_recipe_resolve_corpus(slow, corpus_raws),
+        )
+
+    @pytest.mark.parametrize("cache", [0, 2, DEFAULT_PHRASE_CACHE])
+    def test_after_register_alias(self, catalog, corpus_raws, cache):
+        """A warm memo is dropped: the result equals that of a pipeline
+        that never memoised and had the aliases from the start."""
+        fast = AliasingPipeline(catalog, phrase_cache_size=cache)
+        fast.resolve_corpus(corpus_raws)
+        plain = AliasingPipeline(catalog, phrase_cache_size=0)
+        for pipeline in (fast, plain):
+            pipeline.register_alias("glorp", catalog.get("tomato"))
+            pipeline.register_alias("moon dust", catalog.get("basil"))
+        _assert_same_result(
+            fast.resolve_corpus(corpus_raws),
+            per_recipe_resolve_corpus(plain, corpus_raws),
+        )
+
+    def test_memo_counts_every_phrase(self, catalog, corpus_raws):
+        phrases = corpus_raws.phrases()
+        distinct = len({tuple(normalize_phrase(p)) for p in phrases})
+        fast = AliasingPipeline(catalog)
+        hits, misses = _memo_traffic(
+            fast, lambda: fast.resolve_corpus(corpus_raws)
+        )
+        assert hits + misses == len(phrases)
+        assert misses == distinct
+        slow = AliasingPipeline(catalog)
+        assert _memo_traffic(
+            slow, lambda: per_recipe_resolve_corpus(slow, corpus_raws)
+        ) == (hits, misses)
+        # A second call finds every tuple memoised.
+        assert _memo_traffic(
+            fast, lambda: fast.resolve_corpus(corpus_raws)
+        ) == (len(phrases), 0)
+
+    def test_no_memo_counts_nothing(self, catalog, corpus_raws):
+        off = AliasingPipeline(catalog, phrase_cache_size=0)
+        assert _memo_traffic(
+            off, lambda: off.resolve_corpus(corpus_raws)
+        ) == (0, 0)
