@@ -11,9 +11,10 @@ what is already in the pot. The modulation is the cuisine's
 * negative bias (contrasting cuisines): they are down-weighted,
 * zero bias degenerates to the frequency-preserving null model.
 
-The overlap matrix between all pantry ingredients is precomputed once per
-region. :meth:`RecipeAssembler.assemble` draws one recipe, slot by slot,
-with a handful of numpy operations on one pantry-length vector per slot.
+The overlap matrix between all pantry ingredients is sliced once per
+region from the catalog's shared-molecule counts.
+:meth:`RecipeAssembler.assemble` draws one recipe, slot by slot, with a
+handful of numpy operations on one pantry-length vector per slot.
 :meth:`RecipeAssembler.assemble_many` draws a whole region's recipes in
 lockstep instead: recipes sorted by size form blocks, and each slot is a
 few operations on a (recipes × pantry) array, whose tilt is looked up
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..datamodel import Ingredient
-from ..flavordb import membership_matrix, shared_molecule_counts
+from ..flavordb import IngredientCatalog, default_catalog
 from .pantry import RegionPantry
 
 #: Shared-molecule counts are squashed to ``min(overlap, OVERLAP_CAP)`` and
@@ -49,25 +50,34 @@ NOISE_RATE = 0.08
 BLOCK_ROWS = 128
 
 
-def overlap_matrix(ingredients: tuple[Ingredient, ...]) -> np.ndarray:
+def overlap_matrix(
+    ingredients: tuple[Ingredient, ...],
+    catalog: IngredientCatalog | None = None,
+) -> np.ndarray:
     """Pairwise shared-molecule counts |F_i ∩ F_j| (diagonal zeroed).
 
-    The exact float32 membership matmul of
-    :func:`repro.flavordb.shared_molecule_counts`, returned as int32 (a
-    test keeps the int32 matmul as its oracle).
+    A slice of :meth:`IngredientCatalog.shared_molecule_counts` of the
+    catalog the ingredients come from (default: the shared one),
+    returned as int32 (a test keeps the int32 matmul as its oracle).
     """
-    return shared_molecule_counts(membership_matrix(ingredients)).astype(
-        np.int32
-    )
+    catalog = catalog if catalog is not None else default_catalog()
+    ids = [ingredient.ingredient_id for ingredient in ingredients]
+    return catalog.shared_molecule_counts(ids).astype(np.int32)
 
 
 class RecipeAssembler:
     """Draws recipes (as pantry-index arrays) for one region."""
 
-    def __init__(self, pantry: RegionPantry) -> None:
+    def __init__(
+        self, pantry: RegionPantry, catalog: IngredientCatalog | None = None
+    ) -> None:
+        """``catalog`` is the one the pantry was built from (default: the
+        shared one)."""
         self._pantry = pantry
         self._popularity = pantry.popularity.astype(np.float64)
-        self._overlap = overlap_matrix(pantry.ingredients).astype(np.float64)
+        self._overlap = overlap_matrix(pantry.ingredients, catalog).astype(
+            np.float64
+        )
         np.clip(self._overlap, 0.0, OVERLAP_CAP, out=self._overlap)
         self._bias = pantry.profile.pairing_bias
 

@@ -6,12 +6,18 @@ builds the pantry (:mod:`repro.corpus.pantry`), samples recipe sizes
 flavor-affinity bias (:mod:`repro.corpus.assembler`), enforces Table 1's
 exact unique-ingredient counts, renders noisy raw phrases
 (:mod:`repro.corpus.renderer`), and attributes recipes to the paper's four
-sources with their exact published totals. Phrases and titles draw from
-a per-region :class:`~repro.corpus.draws.DrawStream`, which gives the
-values a numpy ``Generator`` on the same PCG64 stream would.
+sources with their exact published totals. Each region's phrases and
+title draws come from one walk over its render stream
+(:meth:`~repro.corpus.PhraseRenderer.render_lines`), which gives the
+values a numpy ``Generator`` on the same PCG64 stream would; a region
+with a draw numpy would reject is rendered line by line on that
+``Generator`` instead.
 
 The generator writes the corpus as columns
-(:class:`~repro.datamodel.RawRecipeTable`) and keeps no per-recipe object.
+(:class:`~repro.datamodel.RawRecipeTable`) and keeps no per-recipe object:
+each region's phrases and instructions are packed into one UTF-8 chunk
+each as soon as they exist, and its intended ingredient ids into one
+int32 array, so no corpus-wide list of phrase strings is ever built.
 Everything is deterministic given ``seed``; the default seed is the one
 all experiments and benchmarks use. Generation runs in the calling
 process (``--workers`` fans out Monte Carlo sampling only), so the
@@ -28,11 +34,10 @@ import numpy as np
 
 from ..aliasing import AliasingPipeline
 from ..datamodel import ConfigurationError, RawRecipeTable, RowMapping
-from ..datamodel.entities import same_fields
+from ..datamodel.entities import _encode, same_fields
 from ..flavordb import IngredientCatalog, default_catalog, stable_seed
 from ..obs import span
 from .assembler import RecipeAssembler
-from .draws import DrawStream
 from .pantry import RegionPantry, build_pantry
 from .profiles import (
     REGION_GENERATOR_PROFILES,
@@ -126,16 +131,23 @@ class GeneratedCorpus:
 
 @dataclasses.dataclass
 class _Columns:
-    """The corpus columns as the generator appends them, recipe by
-    recipe; sources are known up front."""
+    """The corpus columns as the generator appends them, region by
+    region: one entry per recipe for the string columns, and per region
+    a UTF-8 chunk with its items' byte lengths for the packed ones.
+    Sources are known up front."""
 
     regions: list[str] = dataclasses.field(default_factory=list)
     titles: list[str] = dataclasses.field(default_factory=list)
-    phrase_rows: list[tuple[str, ...]] = dataclasses.field(
+    recipe_sizes: list[np.ndarray] = dataclasses.field(default_factory=list)
+    phrase_utf8: list[bytes] = dataclasses.field(default_factory=list)
+    phrase_lengths: list[np.ndarray] = dataclasses.field(
         default_factory=list
     )
-    instructions: list[str] = dataclasses.field(default_factory=list)
-    intended: list[int] = dataclasses.field(default_factory=list)
+    instruction_utf8: list[bytes] = dataclasses.field(default_factory=list)
+    instruction_lengths: list[np.ndarray] = dataclasses.field(
+        default_factory=list
+    )
+    intended: list[np.ndarray] = dataclasses.field(default_factory=list)
 
 
 class CorpusGenerator:
@@ -204,19 +216,28 @@ class CorpusGenerator:
                 pantries[profile.code] = self._generate_region(
                     profile, columns
                 )
-            raw_recipes = RawRecipeTable.from_columns(
-                recipe_ids=range(1, len(labels) + 1),
-                phrase_rows=columns.phrase_rows,
-                regions=columns.regions,
-                titles=columns.titles,
-                sources=labels,
-                instructions=columns.instructions,
+            region_table, region_idx = _encode(columns.regions)
+            title_table, title_idx = _encode(columns.titles)
+            source_table, source_idx = _encode(labels)
+            raw_recipes = RawRecipeTable(
+                recipe_ids=np.arange(1, len(labels) + 1, dtype=np.int64),
+                phrase_offsets=_bounds(columns.recipe_sizes),
+                phrase_utf8=_join(columns.phrase_utf8),
+                phrase_bounds=_bounds(columns.phrase_lengths),
+                region_idx=region_idx,
+                regions=region_table,
+                title_idx=title_idx,
+                titles=title_table,
+                source_idx=source_idx,
+                sources=source_table,
+                instruction_utf8=_join(columns.instruction_utf8),
+                instruction_bounds=_bounds(columns.instruction_lengths),
             )
             trace.incr("recipes", len(raw_recipes))
             trace.incr("regions", len(pantries))
             return GeneratedCorpus(
                 raw_recipes=raw_recipes,
-                intended_ids=np.asarray(columns.intended, dtype=np.int32),
+                intended_ids=np.concatenate(columns.intended),
                 pantries=pantries,
                 seed=self._seed,
             )
@@ -229,28 +250,88 @@ class CorpusGenerator:
         with span("corpus.region", region=code) as trace:
             pantry = build_pantry(profile, self._catalog)
             recipes = self._assemble_region(profile, pantry)
-            render_rng = DrawStream(
-                np.random.PCG64(stable_seed("render", code, str(self._seed)))
+            seed = stable_seed("render", code, str(self._seed))
+            lines = self._renderer.render_lines(
+                pantry.ingredients, recipes, seed, len(_DISH_TYPES)
             )
-            for indices in recipes:
-                ingredients = [pantry.ingredients[int(i)] for i in indices]
-                columns.phrase_rows.append(
-                    tuple(
-                        self._renderer.render(ingredient, render_rng)
-                        for ingredient in ingredients
-                    )
+            if lines is None:  # a draw numpy would redraw: go line by line
+                utf8, lengths, titles = self._render_region(
+                    code, pantry, recipes, seed
                 )
-                columns.titles.append(
-                    self._title(code, ingredients[0].name, render_rng)
-                )
-                columns.instructions.append(self._instructions(ingredients))
-                columns.intended.extend(
-                    ingredient.ingredient_id for ingredient in ingredients
-                )
-                trace.incr("phrases", len(ingredients))
+            else:
+                utf8, lengths = lines.utf8, lines.lengths
+                titles = self._titles(code, pantry, recipes, lines.title_draws)
+            flat = np.concatenate(recipes)
             columns.regions.extend([code] * len(recipes))
+            columns.titles.extend(titles)
+            columns.recipe_sizes.append(
+                np.fromiter(map(len, recipes), np.int64, len(recipes))
+            )
+            columns.phrase_utf8.append(utf8)
+            columns.phrase_lengths.append(lengths)
+            instructions = [
+                self._instructions(
+                    [pantry.ingredients[i] for i in indices[:3].tolist()]
+                ).encode("utf-8")
+                for indices in recipes
+            ]
+            columns.instruction_utf8.append(b"".join(instructions))
+            columns.instruction_lengths.append(
+                np.fromiter(map(len, instructions), np.int64, len(recipes))
+            )
+            columns.intended.append(
+                pantry.ingredient_ids()[flat].astype(np.int32)
+            )
+            trace.incr("phrases", len(flat))
             trace.incr("recipes", len(recipes))
             return pantry
+
+    def _render_region(
+        self,
+        code: str,
+        pantry: RegionPantry,
+        recipes: list[np.ndarray],
+        seed: int,
+    ) -> tuple[bytes, np.ndarray, list[str]]:
+        """A region's lines (one UTF-8 chunk and each line's byte length)
+        and titles, drawn one by one from ``Generator(PCG64(seed))``: the
+        fallback for a region whose walk met a draw numpy would redraw."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        encoded, titles = [], []
+        for indices in recipes:
+            ingredients = [pantry.ingredients[i] for i in indices.tolist()]
+            encoded.extend(
+                self._renderer.render(ingredient, rng).encode("utf-8")
+                for ingredient in ingredients
+            )
+            titles.append(self._title(code, ingredients[0].name, rng))
+        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        return b"".join(encoded), lengths, titles
+
+    def _titles(
+        self,
+        code: str,
+        pantry: RegionPantry,
+        recipes: list[np.ndarray],
+        draws: np.ndarray,
+    ) -> list[str]:
+        """Each recipe's title from its dish draw; each distinct (main
+        ingredient, dish) title is rendered once."""
+        mains = np.fromiter(
+            (indices[0] for indices in recipes), np.int64, len(recipes)
+        )
+        keys, inverse = np.unique(
+            mains * len(_DISH_TYPES) + draws, return_inverse=True
+        )
+        distinct = [
+            _title_text(
+                code,
+                pantry.ingredients[key // len(_DISH_TYPES)].name,
+                _DISH_TYPES[key % len(_DISH_TYPES)],
+            )
+            for key in keys.tolist()
+        ]
+        return [distinct[index] for index in inverse.tolist()]
 
     # ------------------------------------------------------------------
     # per-region assembly
@@ -273,7 +354,9 @@ class CorpusGenerator:
         )
         count = self._region_recipe_count(profile)
         sizes = sample_recipe_sizes(rng, count, profile.mean_recipe_size)
-        recipes = RecipeAssembler(pantry).assemble_many(rng, sizes)
+        recipes = RecipeAssembler(pantry, self._catalog).assemble_many(
+            rng, sizes
+        )
         self._enforce_coverage(recipes, pantry, rng)
         return recipes
 
@@ -370,15 +453,11 @@ class CorpusGenerator:
         return labels
 
     def _title(
-        self,
-        code: str,
-        main_ingredient: str,
-        rng: np.random.Generator | DrawStream,
+        self, code: str, main_ingredient: str, rng: np.random.Generator
     ) -> str:
         """A recipe title (the table stores each distinct one once)."""
         dish = _DISH_TYPES[int(rng.integers(len(_DISH_TYPES)))]
-        adjective = _REGION_ADJECTIVES.get(code, code.title())
-        return f"{adjective} {main_ingredient} {dish}".title()
+        return _title_text(code, main_ingredient, dish)
 
     def _instructions(self, ingredients) -> str:
         head = ", ".join(
@@ -388,6 +467,28 @@ class CorpusGenerator:
             f"Prepare the {head}. Combine all ingredients and cook until "
             "done. Season, rest briefly and serve."
         )
+
+
+def _title_text(code: str, main_ingredient: str, dish: str) -> str:
+    """A recipe title: region adjective, main ingredient, dish."""
+    adjective = _REGION_ADJECTIVES.get(code, code.title())
+    return f"{adjective} {main_ingredient} {dish}".title()
+
+
+def _join(chunks: list[bytes]) -> bytes:
+    """The chunks as one buffer. The list is emptied, so one column's
+    chunks are freed before the next column is joined."""
+    joined = b"".join(chunks)
+    chunks.clear()
+    return joined
+
+
+def _bounds(lengths: list[np.ndarray]) -> np.ndarray:
+    """int64 offsets delimiting consecutive items of these lengths."""
+    lengths = np.concatenate(lengths)
+    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds
 
 
 def generate_default_corpus(

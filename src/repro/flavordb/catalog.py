@@ -20,7 +20,9 @@ a deterministic synthetic flavor profile.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+
+import numpy as np
 
 from ..datamodel import (
     Category,
@@ -39,6 +41,7 @@ from .catalog_data import (
     REMOVED_GENERIC_ENTITIES,
     SYNONYMS,
 )
+from .overlap import membership_matrix, shared_molecule_counts
 from .profiles import primary_family, synthesize_profile
 from .universe import build_universe
 
@@ -145,6 +148,7 @@ class IngredientCatalog:
             for ingredient in self._ingredients
         }
         self._families: dict[int, str] = {}
+        self._shared: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # collection protocol
@@ -232,6 +236,29 @@ class IngredientCatalog:
             family = self._primary_family(ingredient)
             self._families[ingredient.ingredient_id] = family
         return family
+
+    def shared_molecule_counts(
+        self, ingredient_ids: Sequence[int] | np.ndarray
+    ) -> np.ndarray:
+        """|F_i ∩ F_j| between these ingredients, diagonal zeroed: a
+        slice of one catalog-wide matrix, computed on first use.
+
+        The corpus assembler, the cuisine views and the retrieval index
+        each ask for a subset; one matmul serves them all. The matrix is
+        kept in the narrowest unsigned dtype that holds its largest count
+        (uint8 for the default catalog, whose largest is 157), and the
+        slice keeps that dtype.
+        """
+        if self._shared is None:
+            # Ingredient ids run 0..n-1 in catalog order.
+            counts = shared_molecule_counts(
+                membership_matrix(self._ingredients)
+            )
+            self._shared = counts.astype(
+                np.min_scalar_type(int(counts.max(initial=0)))
+            )
+        ids = np.asarray(ingredient_ids, dtype=np.intp)
+        return self._shared[np.ix_(ids, ids)]
 
     def _primary_family(self, ingredient: Ingredient) -> str:
         if ingredient.is_compound and ingredient.constituents:

@@ -2,8 +2,11 @@
 
 The corpus assembler, the cuisine views, the retrieval index and the
 robustness study's thinned profiles all need the pairwise overlap of
-flavor profiles. Each computes it the same way: a binary ingredient ×
-molecule membership matrix times its transpose.
+flavor profiles: a binary ingredient × molecule membership matrix times
+its transpose. The catalog makes that product once for all its
+ingredients (:meth:`IngredientCatalog.shared_molecule_counts`), and the
+first three slice it; the robustness study multiplies its own thinned
+profiles.
 The matmul runs in float32 (BLAS ``sgemm``): the operands are 0/1 and a
 count is at most a few hundred, far below 2**24, so every product and
 partial sum is exact and callers may cast the result to any integer or

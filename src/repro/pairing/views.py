@@ -26,12 +26,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..datamodel import Cuisine, Ingredient, ValidationError
-from ..flavordb import (
-    IngredientCatalog,
-    default_catalog,
-    membership_matrix,
-    shared_molecule_counts,
-)
+from ..flavordb import IngredientCatalog, default_catalog
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,8 +216,10 @@ def build_cuisine_view(
     ingredients = [
         catalog.by_id(ingredient_id) for ingredient_id in pairable_ids
     ]
-    counts = shared_molecule_counts(membership_matrix(ingredients))
-    overlap = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
+    counts = catalog.shared_molecule_counts(pairable_ids)
+    overlap = counts.astype(
+        np.min_scalar_type(int(counts.max(initial=0))), copy=False
+    )
 
     table = cuisine.table
     local_of = np.full(max(pairable_ids, default=-1) + 1, -1, np.int64)

@@ -35,11 +35,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from ..datamodel import Cuisine
-from ..flavordb import (
-    IngredientCatalog,
-    membership_matrix,
-    shared_molecule_counts,
-)
+from ..flavordb import IngredientCatalog, membership_matrix
 from ..obs import span
 
 __all__ = ["NEIGHBOR_LIST_LIMIT", "RetrievalIndex", "build_retrieval_index"]
@@ -129,7 +125,9 @@ def build_retrieval_index(
     )
     with span("retrieval.build_index", ingredients=rows):
         membership = membership_matrix(pairable)
-        shared = shared_molecule_counts(membership).astype(np.int64)
+        shared = catalog.shared_molecule_counts(ingredient_ids).astype(
+            np.int64
+        )
 
         name_order = sorted(range(rows), key=names.__getitem__)
         name_rank = np.empty(rows, dtype=np.int64)

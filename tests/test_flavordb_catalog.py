@@ -1,5 +1,6 @@
 """Tests for the assembled ingredient catalog and its curation protocol."""
 
+import numpy as np
 import pytest
 
 from repro.datamodel import Category, LookupFailure
@@ -8,7 +9,9 @@ from repro.flavordb import (
     REMOVED_GENERIC_ENTITIES,
     SYNONYMS,
     curate_names,
+    membership_matrix,
     raw_flavordb_names,
+    shared_molecule_counts,
 )
 
 
@@ -149,3 +152,62 @@ class TestFamilyOf:
         second = IngredientCatalog()
         for left, right in zip(first.ingredients, second.ingredients):
             assert left == right
+
+
+class TestSharedMoleculeCounts:
+    def test_slices_equal_each_subset_matmul(self, catalog):
+        """Every region's pantry (the assembler), the pairable
+        ingredients (the retrieval index), random subsets in random
+        order (the views), one ingredient and none."""
+        from repro.corpus import (
+            REGION_GENERATOR_PROFILES,
+            WORLD_ONLY_PROFILES,
+            build_pantry,
+        )
+
+        profiles = (*REGION_GENERATOR_PROFILES.values(), *WORLD_ONLY_PROFILES)
+        subsets = [
+            build_pantry(profile, catalog).ingredient_ids()
+            for profile in profiles
+        ]
+        subsets.append(
+            [
+                ingredient.ingredient_id
+                for ingredient in catalog.pairable_ingredients()
+            ]
+        )
+        rng = np.random.default_rng(4)
+        subsets.extend(
+            rng.choice(len(catalog), size=size, replace=False)
+            for size in (2, 50, 400)
+        )
+        subsets.extend([[7], []])
+        for ids in subsets:
+            expected = shared_molecule_counts(
+                membership_matrix([catalog.by_id(int(i)) for i in ids])
+            )
+            counts = catalog.shared_molecule_counts(ids)
+            assert counts.dtype == np.uint8
+            assert np.array_equal(counts, expected)
+
+    def test_kept_in_the_narrowest_dtype(self, catalog):
+        counts = catalog.shared_molecule_counts(range(len(catalog)))
+        assert counts.dtype == np.min_scalar_type(int(counts.max()))
+        assert np.all(np.diag(counts) == 0)
+
+    def test_one_matmul_per_catalog(self, monkeypatch):
+        from repro.flavordb import IngredientCatalog
+        from repro.flavordb import catalog as catalog_module
+
+        fresh = IngredientCatalog()
+        original = catalog_module.shared_molecule_counts
+        calls = []
+
+        def counting(membership):
+            calls.append(membership.shape)
+            return original(membership)
+
+        monkeypatch.setattr(catalog_module, "shared_molecule_counts", counting)
+        for ids in ([1, 2, 3], [5], range(40)):
+            fresh.shared_molecule_counts(ids)
+        assert calls == [(len(fresh), calls[0][1])]

@@ -160,13 +160,17 @@ def rendered(request):
     monkeypatch = pytest.MonkeyPatch()
     request.addfinalizer(monkeypatch.undo)
     handed: list[int] = []
-    render = PhraseRenderer.render
+    render_lines = PhraseRenderer.render_lines
 
-    def recording(self, ingredient, rng):
-        handed.append(ingredient.ingredient_id)
-        return render(self, ingredient, rng)
+    def recording(self, ingredients, recipes, *args):
+        handed.extend(
+            ingredients[index].ingredient_id
+            for indices in recipes
+            for index in indices.tolist()
+        )
+        return render_lines(self, ingredients, recipes, *args)
 
-    monkeypatch.setattr(PhraseRenderer, "render", recording)
+    monkeypatch.setattr(PhraseRenderer, "render_lines", recording)
     corpus = CorpusGenerator(recipe_scale=0.02).generate()
     return corpus, handed
 
